@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .dsl import parse, DslError
+from .dsl import AlgebraFile, DslError, parse
 from .scalars import ScalarError
 from .superspace import (check_leibniz_superalgebra,
                          check_left_leibniz_superalgebra,
@@ -149,30 +149,29 @@ class Output:
                 print(line)
 
 
-def _frac_str(x):
-    return str(Fraction(x))
-
-
 def _solution_payload(sol):
     return {
         "route": sol.route,
         "degrees": list(sol.degrees),
         "dimension": sol.dimension,
         "unknowns": [list(u) for u in sol.unknowns],
-        "basis": [[_frac_str(x) for x in vec] for vec in sol.basis],
+        "basis": [[str(Fraction(x)) for x in vec] for vec in sol.basis],
         "warnings": list(sol.warnings),
     }
 
 
 # ---------- component resolution ----------
 
-def _resolved_star(af, required=False):
+def _star(af):
+    """The declared star, zero if there is none."""
+    star = af.star()
+    return star if star is not None else zero_map(af.space, "star")
+
+
+def _declared_star(af):
     star = af.star()
     if star is None:
-        if required:
-            raise UsageError("algebra %r declares no star directive"
-                             % af.name)
-        star = zero_map(af.space, "star")
+        raise UsageError("algebra %r declares no star directive" % af.name)
     return star
 
 
@@ -188,7 +187,69 @@ def _averaging_product(af):
     raise UsageError("the averaging check needs an op named 'prod'")
 
 
+def _derived_circ(af):
+    return build_assoc_novikov_from_averaging(_averaging_product(af),
+                                              _first_linear_map(af))
+
+
+_circ = AlgebraFile.circ
+_bracket = AlgebraFile.classical_bracket
+_conformal = AlgebraFile.conformal_bracket
+
+
+def _structure_checks():
+    """The systems of check-structure --which: name -> (readers of the
+    checker's arguments off an algebra file, checker).  Built per call, so
+    the checker that runs is the one this module binds at that time (a
+    tracer may rebind it)."""
+    return {
+        "t": ((_circ, _star, _bracket), check_structure_equations_t),
+        "anl": ((_circ, _bracket), check_anl),
+        "symmetrized": ((_circ, _bracket), check_symmetrized_case),
+        "star-zero": ((_circ, _bracket), check_star_trivial_case),
+        "circ-zero": ((_declared_star, _bracket), check_circ_trivial_case),
+        "gd": ((_circ, _bracket), check_gd_bialgebra),
+        "novikov": ((_circ,), check_novikov),
+        "assoc-novikov": ((_circ,), check_associative_novikov),
+        "averaging": ((_averaging_product, _first_linear_map),
+                      check_averaging),
+    }
+
+
+def _checks():
+    """Every check the examples command can name, in the same form; a
+    checker's result is truthy exactly when the check passed."""
+    return {
+        **_structure_checks(),
+        "conformal-leibniz": ((_conformal,), check_conformal_leibniz),
+        "conformal-skew": ((_conformal,), check_conformal_skew),
+        "conformal-jacobi": ((_conformal,), check_conformal_jacobi),
+        "conformal-lie": ((_conformal,),
+                          lambda br: (check_conformal_skew(br)
+                                      and check_conformal_jacobi(br))),
+        "classical-right-leibniz": ((_bracket,), check_leibniz_superalgebra),
+        "classical-left-leibniz": ((_bracket,),
+                                   check_left_leibniz_superalgebra),
+        "classical-lie": ((_bracket,), check_lie_superalgebra),
+        "derived-circ-assoc-novikov": ((_derived_circ,),
+                                       check_associative_novikov),
+    }
+
+
+def _run_check(af, name, **kwargs):
+    readers, checker = _checks()[name]
+    return checker(*[read(af) for read in readers], **kwargs)
+
+
 # ---------- commands ----------
+
+def _conformal_kinds():
+    """verify-conformal --kind -> the checks that follow sesquilinearity;
+    built per call like _structure_checks."""
+    return {"leibniz": (check_conformal_leibniz,),
+            "lie": (check_conformal_skew, check_conformal_jacobi),
+            "left-leibniz": (check_conformal_jacobi,)}
+
 
 def cmd_verify_conformal(args, out):
     af = _algebra(args)
@@ -197,19 +258,9 @@ def cmd_verify_conformal(args, out):
     out.text("algebra %s: bracket entries" % af.name)
     for line in bracket.entries_str():
         out.text("  " + line)
-    reports = [check_conformal_sesquilinearity(bracket,
-                                               fail_fast=args.fail_fast)]
-    if args.kind == "leibniz":
-        reports.append(check_conformal_leibniz(bracket,
-                                               fail_fast=args.fail_fast))
-    elif args.kind == "lie":
-        reports.append(check_conformal_skew(bracket,
-                                            fail_fast=args.fail_fast))
-        reports.append(check_conformal_jacobi(bracket,
-                                              fail_fast=args.fail_fast))
-    else:  # left-leibniz
-        reports.append(check_conformal_jacobi(bracket,
-                                              fail_fast=args.fail_fast))
+    reports = [check(bracket, fail_fast=args.fail_fast)
+               for check in ((check_conformal_sesquilinearity,)
+                             + _conformal_kinds()[args.kind])]
     ok = True
     for rep in reports:
         out.report(rep)
@@ -217,41 +268,10 @@ def cmd_verify_conformal(args, out):
     return ok
 
 
-_STRUCTURE_WHICH = ("t", "anl", "symmetrized", "star-zero", "circ-zero",
-                    "gd", "novikov", "assoc-novikov", "averaging")
-
-
-def _run_structure(af, which, fail_fast=False):
-    circ = af.circ()
-    bracket = af.classical_bracket()
-    if which == "t":
-        return check_structure_equations_t(circ, _resolved_star(af), bracket,
-                                           fail_fast=fail_fast)
-    if which == "anl":
-        return check_anl(circ, bracket, fail_fast=fail_fast)
-    if which == "symmetrized":
-        return check_symmetrized_case(circ, bracket, fail_fast=fail_fast)
-    if which == "star-zero":
-        return check_star_trivial_case(circ, bracket, fail_fast=fail_fast)
-    if which == "circ-zero":
-        return check_circ_trivial_case(_resolved_star(af, required=True),
-                                       bracket, fail_fast=fail_fast)
-    if which == "gd":
-        return check_gd_bialgebra(circ, bracket, fail_fast=fail_fast)
-    if which == "novikov":
-        return check_novikov(circ, fail_fast=fail_fast)
-    if which == "assoc-novikov":
-        return check_associative_novikov(circ, fail_fast=fail_fast)
-    if which == "averaging":
-        return check_averaging(_averaging_product(af), _first_linear_map(af),
-                               fail_fast=fail_fast)
-    raise UsageError("unknown structure system %r" % which)
-
-
 def cmd_check_structure(args, out):
     af = _algebra(args)
     out.data["algebra"] = af.name
-    rep = _run_structure(af, args.which, fail_fast=args.fail_fast)
+    rep = _run_check(af, args.which, fail_fast=args.fail_fast)
     out.report(rep)
     return rep.passed
 
@@ -269,38 +289,36 @@ def cmd_classify_brackets(args, out):
     return not result.constraints
 
 
-_EXT_CASES = ("anl", "assoc-novikov", "gd", "novikov-lie")
+# central-extension case -> (star mode, whether the file's bracket takes
+# part, structured solver on (circ, bracket))
+_EXT_CASES = {
+    "anl": (StarMode.DOUBLE, True,
+            lambda circ, bracket: solve_central_ext_anl(circ, bracket)),
+    "assoc-novikov": (StarMode.DOUBLE, False,
+                      lambda circ, bracket: solve_central_ext_assoc_novikov(
+                          circ)),
+    "gd": (StarMode.SYMMETRIZED, True,
+           lambda circ, bracket: solve_leibniz_central_ext_gd(circ, bracket,
+                                                              case="gd")),
+    "novikov-lie": (StarMode.SYMMETRIZED, False,
+                    lambda circ, bracket: solve_leibniz_central_ext_gd(
+                        circ, case="novikov-lie")),
+}
 
 
 def _case_components(af, case):
     """(structured solve callable, conformal bracket) for a case."""
+    star_mode, with_bracket, solve = _EXT_CASES[case]
     circ = af.circ()
-    bracket = af.classical_bracket()
-    space = af.space
-    if case == "anl":
-        conf = build_quadratic_bracket(circ,
-                                       star_from_mode(circ, StarMode.DOUBLE),
-                                       bracket)
-        return (lambda: solve_central_ext_anl(circ, bracket)), conf
-    if case == "assoc-novikov":
-        conf = build_quadratic_bracket(circ,
-                                       star_from_mode(circ, StarMode.DOUBLE),
-                                       zero_map(space))
-        return (lambda: solve_central_ext_assoc_novikov(circ)), conf
-    if case == "gd":
-        conf = build_quadratic_bracket(
-            circ, star_from_mode(circ, StarMode.SYMMETRIZED), bracket)
-        return (lambda: solve_leibniz_central_ext_gd(circ, bracket,
-                                                     case="gd")), conf
-    if case == "novikov-lie":
-        conf = build_quadratic_bracket(
-            circ, star_from_mode(circ, StarMode.SYMMETRIZED), zero_map(space))
-        return (lambda: solve_leibniz_central_ext_gd(
-            circ, case="novikov-lie")), conf
-    raise UsageError("unknown central-extension case %r" % case)
+    bracket = af.classical_bracket() if with_bracket else zero_map(af.space)
+    conf = build_quadratic_bracket(circ, star_from_mode(circ, star_mode),
+                                   bracket)
+    return (lambda: solve(circ, bracket)), conf
 
 
 def cmd_central_ext(args, out):
+    if args.degree < 0:
+        raise UsageError("--degree must be at least 0, got %d" % args.degree)
     af = _algebra(args)
     _require_no_params(af, "central-ext")
     out.data["algebra"] = af.name
@@ -380,34 +398,6 @@ def cmd_coeff(args, out):
 
 # ---------- the examples command ----------
 
-def _check_runner(name):
-    def conformal(fn):
-        return lambda af: fn(af.conformal_bracket()).passed
-
-    def classical(fn):
-        return lambda af: fn(af.classical_bracket()).passed
-
-    runners = {
-        "conformal-leibniz": conformal(check_conformal_leibniz),
-        "conformal-skew": conformal(check_conformal_skew),
-        "conformal-jacobi": conformal(check_conformal_jacobi),
-        "conformal-lie": lambda af: (
-            check_conformal_skew(af.conformal_bracket()).passed
-            and check_conformal_jacobi(af.conformal_bracket()).passed),
-        "classical-right-leibniz": classical(check_leibniz_superalgebra),
-        "classical-left-leibniz": classical(check_left_leibniz_superalgebra),
-        "classical-lie": classical(check_lie_superalgebra),
-        "derived-circ-assoc-novikov": lambda af: check_associative_novikov(
-            build_assoc_novikov_from_averaging(
-                _averaging_product(af), _first_linear_map(af))).passed,
-    }
-    if name in runners:
-        return runners[name]
-    if name in _STRUCTURE_WHICH:
-        return lambda af: _run_structure(af, name).passed
-    raise UsageError("unknown check %r" % name)
-
-
 # (file, check, expected outcome) for every bundled corpus algebra
 EXAMPLE_EXPECTATIONS = [
     ("rab.alg", "t", True),
@@ -449,7 +439,7 @@ def cmd_examples(args, out):
     for fname, check, expected in EXAMPLE_EXPECTATIONS:
         if fname not in cache:
             cache[fname] = _load(fname)
-        got = _check_runner(check)(cache[fname])
+        got = bool(_run_check(cache[fname], check))
         ok = (got == expected)
         all_ok = all_ok and ok
         rows.append({"file": fname, "check": check,
@@ -482,7 +472,7 @@ def _build_parser():
     p = sub.add_parser("verify-conformal",
                        help="check the conformal axioms of the bracket")
     common(p)
-    p.add_argument("--kind", choices=("leibniz", "lie", "left-leibniz"),
+    p.add_argument("--kind", choices=tuple(_conformal_kinds()),
                    default="leibniz")
     p.set_defaults(fn=cmd_verify_conformal)
 
@@ -490,7 +480,8 @@ def _build_parser():
                        help="check one of the finite structure-equation "
                             "systems")
     common(p)
-    p.add_argument("--which", choices=_STRUCTURE_WHICH, required=True)
+    p.add_argument("--which", choices=tuple(_structure_checks()),
+                   required=True)
     p.set_defaults(fn=cmd_check_structure)
 
     p = sub.add_parser("classify-brackets",

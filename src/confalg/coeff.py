@@ -18,7 +18,9 @@ finite grid of modes, and turns polynomial cocycles into the induced mode
 finite-grid check.
 """
 
-from .scalars import Scalar, falling, binom
+import itertools
+
+from .scalars import Scalar, binom, combination_str, factor_str, falling
 from .superspace import AxiomReport, sign
 from .conformal import jth_products
 
@@ -80,25 +82,9 @@ class ModeExpr:
                 and (self - other).is_zero())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (k, m) in sorted(self.terms):
-            c = self.terms[(k, m)]
-            cs = str(c)
-            body = "%s[%d]" % (self.space.names[k], m)
-            if cs == "1":
-                pieces.append(body)
-            elif cs == "-1":
-                pieces.append("-" + body)
-            elif ("+" in cs[1:]) or ("-" in cs[1:]):
-                pieces.append("(%s) %s" % (cs, body))
-            else:
-                pieces.append("%s %s" % (cs, body))
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += (" + " + p) if not p.startswith("-") else (" - " + p[1:])
-        return out
+        names = self.space.names
+        return combination_str((self.terms[(k, m)], "%s[%d]" % (names[k], m))
+                               for (k, m) in sorted(self.terms))
 
     def __repr__(self):
         return "ModeExpr(%s)" % self
@@ -112,18 +98,13 @@ class CoeffAlgebra:
         self.space = bracket.space
         # cache the t-th products as lists of (basis index, d power, Scalar)
         self._products = {}
-        for i in range(self.space.dim):
-            for j in range(self.space.dim):
-                prods = jth_products(bracket, i, j)
-                table = {}
-                for t, vp in prods.items():
-                    table[t] = [(k, dd, c)
-                                for (k, dd, dl, dm, dn), c in vp.terms.items()]
-                if table:
-                    self._products[(i, j)] = table
-
-    def mode_parity(self, i):
-        return self.space.parity(i)
+        for i, j in itertools.product(range(self.space.dim), repeat=2):
+            table = {}
+            for t, vp in jth_products(bracket, i, j).items():
+                table[t] = [(k, dd, c)
+                            for (k, dd, dl, dm, dn), c in vp.terms.items()]
+            if table:
+                self._products[(i, j)] = table
 
     def mode_bracket_basis(self, i, m, j, n):
         """[e_i[m], e_j[n]] as a ModeExpr."""
@@ -162,48 +143,45 @@ class CoeffAlgebra:
     def table_lines(self, grid):
         """Rendered mode brackets over a grid of mode indices."""
         lines = []
-        for i in range(self.space.dim):
-            for j in range(self.space.dim):
-                for m in grid:
-                    for n in grid:
-                        val = self.mode_bracket_basis(i, m, j, n)
-                        if not val.is_zero():
-                            lines.append("[%s[%d], %s[%d]] = %s"
-                                         % (self.space.names[i], m,
-                                            self.space.names[j], n, val))
+        names = self.space.names
+        dims = range(self.space.dim)
+        for i, j, m, n in itertools.product(dims, dims, grid, grid):
+            val = self.mode_bracket_basis(i, m, j, n)
+            if not val.is_zero():
+                lines.append("[%s[%d], %s[%d]] = %s"
+                             % (names[i], m, names[j], n, val))
         return lines
 
     def check_leibniz(self, grid, fail_fast=False):
         """Right Leibniz identity on modes over a finite grid:
         [x, [y, z]] = [[x, y], z] - (-1)^{|y||z|} [[x, z], y]."""
-        space = self.space
-        rep = AxiomReport("mode-algebra right Leibniz identity")
-        grid = list(grid)
-        for i in range(space.dim):
-            for j in range(space.dim):
-                for k in range(space.dim):
-                    s = sign(space.parity(j), space.parity(k))
-                    for m in grid:
-                        for n in grid:
-                            for p in grid:
-                                rep.checked += 1
-                                xm, yn, zp = (i, m), (j, n), (k, p)
-                                res = self.mode_bracket(
-                                    xm, self.mode_bracket(yn, zp))
-                                res = res - self.mode_bracket(
-                                    self.mode_bracket(xm, yn), zp)
-                                res = res + self.mode_bracket(
-                                    self.mode_bracket(xm, zp), yn).scale(s)
-                                if not res.is_zero():
-                                    rep.record(
-                                        "right Leibniz",
-                                        ("%s[%d]" % (space.names[i], m),
-                                         "%s[%d]" % (space.names[j], n),
-                                         "%s[%d]" % (space.names[k], p)),
-                                        str(res))
-                                    if fail_fast:
-                                        return rep
-        return rep
+        return _check_mode_identity(self, self.mode_bracket, grid, fail_fast,
+                                    "mode-algebra right Leibniz identity",
+                                    "right Leibniz")
+
+
+def _check_mode_identity(coeff, outer, grid, fail_fast, title, identity):
+    """outer(x, [y, z]) = outer([x, y], z) - (-1)^{|y||z|} outer([x, z], y)
+    for basis modes x, y, z over a finite grid, [., .] the mode bracket."""
+    space = coeff.space
+    bracket = coeff.mode_bracket
+    grid = list(grid)
+    dims = [range(space.dim)] * 3
+
+    def check(cell):
+        i, j, k, m, n, p = cell
+        x, y, z = (i, m), (j, n), (k, p)
+        res = outer(x, bracket(y, z)) - outer(bracket(x, y), z)
+        tail = outer(bracket(x, z), y)
+        if sign(space.parity(j), space.parity(k)) == 1:
+            res = res + tail
+        else:
+            res = res - tail
+        if not res.is_zero():
+            yield (identity, ["%s[%d]" % (space.names[b], mode)
+                              for b, mode in (x, y, z)], str(res))
+    return AxiomReport(title).run(itertools.product(*dims, grid, grid, grid),
+                                  check, fail_fast)
 
 
 def coeff_bracket(bracket, i, m, j, n):
@@ -264,9 +242,7 @@ class PhiCocycle:
         for (t, p, q) in sorted(self.ansatz.entries):
             val = self.ansatz.entries[(t, p, q)]
             factor = " ".join("(m-%d)" % r if r else "m" for r in range(t))
-            vs = str(val)
-            if ("+" in vs[1:]) or ("-" in vs[1:]):
-                vs = "(%s)" % vs
+            vs = factor_str(val)
             if factor:
                 body = factor if vs == "1" else "%s %s" % (factor, vs)
             else:
@@ -289,30 +265,6 @@ def check_phi_cocycle(coeff, phi, grid, fail_fast=False):
     phi(x, [y, z]) = phi([x, y], z) - (-1)^{|y||z|} phi([x, z], y)."""
     if not isinstance(coeff, CoeffAlgebra):
         coeff = CoeffAlgebra(coeff)
-    space = coeff.space
-    rep = AxiomReport("mode 2-cocycle identity")
-    grid = list(grid)
-    for i in range(space.dim):
-        for j in range(space.dim):
-            for k in range(space.dim):
-                s = sign(space.parity(j), space.parity(k))
-                for m in grid:
-                    for n in grid:
-                        for p in grid:
-                            rep.checked += 1
-                            xm, yn, zp = (i, m), (j, n), (k, p)
-                            res = phi.on_modes(xm, coeff.mode_bracket(yn, zp))
-                            res = res - phi.on_modes(
-                                coeff.mode_bracket(xm, yn), zp)
-                            res = res + phi.on_modes(
-                                coeff.mode_bracket(xm, zp), yn) * Scalar.rational(s, res.params)
-                            if not res.is_zero():
-                                rep.record(
-                                    "2-cocycle identity",
-                                    ("%s[%d]" % (space.names[i], m),
-                                     "%s[%d]" % (space.names[j], n),
-                                     "%s[%d]" % (space.names[k], p)),
-                                    str(res))
-                                if fail_fast:
-                                    return rep
-    return rep
+    return _check_mode_identity(coeff, phi.on_modes, grid, fail_fast,
+                                "mode 2-cocycle identity",
+                                "2-cocycle identity")

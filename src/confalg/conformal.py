@@ -23,6 +23,8 @@ normalization, which is exactly why substituting n -> -m - d into a killed
 vector's coefficient lands on the value at -m.
 """
 
+import functools
+import itertools
 from fractions import Fraction
 
 from .scalars import Scalar, binom
@@ -124,8 +126,6 @@ class VPoly:
     def __add__(self, other):
         assert self.space is other.space
         terms = dict(self.terms)
-        out = VPoly(self.space, {})
-        out.terms = terms
         for key, coeff in other.terms.items():
             prev = terms.get(key)
             total = coeff if prev is None else prev + coeff
@@ -391,17 +391,17 @@ def substitute(x, var, replacement):
 
 # ---------- axiom checks ----------
 
-def _pairs(space):
-    for i in range(space.dim):
-        for j in range(space.dim):
-            yield i, j
+def _check_identity(bracket, title, identity, arity, residual, fail_fast):
+    """Check that residual(bracket, *cell) vanishes on every basis cell of
+    the given arity."""
+    space = bracket.space
 
-
-def _triples(space):
-    for i in range(space.dim):
-        for j in range(space.dim):
-            for k in range(space.dim):
-                yield i, j, k
+    def check(cell):
+        res = residual(bracket, *cell)
+        if not res.is_zero():
+            yield identity, [space.names[i] for i in cell], str(res)
+    return AxiomReport(title).run(
+        itertools.product(range(space.dim), repeat=arity), check, fail_fast)
 
 
 def check_conformal_sesquilinearity(bracket, fail_fast=False):
@@ -411,9 +411,9 @@ def check_conformal_sesquilinearity(bracket, fail_fast=False):
     self-test.
     """
     space = bracket.space
-    rep = AxiomReport("conformal sesquilinearity")
-    for i, j in _pairs(space):
-        rep.checked += 1
+
+    def check(cell):
+        i, j = cell
         base = apply_bracket(bracket, VPoly.monomial(space, i),
                              VPoly.monomial(space, j), 'l')
         lhs1 = apply_bracket(bracket, VPoly.monomial(space, i, dd=1),
@@ -424,31 +424,32 @@ def check_conformal_sesquilinearity(bracket, fail_fast=False):
         res2 = lhs2 - base.times_varpoly(_varpoly_linear({'d': 1, 'l': 1}))
         for tag, res in (("first slot", res1), ("second slot", res2)):
             if not res.is_zero():
-                rep.record("sesquilinearity (%s)" % tag,
-                           (space.names[i], space.names[j]), str(res))
-                if fail_fast:
-                    return rep
-    return rep
+                yield ("sesquilinearity (%s)" % tag,
+                       (space.names[i], space.names[j]), str(res))
+    return AxiomReport("conformal sesquilinearity").run(
+        itertools.product(range(space.dim), repeat=2), check, fail_fast)
+
+
+def _flipped(bracket, i, j):
+    """[e_j _{-l-d} e_i]."""
+    space = bracket.space
+    flip = apply_bracket(bracket, VPoly.monomial(space, j),
+                         VPoly.monomial(space, i), 'n')
+    return flip.substitute('n', {'l': -1, 'd': -1})
+
+
+def _skew_residual(bracket, i, j):
+    space = bracket.space
+    lhs = apply_bracket(bracket, VPoly.monomial(space, i),
+                        VPoly.monomial(space, j), 'l')
+    return lhs + _flipped(bracket, i, j).scale(sign(space.parity(i),
+                                                    space.parity(j)))
 
 
 def check_conformal_skew(bracket, fail_fast=False):
     """[a _l b] = -(-1)^{|a||b|} [b _{-l-d} a] on basis pairs."""
-    space = bracket.space
-    rep = AxiomReport("conformal skew-symmetry")
-    for i, j in _pairs(space):
-        rep.checked += 1
-        lhs = apply_bracket(bracket, VPoly.monomial(space, i),
-                            VPoly.monomial(space, j), 'l')
-        flip = apply_bracket(bracket, VPoly.monomial(space, j),
-                             VPoly.monomial(space, i), 'n')
-        flip = flip.substitute('n', {'l': -1, 'd': -1})
-        res = lhs + flip.scale(sign(space.parity(i), space.parity(j)))
-        if not res.is_zero():
-            rep.record("skew-symmetry", (space.names[i], space.names[j]),
-                       str(res))
-            if fail_fast:
-                return rep
-    return rep
+    return _check_identity(bracket, "conformal skew-symmetry",
+                           "skew-symmetry", 2, _skew_residual, fail_fast)
 
 
 def _leibniz_residual(bracket, i, j, k, left=False):
@@ -480,18 +481,9 @@ def check_conformal_leibniz(bracket, fail_fast=False):
     """The (right) conformal Leibniz identity on basis triples:
     [a _l [b _m c]] = [[a _l b] _{l+m} c] - (-1)^{|b||c|} [[a _l c] _{-m-d} b].
     """
-    space = bracket.space
-    rep = AxiomReport("conformal Leibniz identity")
-    for i, j, k in _triples(space):
-        rep.checked += 1
-        res = _leibniz_residual(bracket, i, j, k, left=False)
-        if not res.is_zero():
-            rep.record("conformal Leibniz",
-                       (space.names[i], space.names[j], space.names[k]),
-                       str(res))
-            if fail_fast:
-                return rep
-    return rep
+    return _check_identity(bracket, "conformal Leibniz identity",
+                           "conformal Leibniz", 3, _leibniz_residual,
+                           fail_fast)
 
 
 def check_conformal_jacobi(bracket, fail_fast=False):
@@ -501,18 +493,10 @@ def check_conformal_jacobi(bracket, fail_fast=False):
     This is also the left conformal Leibniz identity when skew-symmetry is
     not assumed.
     """
-    space = bracket.space
-    rep = AxiomReport("conformal Jacobi identity")
-    for i, j, k in _triples(space):
-        rep.checked += 1
-        res = _leibniz_residual(bracket, i, j, k, left=True)
-        if not res.is_zero():
-            rep.record("conformal Jacobi",
-                       (space.names[i], space.names[j], space.names[k]),
-                       str(res))
-            if fail_fast:
-                return rep
-    return rep
+    return _check_identity(bracket, "conformal Jacobi identity",
+                           "conformal Jacobi", 3,
+                           functools.partial(_leibniz_residual, left=True),
+                           fail_fast)
 
 
 def to_left_conformal(bracket):
@@ -523,11 +507,9 @@ def to_left_conformal(bracket):
     """
     space = bracket.space
     out = LambdaBracket(space, name=(bracket.name or "bracket") + "_left")
-    for i, j in _pairs(space):
-        flip = apply_bracket(bracket, VPoly.monomial(space, j),
-                             VPoly.monomial(space, i), 'n')
-        flip = flip.substitute('n', {'l': -1, 'd': -1})
-        vp = flip.scale(-sign(space.parity(i), space.parity(j)))
+    for i, j in itertools.product(range(space.dim), repeat=2):
+        vp = _flipped(bracket, i, j).scale(-sign(space.parity(i),
+                                                 space.parity(j)))
         if not vp.is_zero():
             out.set_entry(i, j, vp)
     return out
@@ -538,7 +520,6 @@ def jth_products(bracket, i, j):
 
     Returns {n: VPoly free of l} for the n with nonzero product.
     """
-    space = bracket.space
     vp = bracket.entry(i, j)
     out = {}
     fact = 1

@@ -24,13 +24,14 @@ pairs of even parity sum (odd pairs vanish because c is even), so their
 reduced echelon bases are directly comparable.
 """
 
+import itertools
 from fractions import Fraction
 
 from . import linalg
-from .scalars import Scalar, binom
-from .superspace import SuperSpace, sign
+from .scalars import Scalar, binom, factor_str
+from .superspace import AxiomReport, SuperSpace, sign
 from .conformal import LambdaBracket, VPoly
-from .quadratic import (C, S, B, X, Y, Z, _term_sign, _eval_expr,
+from .quadratic import (C, S, B, X, Y, Z, _bound_terms, _eval_expr,
                         check_anl, check_associative_novikov,
                         check_gd_bialgebra, check_novikov, star_from_mode,
                         StarMode, zero_map)
@@ -207,13 +208,6 @@ def _cocycle_contributions(bracket, triple, degrees):
             yield (t, v, ib), dl, dd + t, Fraction(sigma * (-1) ** t), s
 
 
-def _triples(space):
-    for i in range(space.dim):
-        for j in range(space.dim):
-            for k in range(space.dim):
-                yield i, j, k
-
-
 def assemble_cocycle_rows(bracket, degrees):
     """All monomial rows of the cocycle system, over unknown_order(space,
     degrees).  Bracket entries must be parameter-free."""
@@ -222,7 +216,7 @@ def assemble_cocycle_rows(bracket, degrees):
     unknowns = unknown_order(space, degrees)
     index = {u: i for i, u in enumerate(unknowns)}
     rows = []
-    for triple in _triples(space):
+    for triple in itertools.product(range(space.dim), repeat=3):
         acc = {}
         for key, ldeg, mdeg, factor, entry_coeff in \
                 _cocycle_contributions(bracket, triple, degrees):
@@ -250,12 +244,10 @@ def solve_cocycles_direct(bracket, degrees=(0, 1, 2, 3)):
 def check_cocycle_direct(bracket, ansatz, fail_fast=False):
     """Check a given ansatz against the cocycle equation, symbolically (parameters in the
     bracket or the ansatz flow through)."""
-    from .superspace import AxiomReport
     space = bracket.space
     degrees = list(range(ansatz.max_degree() + 1)) or [0]
-    rep = AxiomReport("cocycle functional equation")
-    for triple in _triples(space):
-        rep.checked += 1
+
+    def check(triple):
         acc = {}
         for (t, p, q), ldeg, mdeg, factor, entry_coeff in \
                 _cocycle_contributions(bracket, triple, degrees):
@@ -277,16 +269,12 @@ def check_cocycle_direct(bracket, ansatz, fail_fast=False):
                     mono.append("l" if ldeg == 1 else "l^%d" % ldeg)
                 if mdeg:
                     mono.append("m" if mdeg == 1 else "m^%d" % mdeg)
-                coeff = str(nonzero[(ldeg, mdeg)])
-                if ("+" in coeff[1:]) or ("-" in coeff[1:]):
-                    coeff = "(%s)" % coeff
-                parts.append((" ".join(mono + [coeff]) if mono
-                              else coeff) if mono or coeff else "")
-            names = tuple(space.names[i] for i in triple)
-            rep.record("cocycle equation", names, " + ".join(parts))
-            if fail_fast:
-                return rep
-    return rep
+                parts.append(" ".join(mono
+                                      + [factor_str(nonzero[(ldeg, mdeg)])]))
+            yield ("cocycle equation", [space.names[i] for i in triple],
+                   " + ".join(parts))
+    return AxiomReport("cocycle functional equation").run(
+        itertools.product(range(space.dim), repeat=3), check, fail_fast)
 
 
 # ---------- the structured route: per-degree closed systems ----------
@@ -383,63 +371,53 @@ NOVIKOV_LIE_ALPHA_SYSTEM = [
 ]
 
 
+def _alpha_terms(terms, ops, space, triple):
+    """Yield (signed coefficient, degree t, first argument, second argument)
+    for each term of a structured alpha equation at a basis triple, the
+    arguments evaluated to vectors."""
+    for s, vecs, (t, a1, a2) in _bound_terms(terms, space, triple):
+        yield s, t, _eval_expr(a1, ops, vecs), _eval_expr(a2, ops, vecs)
+
+
 def _alpha_rows(system, ops, space, degrees):
     """Linear rows of a structured alpha system over unknown_order."""
     unknowns = unknown_order(space, degrees)
     index = {u: i for i, u in enumerate(unknowns)}
     rows = []
-    for name, terms in system:
-        for i, j, k in _triples(space):
-            vecs = {'x': space.basis_vec(i), 'y': space.basis_vec(j),
-                    'z': space.basis_vec(k)}
-            parities = {'x': space.parity(i), 'y': space.parity(j),
-                        'z': space.parity(k)}
-            row = {}
-            for coeff, sign_pairs, t, a1, a2 in terms:
-                s = coeff * _term_sign(sign_pairs, parities)
-                v1 = _eval_expr(a1, ops, vecs)
-                v2 = _eval_expr(a2, ops, vecs)
-                for p, c1 in v1.items():
-                    for q, c2 in v2.items():
-                        u = index.get((t, p, q))
-                        if u is None:
-                            continue
-                        val = (c1 * c2).rational_value() * s
-                        row[u] = row.get(u, Fraction(0)) + val
-            row = {u: c for u, c in row.items() if c != 0}
-            if row:
-                rows.append(row)
+    for (_, terms), *triple in itertools.product(system,
+                                                 *[range(space.dim)] * 3):
+        row = {}
+        for s, t, v1, v2 in _alpha_terms(terms, ops, space, triple):
+            for p, c1 in v1.items():
+                for q, c2 in v2.items():
+                    u = index.get((t, p, q))
+                    if u is None:
+                        continue
+                    val = (c1 * c2).rational_value() * s
+                    row[u] = row.get(u, Fraction(0)) + val
+        row = {u: c for u, c in row.items() if c != 0}
+        if row:
+            rows.append(row)
     return unknowns, rows
 
 
 def check_alpha_system(system, ops, ansatz, fail_fast=False):
     """Check a given ansatz against a structured system, symbolically."""
-    from .superspace import AxiomReport
     space = next(iter(ops.values())).space
-    rep = AxiomReport("structured cocycle system")
-    for name, terms in system:
-        for i, j, k in _triples(space):
-            rep.checked += 1
-            vecs = {'x': space.basis_vec(i), 'y': space.basis_vec(j),
-                    'z': space.basis_vec(k)}
-            parities = {'x': space.parity(i), 'y': space.parity(j),
-                        'z': space.parity(k)}
-            total = Scalar.zero(ansatz.space.params)
-            for coeff, sign_pairs, t, a1, a2 in terms:
-                s = coeff * _term_sign(sign_pairs, parities)
-                v1 = _eval_expr(a1, ops, vecs)
-                v2 = _eval_expr(a2, ops, vecs)
-                for p, c1 in v1.items():
-                    for q, c2 in v2.items():
-                        if (space.parity(p) + space.parity(q)) % 2:
-                            continue
-                        total = total + c1 * c2 * ansatz.alpha(t, p, q) * s
-            if not total.is_zero():
-                rep.record(name, (space.names[i], space.names[j],
-                                  space.names[k]), str(total))
-                if fail_fast:
-                    return rep
-    return rep
+
+    def check(cell):
+        (name, terms), *triple = cell
+        total = Scalar.zero(ansatz.space.params)
+        for s, t, v1, v2 in _alpha_terms(terms, ops, space, triple):
+            for p, c1 in v1.items():
+                for q, c2 in v2.items():
+                    if (space.parity(p) + space.parity(q)) % 2:
+                        continue
+                    total = total + c1 * c2 * ansatz.alpha(t, p, q) * s
+        if not total.is_zero():
+            yield name, [space.names[i] for i in triple], str(total)
+    return AxiomReport("structured cocycle system").run(
+        itertools.product(system, *[range(space.dim)] * 3), check, fail_fast)
 
 
 def _circ_spans_space(circ):
@@ -455,35 +433,33 @@ _SPAN_WARNING = ("the circ products do not span the whole space; the "
                  "justified for this input")
 
 
+def _solve_structured(pre, system, ops, degrees, route, span_warning=True):
+    """Solve a structured alpha system once its preconditions hold."""
+    if not pre.passed:
+        raise PreconditionError(pre)
+    circ = ops['circ']
+    warnings = ([_SPAN_WARNING]
+                if span_warning and not _circ_spans_space(circ) else [])
+    unknowns, rows = _alpha_rows(system, ops, circ.space, degrees)
+    basis = linalg.nullspace(rows, len(unknowns))
+    return SolutionSpace(circ.space, degrees, unknowns, basis, route,
+                         preconditions=pre, warnings=warnings)
+
+
 def solve_central_ext_anl(circ, bracket):
     """Structured route for the associative-Novikov-Leibniz case
     (star = 2 circ).  Unknown degrees 0..3."""
-    pre = check_anl(circ, bracket)
-    if not pre.passed:
-        raise PreconditionError(pre)
-    ops = {'circ': circ, 'bracket': bracket}
-    degrees = [0, 1, 2, 3]
-    unknowns, rows = _alpha_rows(ANL_ALPHA_SYSTEM, ops, circ.space, degrees)
-    basis = linalg.nullspace(rows, len(unknowns))
-    return SolutionSpace(circ.space, degrees, unknowns, basis,
-                         "structured-anl", preconditions=pre)
+    return _solve_structured(check_anl(circ, bracket), ANL_ALPHA_SYSTEM,
+                             {'circ': circ, 'bracket': bracket}, [0, 1, 2, 3],
+                             "structured-anl", span_warning=False)
 
 
 def solve_central_ext_assoc_novikov(circ):
     """Structured route for the bracket-free associative-Novikov case.
     Unknown degrees 0, 1, 3 (degree 2 is forced to vanish in this case)."""
-    pre = check_associative_novikov(circ)
-    if not pre.passed:
-        raise PreconditionError(pre)
-    warnings = [] if _circ_spans_space(circ) else [_SPAN_WARNING]
-    ops = {'circ': circ}
-    degrees = [0, 1, 3]
-    unknowns, rows = _alpha_rows(ASSOC_NOVIKOV_ALPHA_SYSTEM, ops, circ.space,
-                                 degrees)
-    basis = linalg.nullspace(rows, len(unknowns))
-    return SolutionSpace(circ.space, degrees, unknowns, basis,
-                         "structured-assoc-novikov", preconditions=pre,
-                         warnings=warnings)
+    return _solve_structured(check_associative_novikov(circ),
+                             ASSOC_NOVIKOV_ALPHA_SYSTEM, {'circ': circ},
+                             [0, 1, 3], "structured-assoc-novikov")
 
 
 def solve_leibniz_central_ext_gd(circ, bracket=None, case='gd'):
@@ -493,9 +469,8 @@ def solve_leibniz_central_ext_gd(circ, bracket=None, case='gd'):
     case='novikov-lie': Novikov circ, zero bracket.
     Unknown degrees 0..3 in both cases.
     """
-    space = circ.space
     if bracket is None:
-        bracket = zero_map(space, 'bracket')
+        bracket = zero_map(circ.space, 'bracket')
     if case == 'gd':
         pre = check_gd_bialgebra(circ, bracket)
         system = GD_ALPHA_SYSTEM
@@ -507,16 +482,9 @@ def solve_leibniz_central_ext_gd(circ, bracket=None, case='gd'):
         route = "structured-novikov-lie"
     else:
         raise ValueError("unknown case %r" % (case,))
-    if not pre.passed:
-        raise PreconditionError(pre)
-    warnings = [] if _circ_spans_space(circ) else [_SPAN_WARNING]
-    star = star_from_mode(circ, StarMode.SYMMETRIZED)
-    ops = {'circ': circ, 'star': star, 'bracket': bracket}
-    degrees = [0, 1, 2, 3]
-    unknowns, rows = _alpha_rows(system, ops, space, degrees)
-    basis = linalg.nullspace(rows, len(unknowns))
-    return SolutionSpace(space, degrees, unknowns, basis, route,
-                         preconditions=pre, warnings=warnings)
+    ops = {'circ': circ, 'star': star_from_mode(circ, StarMode.SYMMETRIZED),
+           'bracket': bracket}
+    return _solve_structured(pre, system, ops, [0, 1, 2, 3], route)
 
 
 # ---------- building the extended bracket ----------
@@ -536,18 +504,16 @@ def extend_bracket(bracket, ansatz, central_name=None):
                            killed=set(space.killed) | {central_name})
     out = LambdaBracket(new_space, name=(bracket.name or 'bracket') + '_ext')
     cidx = new_space.index(central_name)
-    for i in range(space.dim):
-        for j in range(space.dim):
-            vp = VPoly(new_space,
-                       dict(bracket.entry(i, j).terms))
-            for t in range(ansatz.max_degree() + 1):
-                if (space.parity(i) + space.parity(j)) % 2:
-                    continue
-                val = ansatz.alpha(t, i, j)
-                if not val.is_zero():
-                    vp = vp + VPoly.monomial(new_space, cidx, dl=t, coeff=val)
-            if not vp.is_zero():
-                out.set_entry(i, j, vp)
+    for i, j in itertools.product(range(space.dim), repeat=2):
+        vp = VPoly(new_space, dict(bracket.entry(i, j).terms))
+        for t in range(ansatz.max_degree() + 1):
+            if (space.parity(i) + space.parity(j)) % 2:
+                continue
+            val = ansatz.alpha(t, i, j)
+            if not val.is_zero():
+                vp = vp + VPoly.monomial(new_space, cidx, dl=t, coeff=val)
+        if not vp.is_zero():
+            out.set_entry(i, j, vp)
     return out
 
 

@@ -19,13 +19,15 @@ strings contributes (-1)^{parity(A) parity(B)} for the parities of the basis
 triple substituted into slots x, y, z.  One evaluator runs every system.
 """
 
+import itertools
 from fractions import Fraction
 
 from . import linalg
 from .scalars import Scalar
-from .superspace import (AxiomReport, GradedBilinearMap, SuperSpace, sign,
-                         check_associative, check_left_leibniz_superalgebra,
-                         check_lie_superalgebra, check_supercommutative)
+from .superspace import (AxiomReport, GradedBilinearMap, SuperSpace,
+                         check_left_leibniz_superalgebra, _associator,
+                         _classical, _left_leibniz_residual, _run_lie,
+                         _supercommutator, _supersymmetrized, _vec_failure)
 from .conformal import LambdaBracket, VPoly
 
 
@@ -64,37 +66,42 @@ def _eval_expr(expr, ops, vecs):
     return ops[opname](_eval_expr(left, ops, vecs), _eval_expr(right, ops, vecs))
 
 
-def equation_residual(terms, ops, space, triple):
-    """The residual vector of one structure equation at a basis triple."""
+def _bound_terms(terms, space, triple):
+    """Bind the slots x, y, z to the basis vectors of a triple: yield
+    (signed coefficient, slot vectors, rest of the term) for each term."""
     i, j, k = triple
     vecs = {'x': space.basis_vec(i), 'y': space.basis_vec(j),
             'z': space.basis_vec(k)}
     parities = {'x': space.parity(i), 'y': space.parity(j),
                 'z': space.parity(k)}
+    for term in terms:
+        yield term[0] * _term_sign(term[1], parities), vecs, term[2:]
+
+
+def equation_residual(terms, ops, space, triple):
+    """The residual vector of one structure equation at a basis triple."""
     total = space.zero_vec()
-    for coeff, sign_pairs, expr in terms:
-        s = coeff * _term_sign(sign_pairs, parities)
+    for s, vecs, (expr,) in _bound_terms(terms, space, triple):
         total = space.add(total, space.scale(s, _eval_expr(expr, ops, vecs)))
     return total
 
 
-def check_system(title, equations, ops, fail_fast=False, report=None):
-    """Check every equation of a system on every basis triple."""
+def _system(equations, ops):
+    """(cells, check) of every equation of a system on every basis triple:
+    cells run over the equations, then over the triples of each."""
     space = next(iter(ops.values())).space
-    rep = report or AxiomReport(title)
-    for name, terms in equations:
-        for i in range(space.dim):
-            for j in range(space.dim):
-                for k in range(space.dim):
-                    rep.checked += 1
-                    res = equation_residual(terms, ops, space, (i, j, k))
-                    if not space.vec_is_zero(res):
-                        rep.record(name, (space.names[i], space.names[j],
-                                          space.names[k]),
-                                   space.vec_str(res))
-                        if fail_fast:
-                            return rep
-    return rep
+    dims = [range(space.dim)] * 3
+
+    def check(cell):
+        (name, terms), i, j, k = cell
+        return _vec_failure(space, name, (i, j, k),
+                            equation_residual(terms, ops, space, (i, j, k)))
+    return itertools.product(equations, *dims), check
+
+
+def check_system(title, equations, ops, fail_fast=False):
+    """Check every equation of a system on every basis triple."""
+    return AxiomReport(title).run(*_system(equations, ops), fail_fast)
 
 
 # ---------- the equation systems ----------
@@ -246,14 +253,10 @@ def star_from_mode(circ, mode):
             out.set_entry(i, j, space.scale(2, vec))
         return out
     if mode == StarMode.SYMMETRIZED:
-        for i in range(space.dim):
-            for j in range(space.dim):
-                vec = space.add(circ(i, j),
-                                space.scale(sign(space.parity(i),
-                                                 space.parity(j)),
-                                            circ(j, i)))
-                if not space.vec_is_zero(vec):
-                    out.set_entry(i, j, vec)
+        for i, j in itertools.product(range(space.dim), repeat=2):
+            vec = _supersymmetrized(circ, i, j)
+            if not space.vec_is_zero(vec):
+                out.set_entry(i, j, vec)
         return out
     raise ValueError("unknown star mode %r" % (mode,))
 
@@ -279,25 +282,48 @@ def build_quadratic_bracket(circ, star, bracket):
     space = circ.space
     assert star.space is space and bracket.space is space
     out = LambdaBracket(space, name='quadratic')
-    for i in range(space.dim):
-        for j in range(space.dim):
-            vp = (VPoly.vector(space, circ(j, i)).times_monomial(dd=1)
-                  + VPoly.vector(space, star(j, i)).times_monomial(dl=1)
-                  + VPoly.vector(space, bracket(j, i)))
-            if not vp.is_zero():
-                out.set_entry(i, j, vp)
+    for i, j in itertools.product(range(space.dim), repeat=2):
+        vp = (VPoly.vector(space, circ(j, i)).times_monomial(dd=1)
+              + VPoly.vector(space, star(j, i)).times_monomial(dl=1)
+              + VPoly.vector(space, bracket(j, i)))
+        if not vp.is_zero():
+            out.set_entry(i, j, vp)
     return out
 
 
 # ---------- the named checks ----------
 
+# name -> (report title, equations, the ops they use in argument order)
+SYSTEMS = {
+    't': ("quadratic structure equations", T_SYSTEM,
+          ('circ', 'star', 'bracket')),
+    'anl': ("associative-Novikov-Leibniz axioms",
+            R_PRODUCT_EQS + R_MIXED_EQS + [LEFT_LEIBNIZ_EQ],
+            ('circ', 'bracket')),
+    'symmetrized': ("symmetrized-star structure equations",
+                    NOVIKOV_SYSTEM + K_SYSTEM + [LEFT_LEIBNIZ_EQ],
+                    ('circ', 'bracket')),
+    'star-zero': ("star-trivial structure equations", STAR_TRIVIAL_SYSTEM,
+                  ('circ', 'bracket')),
+    'circ-zero': ("circ-trivial structure equations", CIRC_TRIVIAL_SYSTEM,
+                  ('star', 'bracket')),
+    'novikov': ("Novikov axioms", NOVIKOV_SYSTEM, ('circ',)),
+    'assoc-novikov': ("associative Novikov axioms", R_PRODUCT_EQS,
+                      ('circ',)),
+}
+
+
+def _check_registered(name, components, fail_fast):
+    title, equations, ops = SYSTEMS[name]
+    return check_system(title, equations, dict(zip(ops, components)),
+                        fail_fast)
+
+
 def check_structure_equations_t(circ, star, bracket, fail_fast=False):
     """The full structure-equation system for the general quadratic bracket
     (nine product equations plus the left Leibniz identity for the bracket).
     """
-    ops = {'circ': circ, 'star': star, 'bracket': bracket}
-    return check_system("quadratic structure equations", T_SYSTEM, ops,
-                        fail_fast=fail_fast)
+    return _check_registered('t', (circ, star, bracket), fail_fast)
 
 
 def check_anl(circ, bracket, fail_fast=False):
@@ -305,90 +331,69 @@ def check_anl(circ, bracket, fail_fast=False):
     left-symmetric, the three mixed circ/bracket equations, and the bracket
     left Leibniz.
     """
-    ops = {'circ': circ, 'bracket': bracket}
-    rep = AxiomReport("associative-Novikov-Leibniz axioms")
-    check_system("", R_PRODUCT_EQS + R_MIXED_EQS + [LEFT_LEIBNIZ_EQ], ops,
-                 fail_fast=fail_fast, report=rep)
-    return rep
+    return _check_registered('anl', (circ, bracket), fail_fast)
 
 
 def check_associative_novikov(circ, fail_fast=False):
     """Associative Novikov product: (x y) z = x (y z) and
     x (y z) = (-1)^{|x||y|} y (x z)."""
-    return check_system("associative Novikov axioms", R_PRODUCT_EQS,
-                        {'circ': circ}, fail_fast=fail_fast)
+    return _check_registered('assoc-novikov', (circ,), fail_fast)
 
 
 def check_novikov(circ, fail_fast=False):
     """(Left) Novikov product: right-symmetry of the product in the last two
     slots and super left-symmetry of the associator."""
-    return check_system("Novikov axioms", NOVIKOV_SYSTEM, {'circ': circ},
-                        fail_fast=fail_fast)
+    return _check_registered('novikov', (circ,), fail_fast)
 
 
 def check_gd_bialgebra(circ, bracket, fail_fast=False):
-    """Novikov product + Lie superbracket + the compatibility equation."""
-    rep = AxiomReport("Gelfand-Dorfman compatibility axioms")
-    lie = check_lie_superalgebra(bracket, fail_fast=fail_fast)
-    rep.checked += lie.checked
-    for f in lie.failures:
-        rep.record(f["identity"], f["at"], f["residual"])
-    if fail_fast and not rep.passed:
-        return rep
-    check_system("", NOVIKOV_SYSTEM + [PRODUCT_BRACKET_COMPAT_EQ],
-                 {'circ': circ, 'bracket': bracket},
-                 fail_fast=fail_fast, report=rep)
+    """Novikov product + Lie superbracket + the compatibility equation.
+
+    The product equations are checked only when the bracket is Lie.
+    """
+    rep = _run_lie(AxiomReport("Gelfand-Dorfman compatibility axioms"),
+                   bracket, fail_fast)
+    if rep.passed:
+        rep.run(*_system(NOVIKOV_SYSTEM + [PRODUCT_BRACKET_COMPAT_EQ],
+                         {'circ': circ, 'bracket': bracket}), fail_fast)
     return rep
 
 
 def check_symmetrized_case(circ, bracket, fail_fast=False):
     """Structure equations for star = circ + its super flip: Novikov circ,
     the three mixed equations of that case, and the bracket left Leibniz."""
-    ops = {'circ': circ, 'bracket': bracket}
-    return check_system("symmetrized-star structure equations",
-                        NOVIKOV_SYSTEM + K_SYSTEM + [LEFT_LEIBNIZ_EQ], ops,
-                        fail_fast=fail_fast)
+    return _check_registered('symmetrized', (circ, bracket), fail_fast)
 
 
 def check_star_trivial_case(circ, bracket, fail_fast=False):
     """Structure equations when star = 0."""
-    ops = {'circ': circ, 'bracket': bracket}
-    return check_system("star-trivial structure equations",
-                        STAR_TRIVIAL_SYSTEM, ops, fail_fast=fail_fast)
+    return _check_registered('star-zero', (circ, bracket), fail_fast)
 
 
 def check_circ_trivial_case(star, bracket, fail_fast=False):
     """Structure equations when circ = 0."""
-    ops = {'star': star, 'bracket': bracket}
-    return check_system("circ-trivial structure equations",
-                        CIRC_TRIVIAL_SYSTEM, ops, fail_fast=fail_fast)
+    return _check_registered('circ-zero', (star, bracket), fail_fast)
 
 
 def check_averaging(product, avg, fail_fast=False):
     """product must be supercommutative + associative and avg an even linear
-    operator with avg(avg(x) y) = avg(x) avg(y) on basis pairs."""
+    operator with avg(avg(x) y) = avg(x) avg(y) on basis pairs.
+
+    Both product checks run (each stopping at its own first failure under
+    fail_fast) before the averaging identity."""
     space = product.space
     rep = AxiomReport("averaging operator axioms")
-    comm = check_supercommutative(product, fail_fast=fail_fast)
-    asso = check_associative(product, fail_fast=fail_fast)
-    for sub in (comm, asso):
-        rep.checked += sub.checked
-        for f in sub.failures:
-            rep.record(f["identity"], f["at"], f["residual"])
+    rep.run(*_classical(product, "supercommutativity", 2, _supercommutator),
+            fail_fast)
+    rep.run(*_classical(product, "associativity", 3, _associator), fail_fast)
     if fail_fast and not rep.passed:
         return rep
-    for i in range(space.dim):
-        for j in range(space.dim):
-            rep.checked += 1
-            res = space.sub(avg(product(avg(i), space.basis_vec(j))),
-                            product.apply_vec(avg(i), avg(j)))
-            if not space.vec_is_zero(res):
-                rep.record("averaging identity",
-                           (space.names[i], space.names[j]),
-                           space.vec_str(res))
-                if fail_fast:
-                    return rep
-    return rep
+
+    def averaging(p, i, j):
+        return space.sub(avg(p(avg(i), space.basis_vec(j))),
+                         p.apply_vec(avg(i), avg(j)))
+    return rep.run(*_classical(product, "averaging identity", 2, averaging),
+                   fail_fast)
 
 
 def build_assoc_novikov_from_averaging(product, avg):
@@ -396,11 +401,10 @@ def build_assoc_novikov_from_averaging(product, avg):
     associative product this circ is associative Novikov."""
     space = product.space
     out = GradedBilinearMap(space, name='circ')
-    for i in range(space.dim):
-        for j in range(space.dim):
-            vec = product(avg(i), space.basis_vec(j))
-            if not space.vec_is_zero(vec):
-                out.set_entry(i, j, vec)
+    for i, j in itertools.product(range(space.dim), repeat=2):
+        vec = product(avg(i), space.basis_vec(j))
+        if not space.vec_is_zero(vec):
+            out.set_entry(i, j, vec)
     return out
 
 
@@ -516,9 +520,7 @@ def classify_brackets(circ):
     space = circ.space
     _require_rational(circ, "circ")
     triples = [(i, j, k)
-               for i in range(space.dim)
-               for j in range(space.dim)
-               for k in range(space.dim)
+               for i, j, k in itertools.product(range(space.dim), repeat=3)
                if (space.parity(i) + space.parity(j)) % 2 == space.parity(k)]
     admissible_index = {t: u for u, t in enumerate(triples)}
 
@@ -527,29 +529,22 @@ def classify_brackets(circ):
 
     # linear rows from the mixed equations
     rows = []
-    for name, terms in R_MIXED_EQS:
-        for i in range(space.dim):
-            for j in range(space.dim):
-                for k in range(space.dim):
-                    vecs = {'x': space.basis_vec(i), 'y': space.basis_vec(j),
-                            'z': space.basis_vec(k)}
-                    parities = {'x': space.parity(i), 'y': space.parity(j),
-                                'z': space.parity(k)}
-                    lin_total = {}
-                    for coeff, sign_pairs, expr in terms:
-                        s = coeff * _term_sign(sign_pairs, parities)
-                        _, lin = _eval_linear_expr(expr, circ, space, vecs,
-                                                   admissible_index)
-                        for u, vec in lin.items():
-                            for coord, c in vec.items():
-                                key = (coord, u)
-                                lin_total[key] = (lin_total.get(key, Fraction(0))
-                                                  + s * c.rational_value())
-                    by_coord = {}
-                    for (coord, u), c in lin_total.items():
-                        if c != 0:
-                            by_coord.setdefault(coord, {})[u] = c
-                    rows.extend(by_coord.values())
+    for (_, terms), *triple in itertools.product(
+            R_MIXED_EQS, *[range(space.dim)] * 3):
+        lin_total = {}
+        for s, vecs, (expr,) in _bound_terms(terms, space, triple):
+            _, lin = _eval_linear_expr(expr, circ, space, vecs,
+                                       admissible_index)
+            for u, vec in lin.items():
+                for coord, c in vec.items():
+                    key = (coord, u)
+                    lin_total[key] = (lin_total.get(key, Fraction(0))
+                                      + s * c.rational_value())
+        by_coord = {}
+        for (coord, u), c in lin_total.items():
+            if c != 0:
+                by_coord.setdefault(coord, {})[u] = c
+        rows.extend(by_coord.values())
 
     basis = linalg.nullspace(rows, len(triples))
 
@@ -578,19 +573,10 @@ def classify_brackets(circ):
         rep = check_left_leibniz_superalgebra(fam)
         if not rep.passed:
             # gather the residual scalars; solve the linear ones
-            residual_scalars = []
-            for i in range(fspace.dim):
-                for j in range(fspace.dim):
-                    for k in range(fspace.dim):
-                        res = fspace.sub(
-                            fam(i, fam(j, k)),
-                            fspace.add(fam(fam(i, j), k),
-                                       fspace.scale(sign(fspace.parity(i),
-                                                         fspace.parity(j)),
-                                                    fam(j, fam(i, k)))))
-                        for c in res.values():
-                            if not c.is_zero():
-                                residual_scalars.append(c)
+            residual_scalars = [
+                c for cell in itertools.product(range(fspace.dim), repeat=3)
+                for c in _left_leibniz_residual(fam, *cell).values()
+                if not c.is_zero()]
             linear_rows = []
             for s in residual_scalars:
                 if all(sum(e) <= 1 for e in s.terms):

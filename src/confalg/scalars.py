@@ -262,22 +262,34 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
-# Spec-named thin wrappers -------------------------------------------------
+# Rendering linear combinations -------------------------------------------
 
-def scalar_add(x, y):
-    return x + y
-
-
-def scalar_mul(x, y):
-    return x * y
+def factor_str(s):
+    """str(s), in parentheses when s is a sum of several terms."""
+    text = str(s)
+    return "(%s)" % text if "+" in text[1:] or "-" in text[1:] else text
 
 
-def scalar_neg(x):
-    return -x
-
-
-def scalar_is_zero(x):
-    return x.is_zero()
+def combination_str(pairs):
+    """Render a sum from (Scalar, label) pairs, e.g. '2 x - (a + 1) y'.
+    Zero coefficients are skipped; an empty sum is '0'."""
+    pieces = []
+    for c, label in pairs:
+        if c.is_zero():
+            continue
+        cs = factor_str(c)
+        if cs == "1":
+            pieces.append(label)
+        elif cs == "-1":
+            pieces.append("-" + label)
+        else:
+            pieces.append("%s %s" % (cs, label))
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for p in pieces[1:]:
+        out += (" + " + p) if not p.startswith("-") else (" - " + p[1:])
+    return out
 
 
 # Small integer helpers used by the mode/cocycle machinery -----------------

@@ -11,7 +11,9 @@ the right Leibniz identity, the left Leibniz identity, and the sign-twisted
 conversion between right and left Leibniz structures.
 """
 
-from .scalars import Scalar, ScalarError
+import itertools
+
+from .scalars import Scalar, ScalarError, combination_str
 
 
 class SuperSpace:
@@ -103,24 +105,8 @@ class SuperSpace:
         return parities.pop()
 
     def vec_str(self, vec):
-        items = sorted(((k, c) for k, c in vec.items() if not c.is_zero()))
-        if not items:
-            return "0"
-        pieces = []
-        for k, c in items:
-            cs = str(c)
-            if cs == "1":
-                pieces.append(self.names[k])
-            elif cs == "-1":
-                pieces.append("-" + self.names[k])
-            elif ("+" in cs[1:]) or ("-" in cs[1:]):
-                pieces.append("(%s) %s" % (cs, self.names[k]))
-            else:
-                pieces.append("%s %s" % (cs, self.names[k]))
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += (" + " + p) if not p.startswith("-") else (" - " + p[1:])
-        return out
+        return combination_str((c, self.names[k])
+                               for k, c in sorted(vec.items()))
 
     def substitute_params(self, assignments):
         """A copy of this space over the parameters left after substitution."""
@@ -232,6 +218,22 @@ class AxiomReport:
                               "at": tuple(at),
                               "residual": residual_str})
 
+    def run(self, cells, check, fail_fast=False):
+        """Check one identity system on every cell, in order, into this report.
+
+        check(cell) yields (identity, at, residual string) for each identity
+        that fails at the cell.  A cell counts as one instance however many
+        identities it holds.  With fail_fast the run stops at its first
+        failure.  Returns the report.
+        """
+        for cell in cells:
+            self.checked += 1
+            for identity, at, residual in check(cell):
+                self.record(identity, at, residual)
+                if fail_fast:
+                    return self
+        return self
+
     def __bool__(self):
         return self.passed
 
@@ -246,75 +248,81 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _basis_pairs(space):
-    for i in range(space.dim):
-        for j in range(space.dim):
-            yield i, j
+def _vec_failure(space, identity, cell, res):
+    """The failures of a classical identity at a basis cell: none if res
+    is 0."""
+    if space.vec_is_zero(res):
+        return ()
+    return ((identity, [space.names[i] for i in cell], space.vec_str(res)),)
 
 
-def _basis_triples(space):
-    for i in range(space.dim):
-        for j in range(space.dim):
-            for k in range(space.dim):
-                yield i, j, k
+def _classical(m, identity, arity, residual):
+    """(cells, check) of a classical identity on the basis cells of the
+    given arity: residual(m, *cell) must vanish."""
+    space = m.space
+    return (itertools.product(range(space.dim), repeat=arity),
+            lambda cell: _vec_failure(space, identity, cell,
+                                      residual(m, *cell)))
 
 
-def check_skew_symmetry(bracket, fail_fast=False, report=None):
+def _supersymmetrized(m, i, j):
+    """m(x, y) + (-1)^{|x||y|} m(y, x) at a basis pair."""
+    space = m.space
+    return space.add(m(i, j),
+                     space.scale(sign(space.parity(i), space.parity(j)),
+                                 m(j, i)))
+
+
+def check_skew_symmetry(bracket, fail_fast=False):
     """Super skew-symmetry [x, y] = -(-1)^{|x||y|} [y, x] on basis pairs."""
+    return AxiomReport("super skew-symmetry").run(
+        *_classical(bracket, "skew-symmetry", 2, _supersymmetrized), fail_fast)
+
+
+def _left_leibniz_residual(bracket, i, j, k):
     space = bracket.space
-    rep = report or AxiomReport("super skew-symmetry")
-    for i, j in _basis_pairs(space):
-        rep.checked += 1
-        res = space.add(bracket(i, j),
-                        space.scale(sign(space.parity(i), space.parity(j)),
-                                    bracket(j, i)))
-        if not space.vec_is_zero(res):
-            rep.record("skew-symmetry", (space.names[i], space.names[j]),
-                       space.vec_str(res))
-            if fail_fast:
-                return rep
-    return rep
+    return space.sub(bracket(i, bracket(j, k)),
+                     space.add(bracket(bracket(i, j), k),
+                               space.scale(sign(space.parity(i),
+                                                space.parity(j)),
+                                           bracket(j, bracket(i, k)))))
 
 
-def check_left_leibniz_superalgebra(bracket, fail_fast=False, report=None):
+def check_left_leibniz_superalgebra(bracket, fail_fast=False):
     """Left Leibniz identity:
     [x, [y, z]] = [[x, y], z] + (-1)^{|x||y|} [y, [x, z]].
     """
+    return AxiomReport("left Leibniz identity").run(
+        *_classical(bracket, "left Leibniz", 3, _left_leibniz_residual),
+        fail_fast)
+
+
+def _right_leibniz_residual(bracket, i, j, k):
     space = bracket.space
-    rep = report or AxiomReport("left Leibniz identity")
-    for i, j, k in _basis_triples(space):
-        rep.checked += 1
-        res = space.sub(bracket(i, bracket(j, k)),
-                        space.add(bracket(bracket(i, j), k),
-                                  space.scale(sign(space.parity(i), space.parity(j)),
-                                              bracket(j, bracket(i, k)))))
-        if not space.vec_is_zero(res):
-            rep.record("left Leibniz",
-                       (space.names[i], space.names[j], space.names[k]),
-                       space.vec_str(res))
-            if fail_fast:
-                return rep
-    return rep
+    return space.sub(bracket(i, bracket(j, k)),
+                     space.sub(bracket(bracket(i, j), k),
+                               space.scale(sign(space.parity(j),
+                                                space.parity(k)),
+                                           bracket(bracket(i, k), j))))
 
 
 def check_leibniz_superalgebra(bracket, fail_fast=False):
     """Right Leibniz identity (the convention used throughout):
     [x, [y, z]] = [[x, y], z] - (-1)^{|y||z|} [[x, z], y].
     """
-    space = bracket.space
-    rep = AxiomReport("right Leibniz identity")
-    for i, j, k in _basis_triples(space):
-        rep.checked += 1
-        res = space.sub(bracket(i, bracket(j, k)),
-                        space.sub(bracket(bracket(i, j), k),
-                                  space.scale(sign(space.parity(j), space.parity(k)),
-                                              bracket(bracket(i, k), j))))
-        if not space.vec_is_zero(res):
-            rep.record("right Leibniz",
-                       (space.names[i], space.names[j], space.names[k]),
-                       space.vec_str(res))
-            if fail_fast:
-                return rep
+    return AxiomReport("right Leibniz identity").run(
+        *_classical(bracket, "right Leibniz", 3, _right_leibniz_residual),
+        fail_fast)
+
+
+def _run_lie(rep, bracket, fail_fast):
+    """Super skew-symmetry, then the Jacobi identity, into rep.  The Jacobi
+    identity is checked only when skew-symmetry holds."""
+    rep.run(*_classical(bracket, "skew-symmetry", 2, _supersymmetrized),
+            fail_fast)
+    if rep.passed:
+        rep.run(*_classical(bracket, "left Leibniz", 3,
+                            _left_leibniz_residual), fail_fast)
     return rep
 
 
@@ -324,14 +332,9 @@ def check_lie_superalgebra(bracket, fail_fast=False):
     The Jacobi identity is written in its left-normed form
     [x, [y, z]] = [[x, y], z] + (-1)^{|x||y|} [y, [x, z]], which coincides
     with the left Leibniz shape; together with skew-symmetry this is the usual
-    super Jacobi identity.
+    super Jacobi identity.  It is checked only when skew-symmetry holds.
     """
-    rep = AxiomReport("Lie superalgebra axioms")
-    check_skew_symmetry(bracket, fail_fast=fail_fast, report=rep)
-    if fail_fast and not rep.passed:
-        return rep
-    check_left_leibniz_superalgebra(bracket, fail_fast=fail_fast, report=rep)
-    return rep
+    return _run_lie(AxiomReport("Lie superalgebra axioms"), bracket, fail_fast)
 
 
 def to_left_superalgebra(bracket):
@@ -341,46 +344,37 @@ def to_left_superalgebra(bracket):
     """
     space = bracket.space
     out = GradedBilinearMap(space, name=(bracket.name or "bracket") + "_left")
-    for i in range(space.dim):
-        for j in range(space.dim):
-            vec = space.scale(-sign(space.parity(i), space.parity(j)),
-                              bracket(j, i))
-            if not space.vec_is_zero(vec):
-                out.set_entry(i, j, vec)
+    for i, j in itertools.product(range(space.dim), repeat=2):
+        vec = space.scale(-sign(space.parity(i), space.parity(j)),
+                          bracket(j, i))
+        if not space.vec_is_zero(vec):
+            out.set_entry(i, j, vec)
     return out
+
+
+def _supercommutator(product, i, j):
+    space = product.space
+    return space.sub(product(i, j),
+                     space.scale(sign(space.parity(i), space.parity(j)),
+                                 product(j, i)))
 
 
 def check_supercommutative(product, fail_fast=False):
     """x y = (-1)^{|x||y|} y x on basis pairs."""
+    return AxiomReport("supercommutativity").run(
+        *_classical(product, "supercommutativity", 2, _supercommutator),
+        fail_fast)
+
+
+def _associator(product, i, j, k):
     space = product.space
-    rep = AxiomReport("supercommutativity")
-    for i, j in _basis_pairs(space):
-        rep.checked += 1
-        res = space.sub(product(i, j),
-                        space.scale(sign(space.parity(i), space.parity(j)),
-                                    product(j, i)))
-        if not space.vec_is_zero(res):
-            rep.record("supercommutativity", (space.names[i], space.names[j]),
-                       space.vec_str(res))
-            if fail_fast:
-                return rep
-    return rep
+    return space.sub(product(product(i, j), k), product(i, product(j, k)))
 
 
 def check_associative(product, fail_fast=False):
     """(x y) z = x (y z) on basis triples."""
-    space = product.space
-    rep = AxiomReport("associativity")
-    for i, j, k in _basis_triples(space):
-        rep.checked += 1
-        res = space.sub(product(product(i, j), k), product(i, product(j, k)))
-        if not space.vec_is_zero(res):
-            rep.record("associativity",
-                       (space.names[i], space.names[j], space.names[k]),
-                       space.vec_str(res))
-            if fail_fast:
-                return rep
-    return rep
+    return AxiomReport("associativity").run(
+        *_classical(product, "associativity", 3, _associator), fail_fast)
 
 
 class LinearMap:

@@ -100,6 +100,14 @@ def test_central_ext_higher_degree(capsys):
     capsys.readouterr()
 
 
+def test_central_ext_negative_degree_is_usage_error(capsys):
+    assert main(["central-ext", "r00", "--case", "assoc-novikov",
+                 "--degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--degree" in captured.err
+    assert captured.out == ""
+
+
 def test_at_accepts_fractions(capsys):
     assert main(["verify-conformal", "--at", "a=2,b=-1/3", "rab"]) == 0
     capsys.readouterr()

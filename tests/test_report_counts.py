@@ -1,0 +1,209 @@
+"""Instance counts, failure records and fail-fast stopping points of the
+composite identity checks, pinned on inputs that fail.
+
+A composite check runs several identities into one report; these tests fix
+which parts run, how many instances each contributes to `checked`, and
+where `fail_fast` stops, so the shared bookkeeping cannot drift.
+"""
+
+import pytest
+
+from confalg import (SuperSpace, GradedBilinearMap, LinearMap, LambdaBracket,
+                     VPoly, CoeffAlgebra, CocycleAnsatz, PhiCocycle,
+                     check_lie_superalgebra, check_gd_bialgebra,
+                     check_averaging, check_conformal_sesquilinearity,
+                     check_phi_cocycle)
+from confalg.cli import _load
+
+
+def space_xyz():
+    return SuperSpace([("x", 0), ("y", 1), ("z", 0)])
+
+
+def skew_broken(sp):
+    """Fails skew-symmetry at (x, x) only."""
+    return GradedBilinearMap(sp, {("x", "x"): {"z": 1}, ("x", "y"): {"y": 1},
+                                  ("y", "x"): {"y": -1}, ("y", "y"): {"x": 1},
+                                  ("z", "x"): {"x": 1}, ("x", "z"): {"x": -1}})
+
+
+def jacobi_broken(sp):
+    """Skew-symmetric, but the Jacobi identity fails."""
+    return GradedBilinearMap(sp, {("x", "z"): {"x": 1}, ("z", "x"): {"x": -1},
+                                  ("y", "y"): {"z": 1}, ("x", "y"): {"y": 1},
+                                  ("y", "x"): {"y": -1}})
+
+
+def product(sp):
+    """Neither supercommutative, associative nor Novikov."""
+    return GradedBilinearMap(sp, {("x", "x"): {"x": 1}, ("x", "z"): {"z": 1},
+                                  ("z", "x"): {"x": 1}, ("y", "y"): {"z": 1}})
+
+
+def summary(rep):
+    return (rep.passed, rep.checked,
+            [(f["identity"], f["at"], f["residual"]) for f in rep.failures])
+
+
+JACOBI_FAILURES = [
+    ("left Leibniz", ("x", "y", "y"), "x - 2 z"),
+    ("left Leibniz", ("x", "y", "z"), "y"),
+    ("left Leibniz", ("x", "z", "y"), "-y"),
+    ("left Leibniz", ("y", "x", "y"), "-x + 2 z"),
+    ("left Leibniz", ("y", "x", "z"), "-y"),
+    ("left Leibniz", ("y", "y", "x"), "x - 2 z"),
+    ("left Leibniz", ("y", "z", "x"), "y"),
+    ("left Leibniz", ("z", "x", "y"), "y"),
+    ("left Leibniz", ("z", "y", "x"), "-y"),
+]
+
+
+# The Jacobi part of the Lie check runs only while skew-symmetry holds, and
+# the Gelfand-Dorfman product equations only while the Lie part holds: in
+# both modes a failed part ends the check (9 skew instances, no Jacobi).
+@pytest.mark.parametrize("fail_fast, expected", [
+    (False, (False, 9, [("skew-symmetry", ("x", "x"), "2 z")])),
+    (True, (False, 1, [("skew-symmetry", ("x", "x"), "2 z")])),
+])
+def test_lie_superalgebra_stops_after_failed_skew(fail_fast, expected):
+    sp = space_xyz()
+    assert summary(check_lie_superalgebra(skew_broken(sp),
+                                          fail_fast=fail_fast)) == expected
+
+
+@pytest.mark.parametrize("fail_fast, expected", [
+    (False, (False, 36, JACOBI_FAILURES)),
+    (True, (False, 14, JACOBI_FAILURES[:1])),
+])
+def test_lie_superalgebra_jacobi_part(fail_fast, expected):
+    sp = space_xyz()
+    assert summary(check_lie_superalgebra(jacobi_broken(sp),
+                                          fail_fast=fail_fast)) == expected
+
+
+@pytest.mark.parametrize("fail_fast, expected", [
+    (False, (False, 36, JACOBI_FAILURES)),
+    (True, (False, 14, JACOBI_FAILURES[:1])),
+])
+def test_gd_bialgebra_with_failing_lie_part(fail_fast, expected):
+    sp = space_xyz()
+    assert summary(check_gd_bialgebra(product(sp), jacobi_broken(sp),
+                                      fail_fast=fail_fast)) == expected
+
+
+NOVIKOV_FAILURES = [
+    ("nov1", ("x", "x", "z"), "-x + z"),
+    ("nov1", ("x", "z", "x"), "x - z"),
+    ("nov1", ("y", "x", "y"), "-x"),
+    ("nov1", ("y", "y", "x"), "x"),
+    ("nov1", ("z", "x", "z"), "z"),
+    ("nov1", ("z", "z", "x"), "-z"),
+    ("nov2", ("x", "y", "y"), "-z"),
+    ("nov2", ("x", "z", "z"), "-z"),
+    ("nov2", ("y", "x", "y"), "z"),
+    ("nov2", ("y", "y", "x"), "2 x"),
+    ("nov2", ("z", "x", "z"), "z"),
+]
+
+
+@pytest.mark.parametrize("fail_fast, expected", [
+    # 9 skew + 27 Jacobi + 3 equations x 27 triples
+    (False, (False, 117, NOVIKOV_FAILURES)),
+    (True, (False, 39, NOVIKOV_FAILURES[:1])),
+])
+def test_gd_bialgebra_with_failing_products(fail_fast, expected):
+    sp = space_xyz()
+    assert summary(check_gd_bialgebra(product(sp), GradedBilinearMap(sp),
+                                      fail_fast=fail_fast)) == expected
+
+
+# Both product checks run (each stopping at its own first failure under
+# fail_fast) before the averaging identity is reached.
+@pytest.mark.parametrize("fail_fast, expected", [
+    (False, (False, 45, [
+        ("supercommutativity", ("x", "z"), "-x + z"),
+        ("supercommutativity", ("y", "y"), "2 z"),
+        ("supercommutativity", ("z", "x"), "x - z"),
+        ("associativity", ("x", "y", "y"), "-z"),
+        ("associativity", ("y", "y", "x"), "x"),
+        ("associativity", ("z", "x", "z"), "z"),
+        ("associativity", ("z", "z", "x"), "-x"),
+        ("averaging identity", ("x", "x"), "z"),
+        ("averaging identity", ("x", "z"), "-x"),
+        ("averaging identity", ("z", "x"), "z"),
+        ("averaging identity", ("z", "z"), "-x"),
+    ])),
+    (True, (False, 8, [
+        ("supercommutativity", ("x", "z"), "-x + z"),
+        ("associativity", ("x", "y", "y"), "-z"),
+    ])),
+])
+def test_averaging_runs_both_product_checks(fail_fast, expected):
+    sp = space_xyz()
+    avg = LinearMap(sp, {"x": {"z": 1}, "z": {"x": 1, "z": 1}})
+    assert summary(check_averaging(product(sp), avg,
+                                   fail_fast=fail_fast)) == expected
+
+
+# A killed vector with a nonzero bracket breaks sesquilinearity; the cell
+# (c, c) fails in both slots but counts as one instance.
+@pytest.mark.parametrize("fail_fast, expected", [
+    (False, (False, 4, [
+        ("sesquilinearity (second slot)", ("a", "c"), "(-d l - l^2) a"),
+        ("sesquilinearity (first slot)", ("c", "c"), "l a"),
+        ("sesquilinearity (second slot)", ("c", "c"), "(-d - l) a"),
+    ])),
+    (True, (False, 2, [
+        ("sesquilinearity (second slot)", ("a", "c"), "(-d l - l^2) a"),
+    ])),
+])
+def test_sesquilinearity_counts_each_cell_once(fail_fast, expected):
+    sp = SuperSpace([("a", 0), ("c", 0)], killed=("c",))
+    br = LambdaBracket(sp)
+    br.set_entry("c", "c", VPoly.monomial(sp, "a"))
+    br.set_entry("a", "c", VPoly.monomial(sp, "a", dl=1))
+    assert summary(check_conformal_sesquilinearity(
+        br, fail_fast=fail_fast)) == expected
+
+
+@pytest.mark.parametrize("fail_fast, checked, count", [
+    (False, 216, 48),
+    (True, 2, 1),
+])
+def test_mode_leibniz_counts(fail_fast, checked, count):
+    sp = SuperSpace([("a", 0), ("b", 0)])
+    br = LambdaBracket(sp)
+    br.set_entry("a", "a", VPoly.monomial(sp, "b"))
+    br.set_entry("b", "a", VPoly.monomial(sp, "a", dl=1))
+    passed, n, failures = summary(CoeffAlgebra(br).check_leibniz(
+        range(-1, 2), fail_fast=fail_fast))
+    assert (passed, n, len(failures)) == (False, checked, count)
+    assert failures[0] == ("right Leibniz", ("a[-1]", "a[-1]", "a[0]"),
+                           "a[-3]")
+    if not fail_fast:
+        assert failures[1] == ("right Leibniz", ("a[-1]", "a[-1]", "a[1]"),
+                               "2 a[-2]")
+        assert failures[-1] == ("right Leibniz", ("b[1]", "b[1]", "a[1]"),
+                                "a[1]")
+
+
+PHI_FAILURES = [
+    ("2-cocycle identity", ("L[-1]", "L[0]", "L[1]"), "-2"),
+    ("2-cocycle identity", ("L[-1]", "L[1]", "L[0]"), "2"),
+    ("2-cocycle identity", ("L[0]", "L[-1]", "L[1]"), "-4"),
+    ("2-cocycle identity", ("L[0]", "L[1]", "L[-1]"), "4"),
+    ("2-cocycle identity", ("L[1]", "L[-1]", "L[0]"), "-2"),
+    ("2-cocycle identity", ("L[1]", "L[0]", "L[-1]"), "2"),
+]
+
+
+@pytest.mark.parametrize("fail_fast, expected", [
+    (False, (False, 27, PHI_FAILURES)),
+    (True, (False, 6, PHI_FAILURES[:1])),
+])
+def test_phi_cocycle_counts(fail_fast, expected):
+    vir = _load("virasoro").conformal_bracket()
+    ansatz = CocycleAnsatz(vir.space, {(0, "L", "L"): 1, (2, "L", "L"): 1})
+    assert summary(check_phi_cocycle(CoeffAlgebra(vir), PhiCocycle(ansatz),
+                                     range(-1, 2),
+                                     fail_fast=fail_fast)) == expected
