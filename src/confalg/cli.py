@@ -49,10 +49,6 @@ class UsageError(Exception):
     pass
 
 
-class CheckFailure(Exception):
-    pass
-
-
 # ---------- input handling ----------
 
 def _load(path_or_name):

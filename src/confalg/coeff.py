@@ -21,30 +21,18 @@ finite-grid check.
 import itertools
 
 from .scalars import Scalar, binom, combination_str, factor_str, falling
-from .superspace import AxiomReport, sign
+from .superspace import AxiomReport, Combination, _add_term, sign
 from .conformal import jth_products
 
 
-class ModeExpr:
+class ModeExpr(Combination):
     """A finite linear combination of modes: terms {(k, m): Scalar}."""
 
-    def __init__(self, space, terms=None):
-        self.space = space
-        clean = {}
-        if terms:
-            for (k, m), c in terms.items():
-                c = Scalar.coerce(c, space.params)
-                if c.is_zero():
-                    continue
-                if space.is_killed(k) and m != -1:
-                    continue  # killed vectors keep only mode -1
-                prev = clean.get((k, m))
-                total = c if prev is None else prev + c
-                if total.is_zero():
-                    clean.pop((k, m), None)
-                else:
-                    clean[(k, m)] = total
-        self.terms = clean
+    __slots__ = ()
+
+    def _drops(self, key):
+        k, m = key
+        return m != -1 and self.space.is_killed(k)  # only mode -1 survives
 
     @classmethod
     def mode(cls, space, k, m, coeff=1):
@@ -52,42 +40,10 @@ class ModeExpr:
             k = space.index(k)
         return cls(space, {(k, m): coeff})
 
-    def __add__(self, other):
-        assert self.space is other.space
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = terms.get(key)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        out = ModeExpr(self.space)
-        out.terms = terms
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        s = Scalar.coerce(s, self.space.params)
-        return ModeExpr(self.space,
-                        {key: s * c for key, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, ModeExpr) and self.space is other.space
-                and (self - other).is_zero())
-
     def __str__(self):
         names = self.space.names
         return combination_str((self.terms[(k, m)], "%s[%d]" % (names[k], m))
                                for (k, m) in sorted(self.terms))
-
-    def __repr__(self):
-        return "ModeExpr(%s)" % self
 
 
 class CoeffAlgebra:
@@ -112,21 +68,18 @@ class CoeffAlgebra:
             i = self.space.index(i)
         if isinstance(j, str):
             j = self.space.index(j)
-        out = ModeExpr(self.space)
-        table = self._products.get((i, j))
-        if not table:
-            return out
-        for t, entries in table.items():
+        terms = {}
+        for t, entries in self._products.get((i, j), {}).items():
             factor = binom(m, t)
             if factor == 0:
                 continue
             for (k, dd, c) in entries:
                 pos = m + n - t
-                coeff = c * Scalar.rational(factor * (-1) ** dd
-                                            * falling(pos, dd),
-                                            self.space.params)
-                out = out + ModeExpr(self.space, {(k, pos - dd): coeff})
-        return out
+                _add_term(terms, (k, pos - dd),
+                          c * Scalar.rational(factor * (-1) ** dd
+                                              * falling(pos, dd),
+                                              self.space.params))
+        return ModeExpr(self.space, terms)
 
     def mode_bracket(self, u, v):
         """Bilinear extension to ModeExprs (or (index, mode) pairs)."""

@@ -27,8 +27,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .scalars import Scalar, binom
-from .superspace import AxiomReport, GradedBilinearMap, sign
+from .superspace import AxiomReport, Combination, _add_term, sign
 
 # axis position of each variable inside a term key (k, dd, dl, dm, dn)
 _AXIS = {'d': 1, 'l': 2, 'm': 3, 'n': 4}
@@ -43,65 +42,29 @@ class VariableCaptureError(ConformalError):
     """Attaching a bracket with a variable that already occurs in an input."""
 
 
-def _varpoly_mul(p, q):
-    """Multiply two polynomials in the variables d,l,m,n with Fraction
-    coefficients, stored as {(dd,dl,dm,dn): Fraction}."""
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            val = out.get(e, Fraction(0)) + c1 * c2
-            if val == 0:
-                out.pop(e, None)
-            else:
-                out[e] = val
-    return out
-
-
-def _varpoly_linear(coeffs):
-    """{(exponents): coeff} form of a linear combination {var: coeff}."""
-    out = {}
-    for var, c in coeffs.items():
-        c = Fraction(c)
-        if c == 0:
-            continue
-        e = [0, 0, 0, 0]
-        e[_AXIS[var] - 1] = 1
-        out[tuple(e)] = c
-    return out
-
-
-def _varpoly_pow(linear, t):
+def _linear_power(linear, t):
+    """(sum of c * var over linear's items)^t as {(dd, dl, dm, dn): Fraction},
+    linear mapping variable names to rational coefficients."""
     out = {(0, 0, 0, 0): Fraction(1)}
-    base = _varpoly_linear(linear)
     for _ in range(t):
-        out = _varpoly_mul(out, base)
+        step = {}
+        for expo, c in out.items():
+            for var, cv in linear.items():
+                e = list(expo)
+                e[_AXIS[var] - 1] += 1
+                e = tuple(e)
+                step[e] = step.get(e, 0) + c * cv
+        out = {e: c for e, c in step.items() if c}
     return out
 
 
-class VPoly:
+class VPoly(Combination):
     """A sparse element of Q[d, l, m, n] (x) V with Scalar coefficients."""
 
-    __slots__ = ('space', 'terms')
+    __slots__ = ()
 
-    def __init__(self, space, terms=None):
-        self.space = space
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                k, dd, dl, dm, dn = key
-                coeff = Scalar.coerce(coeff, space.params)
-                if coeff.is_zero():
-                    continue
-                if dd >= 1 and space.is_killed(k):
-                    continue  # d annihilates killed vectors
-                prev = clean.get(key)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = total
-        self.terms = clean
+    def _drops(self, key):
+        return key[1] >= 1 and self.space.is_killed(key[0])  # d kills it
 
     # ---------- constructors ----------
 
@@ -121,54 +84,10 @@ class VPoly:
         return cls(space, {(space.index(k) if isinstance(k, str) else k,
                             0, 0, 0, 0): c for k, c in vec.items()})
 
-    # ---------- arithmetic ----------
-
-    def __add__(self, other):
-        assert self.space is other.space
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = terms.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        return VPoly(self.space, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        s = Scalar.coerce(s, self.space.params)
-        return VPoly(self.space,
-                     {key: s * c for key, c in self.terms.items()})
-
     def times_monomial(self, dd=0, dl=0, dm=0, dn=0):
         return VPoly(self.space,
                      {(k, a + dd, b + dl, c + dm, e + dn): s
                       for (k, a, b, c, e), s in self.terms.items()})
-
-    def times_varpoly(self, vp):
-        """Multiply by a {(dd,dl,dm,dn): Fraction} polynomial."""
-        out = {}
-        for (k, a, b, c, e), s in self.terms.items():
-            for (dd, dl, dm, dn), f in vp.items():
-                key = (k, a + dd, b + dl, c + dm, e + dn)
-                add = s * f
-                prev = out.get(key)
-                total = add if prev is None else prev + add
-                out[key] = total
-        return VPoly(self.space, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, VPoly) and self.space is other.space
-                and (self - other).is_zero())
-
-    def __hash__(self):
-        raise TypeError("VPoly is unhashable")
 
     # ---------- structure ----------
 
@@ -197,18 +116,18 @@ class VPoly:
         substitute('n', {'l': 1, 'm': 1})."""
         axis = _AXIS[var]
         powers = {}
-        out = VPoly.zero(self.space)
+        terms = {}
         for key, c in self.terms.items():
             t = key[axis]
             base = list(key)
             base[axis] = 0
-            piece = VPoly(self.space, {tuple(base): c})
-            if t:
-                if t not in powers:
-                    powers[t] = _varpoly_pow(replacement, t)
-                piece = piece.times_varpoly(powers[t])
-            out = out + piece
-        return out
+            if t not in powers:
+                powers[t] = _linear_power(replacement, t)
+            for expo, f in powers[t].items():
+                _add_term(terms, (base[0],) + tuple(
+                    b + e for b, e in zip(base[1:], expo)),
+                    c if f == 1 else c * f)
+        return VPoly(self.space, terms)
 
     def classical_vector(self):
         """The underlying {k: Scalar} vector of a variable-free VPoly."""
@@ -273,9 +192,6 @@ class VPoly:
             else:
                 pieces.append("%s %s" % (joined, name) if joined != "1" else name)
         return " + ".join(pieces)
-
-    def __repr__(self):
-        return "VPoly(%s)" % self
 
 
 class LambdaBracket:
@@ -357,31 +273,31 @@ def apply_bracket(bracket, x, y, attach):
     if x.uses(attach) or y.uses(attach):
         raise VariableCaptureError(
             "attachment variable %r already occurs in an argument" % attach)
-    att_axis = _AXIS[attach]
-    out = VPoly.zero(space)
+    att = _AXIS[attach] - 1  # position in a (dd, dl, dm, dn) exponent
+    powers = {}
+    terms = {}
     for (kx, ddx, dlx, dmx, dnx), sx in x.terms.items():
         for (ky, ddy, dly, dmy, dny), sy in y.terms.items():
             entry = bracket.entries.get((kx, ky))
             if entry is None:
                 continue
-            # move the entry's l exponent onto the attachment axis
-            moved = {}
-            for (k, dd, dl, dm, dn), c in entry.terms.items():
-                key = [k, dd, 0, 0, 0]
-                key[att_axis] = dl
-                key = (k, dd) + tuple(key[2:])
-                moved[key] = moved.get(key, Scalar.zero(space.params)) + c
-            piece = VPoly(space, moved)
-            # (-v)^ddx (d + v)^ddy, v the attachment variable
-            vp = _varpoly_pow({attach: -1}, ddx)
-            vp = _varpoly_mul(vp, _varpoly_pow({'d': 1, attach: 1}, ddy))
-            piece = piece.times_varpoly(vp)
-            passive = {'dl': dlx + dly, 'dm': dmx + dmy, 'dn': dnx + dny}
-            piece = piece.times_monomial(dl=passive['dl'],
-                                         dm=passive['dm'],
-                                         dn=passive['dn'])
-            out = out + piece.scale(sx * sy)
-    return out
+            # (-v)^ddx (d + v)^ddy [e_kx _v e_ky] times the passive powers,
+            # v the attachment variable
+            s = sx * sy if ddx % 2 == 0 else -(sx * sy)
+            shift = [0, dlx + dly, dmx + dmy, dnx + dny]
+            shift[att] += ddx
+            if ddy not in powers:
+                powers[ddy] = _linear_power({'d': 1, attach: 1}, ddy)
+            for (k, dd, dl, _, _), c in entry.terms.items():
+                base = list(shift)
+                base[0] += dd
+                base[att] += dl
+                cs = c * s
+                for expo, f in powers[ddy].items():
+                    _add_term(terms, (k,) + tuple(
+                        b + e for b, e in zip(base, expo)),
+                        cs if f == 1 else cs * f)
+    return VPoly(space, terms)
 
 
 def substitute(x, var, replacement):
@@ -418,10 +334,11 @@ def check_conformal_sesquilinearity(bracket, fail_fast=False):
                              VPoly.monomial(space, j), 'l')
         lhs1 = apply_bracket(bracket, VPoly.monomial(space, i, dd=1),
                              VPoly.monomial(space, j), 'l')
-        res1 = lhs1 - base.times_varpoly(_varpoly_linear({'l': -1}))
+        res1 = lhs1 + base.times_monomial(dl=1)
         lhs2 = apply_bracket(bracket, VPoly.monomial(space, i),
                              VPoly.monomial(space, j, dd=1), 'l')
-        res2 = lhs2 - base.times_varpoly(_varpoly_linear({'d': 1, 'l': 1}))
+        res2 = (lhs2 - base.times_monomial(dd=1)
+                - base.times_monomial(dl=1))
         for tag, res in (("first slot", res1), ("second slot", res2)):
             if not res.is_zero():
                 yield ("sesquilinearity (%s)" % tag,

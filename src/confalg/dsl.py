@@ -34,7 +34,8 @@ import re
 from fractions import Fraction
 
 from .scalars import Scalar, ScalarError
-from .superspace import SuperSpace, GradedBilinearMap, LinearMap
+from .superspace import (Combination, SuperSpace, GradedBilinearMap,
+                         LinearMap, _add_term)
 from .conformal import ConformalError, LambdaBracket, VPoly
 from .quadratic import StarMode, star_from_mode, zero_map
 
@@ -263,52 +264,8 @@ class AlgebraFile:
 
 
 # ---------- expression evaluation ----------
-# A value is {key: {(dd, dl): Scalar}} with key None for the scalar part and
-# a basis index for each vector part.
-
-def _val_scalar(s, params):
-    return {None: {(0, 0): Scalar.coerce(s, params)}}
-
-
-def _val_add(a, b, params):
-    out = {k: dict(v) for k, v in a.items()}
-    for k, poly in b.items():
-        dst = out.setdefault(k, {})
-        for e, c in poly.items():
-            total = dst.get(e, Scalar.zero(params)) + c
-            if total.is_zero():
-                dst.pop(e, None)
-            else:
-                dst[e] = total
-    return {k: v for k, v in out.items() if v}
-
-
-def _val_scale(a, factor):
-    return {k: {e: c * factor for e, c in poly.items()}
-            for k, poly in a.items()}
-
-
-def _val_mul(a, b, params, parser):
-    a_vec = any(k is not None for k in a)
-    b_vec = any(k is not None for k in b)
-    if a_vec and b_vec:
-        parser.error("cannot multiply two basis-vector expressions")
-    if b_vec:
-        a, b = b, a
-    # b is pure scalar (possibly with d/l powers)
-    out = {}
-    for k, poly in a.items():
-        dst = out.setdefault(k, {})
-        for (pd1, pl1), c1 in poly.items():
-            for (pd2, pl2), c2 in b.get(None, {}).items():
-                e = (pd1 + pd2, pl1 + pl2)
-                total = dst.get(e, Scalar.zero(params)) + c1 * c2
-                if total.is_zero():
-                    dst.pop(e, None)
-                else:
-                    dst[e] = total
-    return {k: v for k, v in out.items() if v}
-
+# A value is a Combination keyed (k, dd, dl): k is a basis index, or None for
+# the scalar part, and dd, dl are the powers of d and l.
 
 class _ExprParser:
     """Parses coefficient-and-vector expressions in a given context."""
@@ -319,14 +276,16 @@ class _ExprParser:
         self.allow_vars = allow_vars
         self.params = space.params
 
+    def term(self, k, c=1, dd=0, dl=0):
+        """The value c d^dd l^dl e_k (a scalar when k is None)."""
+        return Combination(self.space, {(k, dd, dl): c})
+
     def parse(self):
         val = self.parse_term_signed()
         while self.p.peek()[0] in ('+', '-'):
             op = self.p.next()[0]
             rhs = self.parse_term()
-            if op == '-':
-                rhs = _val_scale(rhs, Scalar.rational(-1, self.params))
-            val = _val_add(val, rhs, self.params)
+            val = val - rhs if op == '-' else val + rhs
         return val
 
     def parse_term_signed(self):
@@ -335,14 +294,12 @@ class _ExprParser:
             if self.p.next()[0] == '-':
                 negate = not negate
         val = self.parse_term()
-        if negate:
-            val = _val_scale(val, Scalar.rational(-1, self.params))
-        return val
+        return val.scale(-1) if negate else val
 
     def parse_term(self):
         val = self.parse_factor()
         while self.p.peek()[0] in ('ident', 'int', '('):
-            val = _val_mul(val, self.parse_factor(), self.params, self.p)
+            val = self._product(val, self.parse_factor())
         return val
 
     def parse_factor(self):
@@ -350,13 +307,25 @@ class _ExprParser:
         while self.p.peek()[0] == '^':
             self.p.next()
             n = int(self.p.expect('int', "an integer power")[1])
-            if any(k is not None for k in val) and n != 1:
+            if _is_vector(val) and n != 1:
                 self.p.error("cannot raise a basis-vector expression to a power")
-            out = _val_scalar(1, self.params)
+            out = self.term(None)
             for _ in range(n):
-                out = _val_mul(out, val, self.params, self.p)
+                out = self._product(out, val)
             val = out
         return val
+
+    def _product(self, a, b):
+        if _is_vector(a) and _is_vector(b):
+            self.p.error("cannot multiply two basis-vector expressions")
+        if _is_vector(b):
+            a, b = b, a
+        # b is pure scalar (possibly with d/l powers)
+        terms = {}
+        for (k, pd1, pl1), c1 in a.terms.items():
+            for (_, pd2, pl2), c2 in b.terms.items():
+                _add_term(terms, (k, pd1 + pd2, pl1 + pl2), c1 * c2)
+        return Combination(self.space, terms)
 
     def parse_atom(self):
         tag, text, line = self.p.peek()
@@ -369,7 +338,7 @@ class _ExprParser:
                 den = int(self.p.expect('int', "a denominator")[1])
                 if den == 0:
                     self.p.error("zero denominator")
-            return _val_scalar(Fraction(num, den), self.params)
+            return self.term(None, Fraction(num, den))
         if tag == '(':
             self.p.next()
             val = self.parse()
@@ -381,38 +350,40 @@ class _ExprParser:
                 if not self.allow_vars:
                     self.p.error("%r is only allowed in lambda-bracket "
                                  "entries" % text)
-                e = (1, 0) if text == 'd' else (0, 1)
-                return {None: {e: Scalar.one(self.params)}}
+                return self.term(None, dd=int(text == 'd'),
+                                 dl=int(text == 'l'))
             if text in self.params:
-                return {None: {(0, 0): Scalar.param(text, self.params)}}
+                return self.term(None, Scalar.param(text, self.params))
             if text in self.space.names:
-                return {self.space.index(text): {(0, 0): Scalar.one(self.params)}}
+                return self.term(self.space.index(text))
             self.p.error("unknown name %r" % text)
         self.p.error("expected an expression")
 
+    def _entry(self):
+        """Parse and require a combination of basis vectors (no scalar
+        part)."""
+        val = self.parse()
+        if any(k is None for k, _, _ in val.terms):
+            self.p.error("entry must be a linear combination of basis vectors")
+        return val.terms
+
     def as_vector(self):
         """Parse and require a classical vector (no d/l, no scalar part)."""
-        val = self.parse()
-        if None in val:
-            self.p.error("entry must be a linear combination of basis vectors")
         vec = {}
-        for k, poly in val.items():
-            for (dd, dl), c in poly.items():
-                if dd or dl:
-                    self.p.error("d and l are not allowed here")
-                vec[k] = c
+        for (k, dd, dl), c in self._entry().items():
+            if dd or dl:
+                self.p.error("d and l are not allowed here")
+            vec[k] = c
         return vec
 
     def as_vpoly(self):
         """Parse and require a d/l-polynomial combination of basis vectors."""
-        val = self.parse()
-        if None in val:
-            self.p.error("entry must be a linear combination of basis vectors")
-        terms = {}
-        for k, poly in val.items():
-            for (dd, dl), c in poly.items():
-                terms[(k, dd, dl, 0, 0)] = c
-        return terms
+        return {(k, dd, dl, 0, 0): c
+                for (k, dd, dl), c in self._entry().items()}
+
+
+def _is_vector(val):
+    return any(k is not None for k, _, _ in val.terms)
 
 
 # ---------- the file parser ----------

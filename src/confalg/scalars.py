@@ -80,7 +80,8 @@ class Scalar:
     @classmethod
     def param(cls, name, params):
         params = tuple(params)
-        assert name in params, "unknown parameter %r" % (name,)
+        if name not in params:
+            raise ScalarError("unknown parameter %r" % (name,))
         expo = tuple(1 if p == name else 0 for p in params)
         return cls(params, {expo: Fraction(1)})
 

@@ -4,7 +4,8 @@ A SuperSpace is a list of named basis vectors, each even (parity 0) or odd
 (parity 1), over the Scalar ring (rationals, possibly with parameters).
 Vectors are sparse dicts {basis index: Scalar}.  A GradedBilinearMap stores a
 product by structure constants and enforces the grading
-parity(x * y) = parity(x) + parity(y).
+parity(x * y) = parity(x) + parity(y).  Combination is the sparse
+linear-combination type under the conformal, mode and file-format layers.
 
 The classical axiom checks live here: super skew-symmetry + Jacobi (Lie),
 the right Leibniz identity, the left Leibniz identity, and the sign-twisted
@@ -29,14 +30,17 @@ class SuperSpace:
         self.names = []
         self.parities = []
         for name, parity in basis:
-            assert parity in (0, 1), "parity must be 0 or 1"
+            if parity not in (0, 1):
+                raise ValueError("parity must be 0 or 1, got %r" % (parity,))
             self.names.append(name)
             self.parities.append(parity)
-        assert len(set(self.names)) == len(self.names), "duplicate basis name"
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("duplicate basis name")
         self.params = tuple(params)
         self.killed = frozenset(killed)
         for k in self.killed:
-            assert k in self.names, "killed vector %r is not in the basis" % k
+            if k not in self.names:
+                raise ValueError("killed vector %r is not in the basis" % k)
         self._index = {n: i for i, n in enumerate(self.names)}
 
     @property
@@ -114,6 +118,79 @@ class SuperSpace:
         return SuperSpace(list(zip(self.names, self.parities)),
                           params=remaining,
                           killed=self.killed)
+
+
+class Combination:
+    """A sparse linear combination {key: Scalar} over a SuperSpace.
+
+    The constructor coerces every coefficient to the space's parameters and
+    leaves out zeros and the keys _drops rejects (subclasses drop what a
+    killed vector annihilates).  +, - and scale combine terms that are
+    already clean, so they only drop sums that cancel.
+    """
+
+    __slots__ = ('space', 'terms')
+
+    def __init__(self, space, terms=None):
+        self.space = space
+        clean = {}
+        for key, coeff in (terms or {}).items():
+            coeff = Scalar.coerce(coeff, space.params)
+            if not coeff.is_zero() and not self._drops(key):
+                clean[key] = coeff
+        self.terms = clean
+
+    def _drops(self, key):
+        return False
+
+    def _trusted(self, terms):
+        """A combination of the same type on clean terms, unchecked."""
+        out = object.__new__(type(self))
+        out.space = self.space
+        out.terms = terms
+        return out
+
+    def __add__(self, other):
+        assert self.space is other.space
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _add_term(terms, key, coeff)
+        return self._trusted(terms)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, s):
+        # the parameters are formal, so a product of nonzero Scalars is
+        # nonzero
+        s = Scalar.coerce(s, self.space.params)
+        if s.is_zero():
+            return self._trusted({})
+        return self._trusted({key: s * c for key, c in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.space is other.space
+                and (self - other).is_zero())
+
+    __hash__ = None
+
+    def __str__(self):
+        return combination_str((c, repr(k)) for k, c in self.terms.items())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+def _add_term(terms, key, coeff):
+    """terms[key] += coeff, leaving the key out when the sum is zero."""
+    total = terms[key] + coeff if key in terms else coeff
+    if total.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = total
 
 
 def sign(p, q):

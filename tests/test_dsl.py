@@ -191,6 +191,23 @@ def test_error_expressions():
         parse("algebra x\nbasis e even\nbracket br { e e -> d e; }\n")
 
 
+def test_zero_entries_are_empty():
+    """'0', '2 - 2' and '0 e' all denote the zero vector: the entry is
+    accepted and left out; a nonzero scalar is still an error."""
+    for expr in ("0", "2 - 2", "0 e"):
+        af = parse("algebra x\nbasis e even\n"
+                   "op circ { e e -> %s; }\n"
+                   "bracket br { e e -> %s; }\n"
+                   "lambda-bracket { e e -> %s; }\n"
+                   "linear-map m { e -> %s; }\n" % ((expr,) * 4))
+        assert af.ops["circ"].table == {}
+        assert af.brackets["br"].table == {}
+        assert af.lambda_bracket.entries == {}
+        assert af.linear_maps["m"].table == {}
+    with pytest.raises(DslError, match="linear combination of basis vectors"):
+        parse("algebra x\nbasis e even\nlambda-bracket { e e -> 3; }\n")
+
+
 def test_error_star_misuse():
     with pytest.raises(DslError, match="'star = ...' directive"):
         parse("algebra x\nbasis e even\nop star { e e -> e; }\n")

@@ -1,0 +1,43 @@
+"""Input checks are exceptions, not asserts, so `python -O` keeps them."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from confalg import Scalar, ScalarError, SuperSpace
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+CASES = [
+    ("SuperSpace([('x', 5)])", ValueError),
+    ("SuperSpace([('x', 0), ('x', 1)])", ValueError),
+    ("SuperSpace([('x', 0)], killed=('c',))", ValueError),
+    ("Scalar.param('z', ('a',))", ScalarError),
+]
+
+
+@pytest.mark.parametrize("call, error", CASES)
+def test_bad_input_raises(call, error):
+    with pytest.raises(error):
+        eval(call)
+
+
+@pytest.mark.parametrize("call, error", CASES)
+def test_bad_input_raises_under_python_O(call, error):
+    script = ("from confalg import Scalar, SuperSpace\n"
+              "try:\n"
+              "    %s\n"
+              "except Exception as exc:\n"
+              "    print(type(exc).__name__)\n"
+              "else:\n"
+              "    print('accepted')\n" % call)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == error.__name__
