@@ -61,6 +61,9 @@ class CoeffAlgebra:
                             for (k, dd, dl, dm, dn), c in vp.terms.items()]
             if table:
                 self._products[(i, j)] = table
+        # (i, m, j, n) -> [e_i[m], e_j[n]]; the values are shared, so no
+        # caller may change their terms
+        self._brackets = {}
 
     def mode_bracket_basis(self, i, m, j, n):
         """[e_i[m], e_j[n]] as a ModeExpr."""
@@ -68,6 +71,10 @@ class CoeffAlgebra:
             i = self.space.index(i)
         if isinstance(j, str):
             j = self.space.index(j)
+        key = (i, m, j, n)
+        out = self._brackets.get(key)
+        if out is not None:
+            return out
         terms = {}
         for t, entries in self._products.get((i, j), {}).items():
             factor = binom(m, t)
@@ -79,7 +86,8 @@ class CoeffAlgebra:
                           c * Scalar.rational(factor * (-1) ** dd
                                               * falling(pos, dd),
                                               self.space.params))
-        return ModeExpr(self.space, terms)
+        out = self._brackets[key] = ModeExpr(self.space, terms)
+        return out
 
     def mode_bracket(self, u, v):
         """Bilinear extension to ModeExprs (or (index, mode) pairs)."""
@@ -87,11 +95,14 @@ class CoeffAlgebra:
             u = ModeExpr.mode(self.space, *u)
         if isinstance(v, tuple):
             v = ModeExpr.mode(self.space, *v)
-        out = ModeExpr(self.space)
+        terms = {}
         for (i, m), ci in u.terms.items():
             for (j, n), cj in v.terms.items():
-                out = out + self.mode_bracket_basis(i, m, j, n).scale(ci * cj)
-        return out
+                c = ci * cj
+                for key, b in self.mode_bracket_basis(i, m, j, n).terms.items():
+                    _add_term(terms, key, c * b)
+        # u is on this space, and basis brackets hold only kept modes
+        return u._trusted(terms)
 
     def table_lines(self, grid):
         """Rendered mode brackets over a grid of mode indices."""
@@ -120,10 +131,12 @@ def _check_mode_identity(coeff, outer, grid, fail_fast, title, identity):
     bracket = coeff.mode_bracket
     grid = list(grid)
     dims = [range(space.dim)] * 3
+    modes = {(b, mode): ModeExpr.mode(space, b, mode)
+             for b in dims[0] for mode in grid}
 
     def check(cell):
         i, j, k, m, n, p = cell
-        x, y, z = (i, m), (j, n), (k, p)
+        x, y, z = modes[i, m], modes[j, n], modes[k, p]
         res = outer(x, bracket(y, z)) - outer(bracket(x, y), z)
         tail = outer(bracket(x, z), y)
         if sign(space.parity(j), space.parity(k)) == 1:
@@ -132,7 +145,8 @@ def _check_mode_identity(coeff, outer, grid, fail_fast, title, identity):
             res = res - tail
         if not res.is_zero():
             yield (identity, ["%s[%d]" % (space.names[b], mode)
-                              for b, mode in (x, y, z)], str(res))
+                              for b, mode in ((i, m), (j, n), (k, p))],
+                   str(res))
     return AxiomReport(title).run(itertools.product(*dims, grid, grid, grid),
                                   check, fail_fast)
 

@@ -129,21 +129,6 @@ class VPoly(Combination):
                     c if f == 1 else c * f)
         return VPoly(self.space, terms)
 
-    def classical_vector(self):
-        """The underlying {k: Scalar} vector of a variable-free VPoly."""
-        vec = {}
-        for (k, dd, dl, dm, dn), c in self.terms.items():
-            assert dd == dl == dm == dn == 0, "not a classical vector"
-            vec[k] = c
-        return vec
-
-    def vec_parity(self):
-        parities = {self.space.parity(key[0]) for key in self.terms}
-        if not parities:
-            return None
-        assert len(parities) == 1, "not homogeneous"
-        return parities.pop()
-
     # ---------- printing ----------
 
     def __str__(self):
@@ -217,8 +202,9 @@ class LambdaBracket:
         i, j = self._idx(i), self._idx(j)
         if not isinstance(vp, VPoly):
             vp = VPoly.vector(self.space, vp)
-        assert not vp.uses('m') and not vp.uses('n'), \
-            "bracket entries are polynomials in d and l only"
+        if vp.uses('m') or vp.uses('n'):
+            raise ValueError("bracket entries are polynomials in d and l "
+                             "only")
         want = (self.space.parity(i) + self.space.parity(j)) % 2
         for (k, dd, dl, dm, dn) in vp.terms:
             if self.space.parity(k) != want:

@@ -368,13 +368,9 @@ class _ExprParser:
         return val.terms
 
     def as_vector(self):
-        """Parse and require a classical vector (no d/l, no scalar part)."""
-        vec = {}
-        for (k, dd, dl), c in self._entry().items():
-            if dd or dl:
-                self.p.error("d and l are not allowed here")
-            vec[k] = c
-        return vec
+        """Parse and require a classical vector (no scalar part; d and l
+        are already rejected, since this parser does not allow them)."""
+        return {k: c for (k, _, _), c in self._entry().items()}
 
     def as_vpoly(self):
         """Parse and require a d/l-polynomial combination of basis vectors."""

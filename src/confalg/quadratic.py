@@ -274,7 +274,8 @@ class QuadraticData:
         self.star = star if star is not None else zero_map(space, 'star')
         self.bracket = bracket if bracket is not None else zero_map(space, 'bracket')
         for comp in (self.circ, self.star, self.bracket):
-            assert comp.space is space, "components live on different spaces"
+            if comp.space is not space:
+                raise ValueError("components live on different spaces")
 
 
 def build_quadratic_bracket(circ, star, bracket):

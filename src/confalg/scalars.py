@@ -17,6 +17,7 @@ Example:
 
 from fractions import Fraction
 import math
+import operator
 
 
 class ScalarError(ArithmeticError):
@@ -34,6 +35,13 @@ def _as_fraction(x):
     raise ScalarError("expected an int or Fraction, got %r" % (x,))
 
 
+def _check_params(params):
+    params = tuple(params)
+    if len(set(params)) != len(params):
+        raise ScalarError("duplicate parameter names in %r" % (params,))
+    return params
+
+
 class Scalar:
     """A polynomial in the declared parameters with Fraction coefficients.
 
@@ -45,15 +53,17 @@ class Scalar:
     __slots__ = ('params', 'terms')
 
     def __init__(self, params=(), terms=None):
-        params = tuple(params)
-        assert len(set(params)) == len(params), "duplicate parameter names"
-        self.params = params
+        self.params = params = _check_params(params)
         clean = {}
         if terms:
             for expo, coeff in terms.items():
                 expo = tuple(expo)
-                assert len(expo) == len(params), "exponent arity mismatch"
-                assert all(isinstance(e, int) and e >= 0 for e in expo)
+                if len(expo) != len(params):
+                    raise ScalarError("exponent %r does not match parameters %r"
+                                      % (expo, params))
+                if not all(isinstance(e, int) and e >= 0 for e in expo):
+                    raise ScalarError("exponents must be non-negative ints, "
+                                      "got %r" % (expo,))
                 coeff = _as_fraction(coeff)
                 if coeff != 0:
                     clean[expo] = clean.get(expo, Fraction(0)) + coeff
@@ -61,11 +71,22 @@ class Scalar:
                         del clean[expo]
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, params, terms):
+        """A Scalar on a parameter tuple and terms that are already clean
+        (exponent tuples of the right arity, nonzero Fractions), unchecked.
+        Ring operations build their results here; outside input goes
+        through the constructor."""
+        out = object.__new__(cls)
+        out.params = params
+        out.terms = terms
+        return out
+
     # ---------- constructors ----------
 
     @classmethod
     def zero(cls, params=()):
-        return cls(params, {})
+        return cls._trusted(tuple(params), {})
 
     @classmethod
     def one(cls, params=()):
@@ -74,8 +95,8 @@ class Scalar:
     @classmethod
     def rational(cls, q, params=()):
         q = _as_fraction(q)
-        zero_expo = (0,) * len(tuple(params))
-        return cls(params, {zero_expo: q} if q != 0 else {})
+        params = tuple(params)
+        return cls._trusted(params, {(0,) * len(params): q} if q else {})
 
     @classmethod
     def param(cls, name, params):
@@ -83,12 +104,13 @@ class Scalar:
         if name not in params:
             raise ScalarError("unknown parameter %r" % (name,))
         expo = tuple(1 if p == name else 0 for p in params)
-        return cls(params, {expo: Fraction(1)})
+        return cls._trusted(params, {expo: Fraction(1)})
 
     @classmethod
     def parameters(cls, *names):
         """Convenience: Scalar generators for each name, all sharing the
         parameter tuple `names`."""
+        names = _check_params(names)
         return tuple(cls.param(n, names) for n in names)
 
     @classmethod
@@ -116,7 +138,7 @@ class Scalar:
             for pos, e in zip(positions, expo):
                 new[pos] = e
             terms[tuple(new)] = coeff
-        return Scalar(params, terms)
+        return Scalar._trusted(params, terms)
 
     def _pair(self, other):
         """Coerce self and other to a common parameter tuple.  Constants lift
@@ -134,17 +156,27 @@ class Scalar:
 
     # ---------- ring operations ----------
 
+    # The results below are built from clean terms, so the only cleaning
+    # left is to drop sums that cancel.  Term order is the constructor's
+    # (first appearance), which callers that walk `terms` rely on.
+
     def __add__(self, other):
         s, o = self._pair(other)
         terms = dict(s.terms)
         for expo, coeff in o.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return Scalar(s.params, terms)
+            if expo in terms:
+                coeff = terms[expo] + coeff
+                if not coeff:
+                    del terms[expo]  # o's exponents are distinct
+                    continue
+            terms[expo] = coeff
+        return Scalar._trusted(s.params, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.params, {e: -c for e, c in self.terms.items()})
+        return Scalar._trusted(self.params,
+                               {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         s, o = self._pair(other)
@@ -159,9 +191,13 @@ class Scalar:
         terms = {}
         for e1, c1 in s.terms.items():
             for e2, c2 in o.terms.items():
-                expo = tuple(x + y for x, y in zip(e1, e2))
-                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
-        return Scalar(s.params, terms)
+                expo = tuple(map(operator.add, e1, e2))
+                c = c1 * c2
+                terms[expo] = terms[expo] + c if expo in terms else c
+        # filter at the end: deleting a cancelled sum mid-loop would move a
+        # later sum at the same exponent to the end of the order
+        return Scalar._trusted(s.params,
+                               {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 

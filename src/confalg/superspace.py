@@ -37,6 +37,8 @@ class SuperSpace:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate basis name")
         self.params = tuple(params)
+        if len(set(self.params)) != len(self.params):
+            raise ValueError("duplicate parameter name")
         self.killed = frozenset(killed)
         for k in self.killed:
             if k not in self.names:

@@ -1,5 +1,6 @@
 """Coefficient (mode) algebras and induced mode 2-cocycles."""
 
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from confalg import (SuperSpace, GradedBilinearMap, LambdaBracket, VPoly,
                      check_lie_superalgebra)
 
 import gens
+from test_combination import SPACE, brackets, scalars
 
 
 def witt():
@@ -203,3 +205,45 @@ def test_current_modes_copy_the_classical_bracket(seed):
                     expected = ModeExpr(cur.space,
                                         {(k, m + n): c for k, c in vec.items()})
                     assert ca.mode_bracket_basis(i, m, j, n) == expected
+
+
+@st.composite
+def ansatzes(draw):
+    """A random polynomial cochain on the space of `brackets()` (not
+    necessarily a cocycle)."""
+    anz = CocycleAnsatz(SPACE, {})
+    pairs = [(p, q) for p in range(SPACE.dim) for q in range(SPACE.dim)
+             if (SPACE.parity(p) + SPACE.parity(q)) % 2 == 0]
+    for t, (p, q) in draw(st.lists(st.tuples(st.integers(0, 3),
+                                             st.sampled_from(pairs)),
+                                   max_size=4)):
+        anz.set(t, p, q, draw(scalars))
+    return anz
+
+
+def _snapshot(ca, keys):
+    return {key: [(mode, list(c.terms.items()))
+                  for mode, c in ca.mode_bracket_basis(*key).terms.items()]
+            for key in keys}
+
+
+@given(brackets(), ansatzes(), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_memoised_mode_brackets_match_fresh_ones(br, anz, fail_fast):
+    """Every mode bracket a CoeffAlgebra hands out equals one computed by a
+    new CoeffAlgebra, and running the checks leaves the stored ones as they
+    were (the space has a killed vector and a parameter)."""
+    grid = range(-2, 2)
+    keys = list(itertools.product(range(SPACE.dim), grid,
+                                  range(SPACE.dim), grid))
+    ca = CoeffAlgebra(br)
+    for key in keys:
+        stored, fresh = ca.mode_bracket_basis(*key), coeff_bracket(br, *key)
+        assert ca.mode_bracket_basis(*key) is stored
+        assert stored == fresh
+        assert list(stored.terms.items()) == list(fresh.terms.items())
+    before = _snapshot(ca, keys)
+    ca.table_lines(grid)
+    ca.check_leibniz(grid, fail_fast=fail_fast)
+    check_phi_cocycle(ca, PhiCocycle(anz), grid, fail_fast=fail_fast)
+    assert _snapshot(ca, keys) == before

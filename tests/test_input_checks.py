@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from confalg import Scalar, ScalarError, SuperSpace
+from confalg import (LambdaBracket, QuadraticData, Scalar, ScalarError,
+                     SuperSpace, VPoly, zero_map)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -15,7 +16,17 @@ CASES = [
     ("SuperSpace([('x', 5)])", ValueError),
     ("SuperSpace([('x', 0), ('x', 1)])", ValueError),
     ("SuperSpace([('x', 0)], killed=('c',))", ValueError),
+    ("SuperSpace([('x', 0)], params=('a', 'a'))", ValueError),
     ("Scalar.param('z', ('a',))", ScalarError),
+    ("Scalar.parameters('a', 'a')", ScalarError),
+    ("Scalar(('a', 'a'), {(1, 0): 1})", ScalarError),
+    ("Scalar(('a',), {(1, 2): 1})", ScalarError),
+    ("Scalar(('a',), {(-1,): 1})", ScalarError),
+    ("Scalar(('a',), {('1',): 1})", ScalarError),
+    ("LambdaBracket(sp := SuperSpace([('L', 0)]))"
+     ".set_entry('L', 'L', VPoly.monomial(sp, 'L', dm=1))", ValueError),
+    ("QuadraticData(SuperSpace([('e', 0)]), "
+     "circ=zero_map(SuperSpace([('e', 0)])))", ValueError),
 ]
 
 
@@ -27,7 +38,8 @@ def test_bad_input_raises(call, error):
 
 @pytest.mark.parametrize("call, error", CASES)
 def test_bad_input_raises_under_python_O(call, error):
-    script = ("from confalg import Scalar, SuperSpace\n"
+    script = ("from confalg import (LambdaBracket, QuadraticData, Scalar,\n"
+              "                     SuperSpace, VPoly, zero_map)\n"
               "try:\n"
               "    %s\n"
               "except Exception as exc:\n"

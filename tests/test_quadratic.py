@@ -46,7 +46,7 @@ def test_star_from_mode_zero():
 def test_quadratic_data_requires_one_space():
     sp1 = SuperSpace([("e", 0)])
     sp2 = SuperSpace([("e", 0)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         QuadraticData(sp1, circ=zero_map(sp2))
 
 

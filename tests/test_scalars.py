@@ -4,7 +4,7 @@ parameters."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confalg import Scalar, ScalarError, falling, binom
 
@@ -110,6 +110,87 @@ def test_substitution_is_a_ring_homomorphism(x, y, va, vb):
     at = {"a": va, "b": vb}
     assert (x + y).substitute(at) == x.substitute(at) + y.substitute(at)
     assert (x * y).substitute(at) == x.substitute(at) * y.substitute(at)
+
+
+# The ring operations build their results without the validating
+# constructor; each must equal the same sum or product accumulated term by
+# term through that constructor, in the same term order.
+
+def _validated_sum(params, *term_lists):
+    terms = {}
+    for pairs in term_lists:
+        for expo, coeff in pairs:
+            terms[expo] = terms.get(expo, 0) + coeff
+    return Scalar(params, terms)
+
+
+def _validated_product(x, y):
+    return _validated_sum(x.params, [
+        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in x.terms.items() for e2, c2 in y.terms.items()])
+
+
+def _negated(x):
+    return [(e, -c) for e, c in x.terms.items()]
+
+
+def _validated_power(x, n):
+    out = Scalar(x.params, {(0,) * len(x.params): 1})
+    for _ in range(n):
+        out = _validated_product(out, x)
+    return out
+
+
+@st.composite
+def scalar_pairs(draw):
+    """Two Scalars over the same 0-3 parameters; often y cancels some or all
+    of x's terms."""
+    params = ("a", "b", "c")[:draw(st.integers(0, 3))]
+    expos = st.tuples(*[st.integers(0, 2)] * len(params))
+    terms = st.dictionaries(expos, st.integers(-2, 2), max_size=4)
+    x = Scalar(params, draw(terms))
+    y_terms = draw(terms)
+    if draw(st.booleans()):
+        for expo, coeff in x.terms.items():
+            if draw(st.booleans()):
+                y_terms[expo] = y_terms.get(expo, 0) - coeff
+    return x, Scalar(params, y_terms)
+
+
+def assert_same_scalar(result, expected):
+    assert result.params == expected.params
+    assert list(result.terms.items()) == list(expected.terms.items())
+    assert all(isinstance(c, Fraction) and c != 0
+               for c in result.terms.values())
+    rebuilt = Scalar(result.params, dict(result.terms))
+    assert list(rebuilt.terms.items()) == list(result.terms.items())
+
+
+@given(scalar_pairs(), st.integers(-2, 2), st.integers(0, 3))
+# (-1 - a + a^2)^2: the a^2 sum passes through 0 before its last summand
+# arrives, and the a^3 sum is made in between
+@example((Scalar(("a",), {(0,): -1, (1,): -1, (2,): 1}),
+          Scalar(("a",), {(0,): -1, (1,): -1, (2,): 1})), 1, 2)
+@settings(max_examples=200)
+def test_ring_operations_match_the_validating_constructor(pair, k, n):
+    x, y = pair
+    zero_expo = (0,) * len(x.params)
+    assert_same_scalar(x + y, _validated_sum(x.params, x.terms.items(),
+                                             y.terms.items()))
+    assert_same_scalar(-x, _validated_sum(x.params, _negated(x)))
+    assert_same_scalar(x - y, _validated_sum(x.params, x.terms.items(),
+                                             _negated(y)))
+    assert_same_scalar(y - x, _validated_sum(x.params, y.terms.items(),
+                                             _negated(x)))
+    assert_same_scalar(x * y, _validated_product(x, y))
+    assert_same_scalar(x ** n, _validated_power(x, n))
+    assert_same_scalar(x + k, _validated_sum(x.params, x.terms.items(),
+                                             [(zero_expo, k)]))
+    assert_same_scalar(k * x, _validated_product(
+        x, Scalar(x.params, {zero_expo: k})))
+    assert (x - x).is_zero() and (x + (-x)).is_zero()
+    assert_same_scalar(Scalar.rational(k).lift(x.params),
+                       Scalar(x.params, {zero_expo: k}))
 
 
 def test_falling_factorial():
