@@ -302,14 +302,20 @@ _EXT_CASES = {
 }
 
 
-def _case_components(af, case):
-    """(structured solve callable, conformal bracket) for a case."""
+def _structured_route(af, case, declared):
+    """(structured solve callable, None) for a case, or (None, the reason it
+    does not apply): the bracket the case builds from the file's circ (and
+    bracket) must have the entries of the declared conformal bracket."""
     star_mode, with_bracket, solve = _EXT_CASES[case]
     circ = af.circ()
     bracket = af.classical_bracket() if with_bracket else zero_map(af.space)
-    conf = build_quadratic_bracket(circ, star_from_mode(circ, star_mode),
-                                   bracket)
-    return (lambda: solve(circ, bracket)), conf
+    built = build_quadratic_bracket(circ, star_from_mode(circ, star_mode),
+                                    bracket)
+    if built.entries != declared.entries:
+        return None, ("structured route: not applicable (case %r builds a "
+                      "different bracket from the one %r declares)"
+                      % (case, af.name))
+    return (lambda: solve(circ, bracket)), None
 
 
 def cmd_central_ext(args, out):
@@ -318,15 +324,22 @@ def cmd_central_ext(args, out):
     af = _algebra(args)
     _require_no_params(af, "central-ext")
     out.data["algebra"] = af.name
-    solve, conf = _case_components(af, args.case)
+    declared = af.conformal_bracket()
+    solve, not_applicable = _structured_route(af, args.case, declared)
     try:
-        structured = solve()
+        structured = solve() if solve else None
     except PreconditionError as exc:
         out.text("preconditions for case %r FAILED:" % args.case)
         out.report(exc.report)
         out.data["preconditions_passed"] = False
         return False
-    direct = solve_cocycles_direct(conf, range(args.degree + 1))
+    direct = solve_cocycles_direct(declared, range(args.degree + 1))
+    if structured is None:
+        out.text(not_applicable)
+        out.text(str(direct))
+        out.data.update(structured=None, direct=_solution_payload(direct),
+                        agree=None)
+        return True
     degrees = sorted(set(structured.degrees) | set(direct.degrees))
     agree = (structured.embed(degrees).reduced_basis()
              == direct.embed(degrees).reduced_basis())
@@ -360,6 +373,12 @@ def cmd_coeff(args, out):
     bracket = af.conformal_bracket()
     coeff = CoeffAlgebra(bracket)
     grid = _parse_grid(args.grid)
+    if args.phi:
+        if args.case is None:
+            raise UsageError("--phi from-central-ext needs --case")
+        solve, not_applicable = _structured_route(af, args.case, bracket)
+        if not_applicable:
+            raise UsageError(not_applicable)
     table = coeff.table_lines(grid)
     out.text("coefficient algebra of %s on modes %d..%d:"
              % (af.name, grid[0], grid[-1]))
@@ -372,9 +391,6 @@ def cmd_coeff(args, out):
         out.report(rep)
         ok = ok and rep.passed
     if args.phi:
-        if args.case is None:
-            raise UsageError("--phi from-central-ext needs --case")
-        solve, conf = _case_components(af, args.case)
         try:
             solution = solve()
         except PreconditionError as exc:

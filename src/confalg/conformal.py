@@ -74,15 +74,13 @@ class VPoly(Combination):
 
     @classmethod
     def monomial(cls, space, k, dd=0, dl=0, dm=0, dn=0, coeff=1):
-        if isinstance(k, str):
-            k = space.index(k)
-        return cls(space, {(k, dd, dl, dm, dn): coeff})
+        return cls(space, {(space.index(k), dd, dl, dm, dn): coeff})
 
     @classmethod
     def vector(cls, space, vec):
         """Embed a classical vector {k: Scalar} (names or indices)."""
-        return cls(space, {(space.index(k) if isinstance(k, str) else k,
-                            0, 0, 0, 0): c for k, c in vec.items()})
+        return cls(space, {(space.index(k), 0, 0, 0, 0): c
+                           for k, c in vec.items()})
 
     def times_monomial(self, dd=0, dl=0, dm=0, dn=0):
         return VPoly(self.space,
@@ -195,11 +193,8 @@ class LambdaBracket:
             for (i, j), vp in entries.items():
                 self.set_entry(i, j, vp)
 
-    def _idx(self, i):
-        return self.space.index(i) if isinstance(i, str) else i
-
     def set_entry(self, i, j, vp):
-        i, j = self._idx(i), self._idx(j)
+        i, j = self.space.index(i), self.space.index(j)
         if not isinstance(vp, VPoly):
             vp = VPoly.vector(self.space, vp)
         if vp.uses('m') or vp.uses('n'):
@@ -217,7 +212,7 @@ class LambdaBracket:
             self.entries[(i, j)] = vp
 
     def entry(self, i, j):
-        vp = self.entries.get((self._idx(i), self._idx(j)))
+        vp = self.entries.get((self.space.index(i), self.space.index(j)))
         return vp if vp is not None else VPoly.zero(self.space)
 
     def max_lambda_degree(self):
@@ -233,13 +228,11 @@ class LambdaBracket:
         return lines
 
     def substitute_params(self, assignments):
-        new_space = self.space.substitute_params(assignments)
-        out = LambdaBracket(new_space, name=self.name)
-        for (i, j), vp in self.entries.items():
-            out.set_entry(i, j, VPoly(new_space,
-                                      {key: c.substitute(assignments)
-                                       for key, c in vp.terms.items()}))
-        return out
+        space = self.space.substitute_params(assignments)
+        return LambdaBracket(space, {
+            key: VPoly(space, {k: c.substitute(assignments)
+                               for k, c in vp.terms.items()})
+            for key, vp in self.entries.items()}, name=self.name)
 
 
 def apply_bracket(bracket, x, y, attach):

@@ -36,8 +36,9 @@ from fractions import Fraction
 from .scalars import Scalar, ScalarError
 from .superspace import (Combination, SuperSpace, GradedBilinearMap,
                          LinearMap, _add_term)
-from .conformal import ConformalError, LambdaBracket, VPoly
-from .quadratic import StarMode, star_from_mode, zero_map
+from .conformal import ConformalError, LambdaBracket, VPoly, build_current
+from .quadratic import (StarMode, build_quadratic_bracket, star_from_mode,
+                        zero_map)
 
 RESERVED = ('d', 'l')
 
@@ -162,8 +163,6 @@ class AlgebraFile:
         """Bracket source precedence: explicit lambda-bracket, else the
         quadratic dictionary on (circ, star, bracket), else the current
         algebra of the classical bracket."""
-        from .quadratic import build_quadratic_bracket
-        from .conformal import build_current
         if self.lambda_bracket is not None:
             return self.lambda_bracket
         if self.has_quadratic_data():
@@ -177,38 +176,24 @@ class AlgebraFile:
         raise DslError("algebra %r defines no bracket source" % self.name)
 
     def substitute(self, assignments):
-        """A copy with parameters substituted by rationals."""
+        """A copy with parameters substituted by rationals.  Every component
+        lands on the one space self.space.substitute_params returns."""
         unknown = set(assignments) - set(self.params)
         if unknown:
             raise DslError("unknown parameters: %s" % ", ".join(sorted(unknown)))
-        space = self.space.substitute_params(assignments)
-        ops = {n: g.substitute_params(assignments) for n, g in self.ops.items()}
-        # re-anchor every component on one shared space object
-        def reanchor_gbm(g):
-            out = GradedBilinearMap(space, name=g.name)
-            for (i, j), vec in g.table.items():
-                out.set_entry(i, j, vec)
-            return out
-        ops = {n: reanchor_gbm(g) for n, g in ops.items()}
+
+        def each(components):
+            return {n: c.substitute_params(assignments)
+                    for n, c in components.items()}
         sd = self.star_directive
         if sd is not None and sd[0] == 'explicit':
-            sd = ('explicit', reanchor_gbm(sd[1].substitute_params(assignments)))
-        brackets = {n: reanchor_gbm(g.substitute_params(assignments))
-                    for n, g in self.brackets.items()}
-        lb = None
-        if self.lambda_bracket is not None:
-            sub = self.lambda_bracket.substitute_params(assignments)
-            lb = LambdaBracket(space, name=sub.name)
-            for (i, j), vp in sub.entries.items():
-                lb.set_entry(i, j, VPoly(space, dict(vp.terms)))
-        lms = {}
-        for n, lm in self.linear_maps.items():
-            out = LinearMap(space, name=lm.name)
-            for i, vec in lm.table.items():
-                out.set_entry(i, {k: c.substitute(assignments)
-                                  for k, c in vec.items()})
-            lms[n] = out
-        return AlgebraFile(self.name, space, ops, sd, brackets, lb, lms)
+            sd = ('explicit', sd[1].substitute_params(assignments))
+        lb = self.lambda_bracket
+        if lb is not None:
+            lb = lb.substitute_params(assignments)
+        return AlgebraFile(self.name, self.space.substitute_params(assignments),
+                           each(self.ops), sd, each(self.brackets), lb,
+                           each(self.linear_maps))
 
     # ---------- canonical printing ----------
 
@@ -220,7 +205,7 @@ class AlgebraFile:
             "%s %s" % (n, "odd" if p else "even")
             for n, p in zip(self.space.names, self.space.parities)))
         for name, gbm in self.ops.items():
-            lines.extend(self._gbm_block("op %s" % name, gbm))
+            lines.extend(self._block_lines("op " + name, gbm.table))
         sd = self.star_directive
         if sd is not None:
             if sd[0] == 'zero':
@@ -230,33 +215,29 @@ class AlgebraFile:
             elif sd[0] == 'symmetrized':
                 lines.append("star = symmetrized(%s)" % sd[1])
             else:
-                lines.extend(self._gbm_block("star = explicit", sd[1]))
+                lines.extend(self._block_lines("star = explicit", sd[1].table))
         for name, gbm in self.brackets.items():
-            lines.extend(self._gbm_block("bracket %s" % name, gbm))
+            lines.extend(self._block_lines("bracket " + name, gbm.table))
         if self.lambda_bracket is not None:
-            lines.append("lambda-bracket {")
-            for (i, j) in sorted(self.lambda_bracket.entries):
-                lines.append("    %s %s -> %s;"
-                             % (self.space.names[i], self.space.names[j],
-                                self.lambda_bracket.entries[(i, j)]))
-            lines.append("}")
+            lines.extend(self._block_lines("lambda-bracket",
+                                           self.lambda_bracket.entries))
         for name, lm in self.linear_maps.items():
-            lines.append("linear-map %s {" % name)
-            for i in sorted(lm.table):
-                lines.append("    %s -> %s;"
-                             % (self.space.names[i],
-                                self.space.vec_str(lm.table[i])))
-            lines.append("}")
+            lines.extend(self._block_lines("linear-map " + name, lm.table))
         return "\n".join(lines) + "\n"
 
-    def _gbm_block(self, header, gbm):
-        lines = ["%s {" % header]
-        for (i, j) in sorted(gbm.table):
-            lines.append("    %s %s -> %s;"
-                         % (self.space.names[i], self.space.names[j],
-                            self.space.vec_str(gbm.table[(i, j)])))
-        lines.append("}")
-        return lines
+    def _block_lines(self, header, entries):
+        """header { NAMES -> value; ... } for a table keyed by basis index
+        pairs, or by single indices (a linear map), in key order."""
+        names = self.space.names
+        lines = [header + " {"]
+        for key in sorted(entries):
+            value = entries[key]
+            lines.append("    %s -> %s;" % (
+                " ".join(names[i] for i in (
+                    key if isinstance(key, tuple) else (key,))),
+                value if isinstance(value, VPoly)
+                else self.space.vec_str(value)))
+        return lines + ["}"]
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraFile)
@@ -359,23 +340,17 @@ class _ExprParser:
             self.p.error("unknown name %r" % text)
         self.p.error("expected an expression")
 
-    def _entry(self):
+    def entry(self):
         """Parse and require a combination of basis vectors (no scalar
-        part)."""
+        part): a VPoly in d and l where they are allowed, else a classical
+        vector {k: Scalar} (d and l are then already rejected)."""
         val = self.parse()
         if any(k is None for k, _, _ in val.terms):
             self.p.error("entry must be a linear combination of basis vectors")
-        return val.terms
-
-    def as_vector(self):
-        """Parse and require a classical vector (no scalar part; d and l
-        are already rejected, since this parser does not allow them)."""
-        return {k: c for (k, _, _), c in self._entry().items()}
-
-    def as_vpoly(self):
-        """Parse and require a d/l-polynomial combination of basis vectors."""
-        return {(k, dd, dl, 0, 0): c
-                for (k, dd, dl), c in self._entry().items()}
+        if self.allow_vars:
+            return VPoly(self.space, {(k, dd, dl, 0, 0): c
+                                      for (k, dd, dl), c in val.terms.items()})
+        return {k: c for (k, _, _), c in val.terms.items()}
 
 
 def _is_vector(val):
@@ -383,6 +358,35 @@ def _is_vector(val):
 
 
 # ---------- the file parser ----------
+
+def _read_block(p, table, arity):
+    """Read `{ NAMES -> value; ... }` into table through its set_entry, with
+    arity basis names per key; values may use d and l only in a
+    LambdaBracket.  A key written twice is an error, whatever its values."""
+    space = table.space
+    seen = set()
+    p.expect('{')
+    while p.peek()[0] != '}':
+        itok = p.expect('ident', "a basis name")
+        key = (itok[1],) + tuple(p.expect('ident', "a basis name")[1]
+                                 for _ in range(arity - 1))
+        if any(name not in space.names for name in key):
+            p.error("unknown basis name")
+        p.expect('arrow', "'->'")
+        value = _ExprParser(p, space, allow_vars=isinstance(
+            table, LambdaBracket)).entry()
+        p.expect(';')
+        if key in seen:
+            p.error("duplicate entry %s" % (
+                key[0] if arity == 1 else "(%s)" % ", ".join(key)))
+        seen.add(key)
+        try:
+            table.set_entry(*key, value)
+        except (ScalarError, ConformalError) as exc:
+            p.error(str(exc), line=itok[2])
+    p.expect('}')
+    return table
+
 
 def parse(text):
     """Parse an algebra definition; returns an AlgebraFile."""
@@ -444,29 +448,6 @@ def parse(text):
     lambda_bracket = None
     linear_maps = {}
 
-    def parse_gbm_block(gname):
-        gbm = GradedBilinearMap(space, name=gname)
-        p.expect('{')
-        while p.peek()[0] != '}':
-            itok = p.expect('ident', "a basis name")
-            i = itok[1]
-            j = p.expect('ident', "a basis name")[1]
-            if i not in space.names or j not in space.names:
-                p.error("unknown basis name")
-            p.expect('arrow', "'->'")
-            vec = _ExprParser(p, space, allow_vars=False).as_vector()
-            p.expect(';')
-            if vec:
-                prev = gbm.entry(i, j)
-                if prev:
-                    p.error("duplicate entry (%s, %s)" % (i, j))
-                try:
-                    gbm.set_entry(i, j, vec)
-                except ScalarError as exc:
-                    p.error(str(exc), line=itok[2])
-        p.expect('}')
-        return gbm
-
     while p.peek()[0] != 'eof':
         tag, text_, line = p.next()
         if tag != 'ident':
@@ -477,7 +458,8 @@ def parse(text):
                 p.error("define star with the 'star = ...' directive")
             if oname in ops:
                 p.error("duplicate op %r" % oname)
-            ops[oname] = parse_gbm_block(oname)
+            ops[oname] = _read_block(
+                p, GradedBilinearMap(space, name=oname), 2)
         elif text_ == 'star':
             if star_directive is not None:
                 p.error("duplicate star directive")
@@ -499,7 +481,8 @@ def parse(text):
                 star_directive = ('zero',)
             elif tag2 == 'ident' and text2 == 'explicit':
                 p.next()
-                star_directive = ('explicit', parse_gbm_block('star'))
+                star_directive = ('explicit', _read_block(
+                    p, GradedBilinearMap(space, name='star'), 2))
             else:
                 p.error("expected 2*<op>, symmetrized(<op>), zero or "
                         "explicit {...}")
@@ -507,53 +490,19 @@ def parse(text):
             bname = p.expect('ident', "a bracket name")[1]
             if bname in brackets:
                 p.error("duplicate bracket %r" % bname)
-            brackets[bname] = parse_gbm_block(bname)
+            brackets[bname] = _read_block(
+                p, GradedBilinearMap(space, name=bname), 2)
         elif text_ == 'lambda-bracket':
             if lambda_bracket is not None:
                 p.error("duplicate lambda-bracket")
-            lambda_bracket = LambdaBracket(space, name='lambda')
-            p.expect('{')
-            while p.peek()[0] != '}':
-                itok = p.expect('ident', "a basis name")
-                i = itok[1]
-                j = p.expect('ident', "a basis name")[1]
-                if i not in space.names or j not in space.names:
-                    p.error("unknown basis name")
-                p.expect('arrow', "'->'")
-                terms = _ExprParser(p, space, allow_vars=True).as_vpoly()
-                p.expect(';')
-                if terms:
-                    if lambda_bracket.entries.get(
-                            (space.index(i), space.index(j))):
-                        p.error("duplicate entry (%s, %s)" % (i, j))
-                    try:
-                        lambda_bracket.set_entry(i, j, VPoly(space, terms))
-                    except (ScalarError, ConformalError) as exc:
-                        p.error(str(exc), line=itok[2])
-            p.expect('}')
+            lambda_bracket = _read_block(
+                p, LambdaBracket(space, name='lambda'), 2)
         elif text_ == 'linear-map':
             mname = p.expect('ident', "a map name")[1]
             if mname in linear_maps:
                 p.error("duplicate linear-map %r" % mname)
-            lm = LinearMap(space, name=mname)
-            p.expect('{')
-            while p.peek()[0] != '}':
-                itok = p.expect('ident', "a basis name")
-                i = itok[1]
-                if i not in space.names:
-                    p.error("unknown basis name")
-                p.expect('arrow', "'->'")
-                vec = _ExprParser(p, space, allow_vars=False).as_vector()
-                p.expect(';')
-                if space.index(i) in lm.table:
-                    p.error("duplicate entry %s" % i)
-                if vec:
-                    try:
-                        lm.set_entry(i, vec)
-                    except ScalarError as exc:
-                        p.error(str(exc), line=itok[2])
-            p.expect('}')
-            linear_maps[mname] = lm
+            linear_maps[mname] = _read_block(
+                p, LinearMap(space, name=mname), 1)
         else:
             raise DslError("line %d: unknown declaration %r" % (line, text_))
 

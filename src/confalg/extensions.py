@@ -59,10 +59,9 @@ class CocycleAnsatz:
                 self.set(t, p, q, val)
 
     def set(self, t, p, q, value):
-        p = self.space.index(p) if isinstance(p, str) else p
-        q = self.space.index(q) if isinstance(q, str) else q
-        assert (self.space.parity(p) + self.space.parity(q)) % 2 == 0, \
-            "cocycle entries vanish on odd-parity pairs"
+        p, q = self.space.index(p), self.space.index(q)
+        if (self.space.parity(p) + self.space.parity(q)) % 2:
+            raise ValueError("cocycle entries vanish on odd-parity pairs")
         value = Scalar.coerce(value, self.space.params)
         if value.is_zero():
             self.entries.pop((t, p, q), None)
@@ -70,9 +69,8 @@ class CocycleAnsatz:
             self.entries[(t, p, q)] = value
 
     def alpha(self, t, p, q):
-        p = self.space.index(p) if isinstance(p, str) else p
-        q = self.space.index(q) if isinstance(q, str) else q
-        return self.entries.get((t, p, q), Scalar.zero(self.space.params))
+        return self.entries.get((t, self.space.index(p), self.space.index(q)),
+                                Scalar.zero(self.space.params))
 
     def max_degree(self):
         return max((t for (t, _, _) in self.entries), default=-1)
@@ -135,7 +133,9 @@ class SolutionSpace:
     def embed(self, degrees):
         """Re-express over a larger degree list (missing degrees get zero)."""
         degrees = tuple(degrees)
-        assert set(self.degrees) <= set(degrees)
+        if not set(self.degrees) <= set(degrees):
+            raise ValueError("cannot embed degrees %s into %s"
+                             % (list(self.degrees), list(degrees)))
         unknowns = unknown_order(self.space, degrees)
         pos = {u: i for i, u in enumerate(unknowns)}
         basis = []
@@ -476,7 +476,8 @@ def solve_leibniz_central_ext_gd(circ, bracket=None, case='gd'):
         system = GD_ALPHA_SYSTEM
         route = "structured-gd"
     elif case == 'novikov-lie':
-        assert bracket.is_zero(), "the novikov-lie case has a zero bracket"
+        if not bracket.is_zero():
+            raise ValueError("the novikov-lie case has a zero bracket")
         pre = check_novikov(circ)
         system = NOVIKOV_LIE_ALPHA_SYSTEM
         route = "structured-novikov-lie"
@@ -497,7 +498,6 @@ def extend_bracket(bracket, ansatz, central_name=None):
         central_name = 'c'
         while central_name in space.names:
             central_name += "'"
-    assert central_name not in space.names
     new_space = SuperSpace(list(zip(space.names, space.parities))
                            + [(central_name, 0)],
                            params=space.params,
@@ -543,7 +543,9 @@ def degree_bound_experiment(bracket, high_degree=5, low_degree=3):
     """Solve the direct cocycle system with a high-degree ansatz and compare
     with the low-degree one: which extra degrees are forced to vanish, and
     do the two solution spaces coincide?"""
-    assert high_degree >= low_degree
+    if high_degree < low_degree:
+        raise ValueError("high_degree %d is below low_degree %d"
+                         % (high_degree, low_degree))
     sol_high = solve_cocycles_direct(bracket, range(high_degree + 1))
     sol_low = solve_cocycles_direct(bracket, range(low_degree + 1))
     vanishing = {}

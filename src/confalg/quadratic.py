@@ -281,7 +281,8 @@ class QuadraticData:
 def build_quadratic_bracket(circ, star, bracket):
     """[e_i _l e_j] = d (e_j circ e_i) + l (e_j star e_i) + [e_j, e_i]."""
     space = circ.space
-    assert star.space is space and bracket.space is space
+    if star.space is not space or bracket.space is not space:
+        raise ValueError("components live on different spaces")
     out = LambdaBracket(space, name='quadratic')
     for i, j in itertools.product(range(space.dim), repeat=2):
         vp = (VPoly.vector(space, circ(j, i)).times_monomial(dd=1)
@@ -487,14 +488,14 @@ class ClassificationResult:
     def bracket_at(self, values):
         """Instantiate the family at rational parameter values (a list, one
         per family parameter).  The result lives on the original space."""
-        assert len(values) == self.dimension
+        if len(values) != self.dimension:
+            raise ValueError("the family has %d parameters, got %d values"
+                             % (self.dimension, len(values)))
         assignments = {name: values[i]
                        for i, name in enumerate(self.family_space.params)}
-        sub = self.family.substitute_params(assignments)
-        out = GradedBilinearMap(self.space, name='bracket')
-        for (i, j), vec in sub.table.items():
-            out.set_entry(i, j, dict(vec))
-        return out
+        return GradedBilinearMap(
+            self.space, self.family.substitute_params(assignments).table,
+            name='bracket')
 
     def __str__(self):
         lines = ["compatible brackets: %d-parameter family" % self.dimension]

@@ -44,23 +44,21 @@ class SuperSpace:
             if k not in self.names:
                 raise ValueError("killed vector %r is not in the basis" % k)
         self._index = {n: i for i, n in enumerate(self.names)}
+        self._derived = {}  # remaining parameters -> substituted space
 
     @property
     def dim(self):
         return len(self.names)
 
-    def index(self, name):
-        return self._index[name]
+    def index(self, i):
+        """The index of a basis name; an index is returned unchanged."""
+        return self._index[i] if isinstance(i, str) else i
 
     def parity(self, i):
-        if isinstance(i, str):
-            i = self._index[i]
-        return self.parities[i]
+        return self.parities[self.index(i)]
 
     def is_killed(self, i):
-        if isinstance(i, str):
-            return i in self.killed
-        return self.names[i] in self.killed
+        return self.names[self.index(i)] in self.killed
 
     # ---------- vectors ----------
 
@@ -68,10 +66,8 @@ class SuperSpace:
         return {}
 
     def basis_vec(self, i, coeff=1):
-        if isinstance(i, str):
-            i = self._index[i]
         c = Scalar.coerce(coeff, self.params)
-        return {i: c} if not c.is_zero() else {}
+        return {self.index(i): c} if not c.is_zero() else {}
 
     def scale(self, s, vec):
         s = Scalar.coerce(s, self.params)
@@ -115,11 +111,15 @@ class SuperSpace:
                                for k, c in sorted(vec.items()))
 
     def substitute_params(self, assignments):
-        """A copy of this space over the parameters left after substitution."""
+        """This space over the parameters left after substitution; the same
+        object for the same remaining parameters, so that components
+        substituted one at a time share it."""
         remaining = tuple(p for p in self.params if p not in assignments)
-        return SuperSpace(list(zip(self.names, self.parities)),
-                          params=remaining,
-                          killed=self.killed)
+        if remaining not in self._derived:
+            self._derived[remaining] = SuperSpace(
+                list(zip(self.names, self.parities)), params=remaining,
+                killed=self.killed)
+        return self._derived[remaining]
 
 
 class Combination:
@@ -195,6 +195,32 @@ def _add_term(terms, key, coeff):
         terms[key] = total
 
 
+def _set_graded(space, table, key, vec, want, violation):
+    """table[key] = vec with names resolved, coefficients coerced and zeros
+    left out; an empty result removes key.  Every basis vector of vec must
+    have parity want, else ScalarError(violation(k)) for the first k that
+    does not."""
+    clean = {}
+    for k, c in vec.items():
+        k = space.index(k)
+        c = Scalar.coerce(c, space.params)
+        if c.is_zero():
+            continue
+        if space.parity(k) != want:
+            raise ScalarError(violation(k))
+        clean[k] = c
+    if clean:
+        table[key] = clean
+    else:
+        table.pop(key, None)
+
+
+def _substituted(table, assignments):
+    """A table of vectors with parameters substituted in every coefficient."""
+    return {key: {k: c.substitute(assignments) for k, c in vec.items()}
+            for key, vec in table.items()}
+
+
 def sign(p, q):
     """The Koszul sign (-1)^{p q} for parities p, q."""
     return -1 if (p % 2) and (q % 2) else 1
@@ -216,31 +242,18 @@ class GradedBilinearMap:
             for (i, j), vec in table.items():
                 self.set_entry(i, j, vec)
 
-    def _idx(self, i):
-        return self.space.index(i) if isinstance(i, str) else i
-
     def set_entry(self, i, j, vec):
-        i, j = self._idx(i), self._idx(j)
-        clean = {}
-        want = (self.space.parity(i) + self.space.parity(j)) % 2
-        for k, c in vec.items():
-            k = self._idx(k)
-            c = Scalar.coerce(c, self.space.params)
-            if c.is_zero():
-                continue
-            if self.space.parity(k) != want:
-                raise ScalarError(
-                    "grading violated: (%s, %s) -> %s has parity %d, expected %d"
-                    % (self.space.names[i], self.space.names[j],
-                       self.space.names[k], self.space.parity(k), want))
-            clean[k] = c
-        if clean:
-            self.table[(i, j)] = clean
-        else:
-            self.table.pop((i, j), None)
+        space = self.space
+        i, j = space.index(i), space.index(j)
+        want = (space.parity(i) + space.parity(j)) % 2
+        _set_graded(space, self.table, (i, j), vec, want, lambda k: (
+            "grading violated: (%s, %s) -> %s has parity %d, expected %d"
+            % (space.names[i], space.names[j], space.names[k],
+               space.parity(k), want)))
 
     def entry(self, i, j):
-        return dict(self.table.get((self._idx(i), self._idx(j)), {}))
+        return dict(self.table.get((self.space.index(i),
+                                    self.space.index(j)), {}))
 
     def apply_vec(self, u, v):
         out = self.space.zero_vec()
@@ -270,12 +283,9 @@ class GradedBilinearMap:
         return lines
 
     def substitute_params(self, assignments):
-        new_space = self.space.substitute_params(assignments)
-        out = GradedBilinearMap(new_space, name=self.name)
-        for (i, j), vec in self.table.items():
-            out.set_entry(i, j, {k: c.substitute(assignments)
-                                 for k, c in vec.items()})
-        return out
+        return GradedBilinearMap(self.space.substitute_params(assignments),
+                                 _substituted(self.table, assignments),
+                                 name=self.name)
 
 
 class AxiomReport:
@@ -467,25 +477,17 @@ class LinearMap:
             for i, vec in table.items():
                 self.set_entry(i, vec)
 
-    def _idx(self, i):
-        return self.space.index(i) if isinstance(i, str) else i
-
     def set_entry(self, i, vec):
-        i = self._idx(i)
-        clean = {}
-        for k, c in vec.items():
-            k = self._idx(k)
-            c = Scalar.coerce(c, self.space.params)
-            if c.is_zero():
-                continue
-            if self.space.parity(k) != self.space.parity(i):
-                raise ScalarError("linear map is not even: %s -> %s"
-                                  % (self.space.names[i], self.space.names[k]))
-            clean[k] = c
-        if clean:
-            self.table[i] = clean
-        else:
-            self.table.pop(i, None)
+        space = self.space
+        i = space.index(i)
+        _set_graded(space, self.table, i, vec, space.parity(i), lambda k: (
+            "linear map is not even: %s -> %s" % (space.names[i],
+                                                   space.names[k])))
+
+    def substitute_params(self, assignments):
+        return LinearMap(self.space.substitute_params(assignments),
+                         _substituted(self.table, assignments),
+                         name=self.name)
 
     def __call__(self, vec):
         if isinstance(vec, (int, str)):

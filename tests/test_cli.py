@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from confalg import parse_file, solve_cocycles_direct
 from confalg.cli import main
 
 
@@ -179,3 +180,46 @@ def test_path_loading(tmp_path, capsys):
     path.write_text(src)
     assert main(["verify-conformal", str(path)]) == 0
     capsys.readouterr()
+
+
+NOT_APPLICABLE = ("structured route: not applicable (case 'gd' builds a "
+                  "different bracket from the one 'vir' declares)")
+
+
+def test_central_ext_solves_the_declared_bracket(capsys):
+    """virasoro declares (d + 2 l) L; case gd would build the zero bracket
+    from its (absent) circ, so only the direct route applies."""
+    assert main(["central-ext", "virasoro", "--case", "gd"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(NOT_APPLICABLE + "\n")
+    assert "direct route: 2-dimensional" in out
+    assert "alpha_1(L, L) = 1" in out and "alpha_3(L, L) = 1" in out
+    assert "routes" not in out
+    assert main(["central-ext", "virasoro", "--case", "gd", "--format",
+                 "machine"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["structured"] is None and payload["agree"] is None
+    assert payload["direct"]["dimension"] == 2
+
+
+def test_central_ext_of_a_lambda_only_file(tmp_path, capsys):
+    path = tmp_path / "lam.alg"
+    path.write_text("algebra lam\nbasis e even\n"
+                    "lambda-bracket { e e -> l^2 d e; }\n")
+    declared = solve_cocycles_direct(
+        parse_file(str(path)).conformal_bracket())
+    assert main(["central-ext", str(path), "--case", "anl", "--format",
+                 "machine"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["structured"] is None
+    assert payload["direct"]["dimension"] == declared.dimension
+    # the bracket case anl builds is 0, whose cocycle space is 4-dimensional
+    assert declared.dimension != 4
+
+
+def test_coeff_phi_needs_a_case_that_builds_the_declared_bracket(capsys):
+    assert main(["coeff", "virasoro", "--phi", "from-central-ext", "--case",
+                 "gd"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % NOT_APPLICABLE
+    assert captured.out == ""

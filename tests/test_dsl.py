@@ -259,3 +259,87 @@ def test_round_trip_of_generated_files(af):
     again = parse(af.canonical_text())
     assert again == af
     assert parse(again.canonical_text()) == again
+
+
+# ---------- one reader, one printer, one substitution path ----------
+
+BLOCKS = {
+    "op": "op circ { e e -> %s; e e -> %s; }",
+    "bracket": "bracket br { e e -> %s; e e -> %s; }",
+    "star = explicit": "star = explicit { e e -> %s; e e -> %s; }",
+    "lambda-bracket": "lambda-bracket { e e -> %s; e e -> %s; }",
+    "linear-map": "linear-map m { e -> %s; e -> %s; }",
+}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("first, second", [("0", "e"), ("e", "0"),
+                                           ("e", "2 e")])
+def test_repeated_key_is_a_duplicate_entry(block, first, second):
+    """A key written twice in one block is an error, zero values included."""
+    key = "e" if block == "linear-map" else "(e, e)"
+    with pytest.raises(DslError) as exc:
+        parse("algebra x\nbasis e even\n"
+              + BLOCKS[block] % (first, second) + "\n")
+    assert str(exc.value) == "line 3: duplicate entry %s (at '}')" % key
+
+
+ALL_BLOCKS = """
+algebra all
+params a, b
+basis e even, f odd
+op circ { e e -> a e; f e -> b f; }
+star = explicit { e e -> (a + b) e; }
+bracket br { e f -> a f; }
+lambda-bracket { e e -> (d + a l) e; e f -> b l^2 f; }
+linear-map m { e -> a e; f -> f; }
+"""
+
+
+def files():
+    return [(name, gens.corpus(name)) for name in CORPUS] + [
+        ("all", parse(ALL_BLOCKS))]
+
+
+def point(af):
+    return {p: Fraction(k + 2, 3) for k, p in enumerate(af.params)}
+
+
+def components(af):
+    comps = (list(af.ops.values()) + list(af.brackets.values())
+             + list(af.linear_maps.values()))
+    if af.lambda_bracket is not None:
+        comps.append(af.lambda_bracket)
+    if af.star_directive is not None and af.star_directive[0] == "explicit":
+        comps.append(af.star_directive[1])
+    return comps
+
+
+def test_every_file_round_trips_before_and_after_substitution():
+    for name, af in files():
+        for form in (af, af.substitute(point(af))):
+            again = parse(form.canonical_text())
+            assert again == form, name
+            assert again.canonical_text() == form.canonical_text(), name
+
+
+def test_substitute_leaves_every_component_on_one_space():
+    for name, af in files():
+        af2 = af.substitute(point(af))
+        assert af2.params == ()
+        assert len(components(af2)) == len(components(af))
+        assert all(c.space is af2.space for c in components(af2)), name
+    af = parse(ALL_BLOCKS)
+    af2 = af.substitute({"a": 2})
+    assert af2.params == ("b",)
+    assert all(c.space is af2.space for c in components(af2))
+
+
+def test_separately_substituted_components_combine():
+    af = gens.corpus("rab.alg")
+    at = {"a": 2, "b": Fraction(-1, 3)}
+    circ = af.circ().substitute_params(at)
+    bracket = af.classical_bracket().substitute_params(at)
+    built = build_quadratic_bracket(
+        circ, star_from_mode(circ, StarMode.DOUBLE), bracket)
+    assert built.entries == af.substitute(at).conformal_bracket().entries

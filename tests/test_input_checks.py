@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
-from confalg import (LambdaBracket, QuadraticData, Scalar, ScalarError,
-                     SuperSpace, VPoly, zero_map)
+from confalg import (CocycleAnsatz, GradedBilinearMap, LambdaBracket,
+                     QuadraticData, Scalar, ScalarError, SuperSpace, VPoly,
+                     build_quadratic_bracket, classify_brackets,
+                     degree_bound_experiment, solve_cocycles_direct,
+                     solve_leibniz_central_ext_gd, zero_map)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -27,6 +30,19 @@ CASES = [
      ".set_entry('L', 'L', VPoly.monomial(sp, 'L', dm=1))", ValueError),
     ("QuadraticData(SuperSpace([('e', 0)]), "
      "circ=zero_map(SuperSpace([('e', 0)])))", ValueError),
+    ("CocycleAnsatz(SuperSpace([('x', 0), ('y', 1)])).set(0, 'x', 'y', 1)",
+     ValueError),
+    ("build_quadratic_bracket(zero_map(sp := SuperSpace([('e', 0)])), "
+     "zero_map(sp), zero_map(SuperSpace([('e', 0)])))", ValueError),
+    ("solve_leibniz_central_ext_gd(zero_map(sp := SuperSpace([('e', 0)])), "
+     "GradedBilinearMap(sp, {('e', 'e'): {'e': 1}}), case='novikov-lie')",
+     ValueError),
+    ("classify_brackets(zero_map(SuperSpace([('e', 0)])))"
+     ".bracket_at([1, 2])", ValueError),
+    ("degree_bound_experiment(LambdaBracket(SuperSpace([('e', 0)])), 1, 3)",
+     ValueError),
+    ("solve_cocycles_direct(LambdaBracket(SuperSpace([('e', 0)])), [0, 1])"
+     ".embed([0])", ValueError),
 ]
 
 
@@ -38,8 +54,7 @@ def test_bad_input_raises(call, error):
 
 @pytest.mark.parametrize("call, error", CASES)
 def test_bad_input_raises_under_python_O(call, error):
-    script = ("from confalg import (LambdaBracket, QuadraticData, Scalar,\n"
-              "                     SuperSpace, VPoly, zero_map)\n"
+    script = ("from confalg import *\n"
               "try:\n"
               "    %s\n"
               "except Exception as exc:\n"

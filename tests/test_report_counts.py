@@ -207,3 +207,66 @@ def test_phi_cocycle_counts(fail_fast, expected):
     assert summary(check_phi_cocycle(CoeffAlgebra(vir), PhiCocycle(ansatz),
                                      range(-1, 2),
                                      fail_fast=fail_fast)) == expected
+
+
+def noncentral_killed():
+    """A bracket whose killed vector c is not central: c[m] for m != -1 is a
+    dropped mode, but the basis bracket [c[m], L[n]] is not 0."""
+    sp = SuperSpace([("L", 0), ("c", 0)], killed=("c",))
+    br = LambdaBracket(sp)
+    br.set_entry("L", "L", VPoly(sp, {(0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0): 2}))
+    br.set_entry("c", "L", VPoly.monomial(sp, "L"))
+    br.set_entry("L", "c", VPoly.monomial(sp, "c", dl=1))
+    return br
+
+
+KILLED_LEIBNIZ_FAILURES = [
+    ("right Leibniz", ("L[1]", "L[-1]", "c[-1]"), "L[-2]"),
+    ("right Leibniz", ("L[1]", "L[0]", "c[-1]"), "L[-1]"),
+    ("right Leibniz", ("L[1]", "L[1]", "c[-1]"), "L[0] + c[-1]"),
+    ("right Leibniz", ("L[-1]", "c[-1]", "L[-1]"), "L[-4]"),
+    ("right Leibniz", ("L[-1]", "c[-1]", "L[1]"), "-L[-2]"),
+    ("right Leibniz", ("L[0]", "c[-1]", "L[-1]"), "2 L[-3]"),
+    ("right Leibniz", ("L[0]", "c[-1]", "L[0]"), "L[-2]"),
+    ("right Leibniz", ("L[1]", "c[-1]", "L[-1]"), "2 L[-2]"),
+    ("right Leibniz", ("L[1]", "c[-1]", "L[0]"), "L[-1]"),
+    ("right Leibniz", ("c[-1]", "L[-1]", "L[0]"), "L[-3]"),
+    ("right Leibniz", ("c[-1]", "L[-1]", "L[1]"), "2 L[-2]"),
+    ("right Leibniz", ("c[-1]", "L[0]", "L[-1]"), "-L[-3]"),
+    ("right Leibniz", ("c[-1]", "L[0]", "L[1]"), "L[-1]"),
+    ("right Leibniz", ("c[-1]", "L[1]", "L[-1]"), "-2 L[-2]"),
+    ("right Leibniz", ("c[-1]", "L[1]", "L[0]"), "-L[-1]"),
+    ("right Leibniz", ("c[-1]", "c[-1]", "L[-1]"), "L[-3]"),
+    ("right Leibniz", ("c[-1]", "c[-1]", "L[0]"), "L[-2]"),
+    ("right Leibniz", ("c[-1]", "c[-1]", "L[1]"), "L[-1]"),
+]
+
+KILLED_PHI_FAILURES = PHI_FAILURES + [
+    ("2-cocycle identity", ("L[1]", "L[1]", "c[-1]"), "1"),
+    ("2-cocycle identity", ("L[-1]", "c[-1]", "L[1]"), "1"),
+    ("2-cocycle identity", ("L[0]", "c[-1]", "L[0]"), "1"),
+    ("2-cocycle identity", ("L[1]", "c[-1]", "L[-1]"), "1"),
+]
+
+
+@pytest.mark.parametrize("fail_fast, expected", [
+    (False, (False, 216, KILLED_LEIBNIZ_FAILURES)),
+    (True, (False, 46, KILLED_LEIBNIZ_FAILURES[:1])),
+])
+def test_mode_leibniz_with_a_noncentral_killed_vector(fail_fast, expected):
+    """Cells holding a dropped mode count as instances and pass."""
+    assert summary(CoeffAlgebra(noncentral_killed()).check_leibniz(
+        range(-1, 2), fail_fast=fail_fast)) == expected
+
+
+@pytest.mark.parametrize("fail_fast, expected", [
+    (False, (False, 216, KILLED_PHI_FAILURES)),
+    (True, (False, 6, KILLED_PHI_FAILURES[:1])),
+])
+def test_phi_cocycle_with_a_noncentral_killed_vector(fail_fast, expected):
+    br = noncentral_killed()
+    ansatz = CocycleAnsatz(br.space, {(0, "L", "L"): 1, (1, "L", "c"): 1,
+                                      (2, "c", "L"): 1})
+    assert summary(check_phi_cocycle(CoeffAlgebra(br), PhiCocycle(ansatz),
+                                     range(-1, 2),
+                                     fail_fast=fail_fast)) == expected

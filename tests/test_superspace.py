@@ -163,3 +163,12 @@ def test_axiom_report_is_truthy_on_pass():
     rep = check_associative(circ)
     assert bool(rep)
     assert "pass" in str(rep).lower() or rep.passed
+
+
+def test_index_accepts_a_name_or_an_index():
+    sp = SuperSpace([("x", 0), ("y", 1)], killed=("y",))
+    assert sp.index("y") == 1
+    assert sp.index(1) == 1
+    assert sp.parity(1) == sp.parity("y") == 1
+    assert sp.is_killed(1) and sp.is_killed("y") and not sp.is_killed(0)
+    assert sp.basis_vec("y") == sp.basis_vec(1)
