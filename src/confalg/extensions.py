@@ -29,10 +29,10 @@ from fractions import Fraction
 
 from . import linalg
 from .scalars import Scalar, binom, factor_str
-from .superspace import AxiomReport, SuperSpace, sign
+from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, sign,
+                         _memoised, _terms_at)
 from .conformal import LambdaBracket, VPoly
-from .quadratic import (C, S, B, X, Y, Z, _bound_terms, _eval_expr,
-                        check_anl, check_associative_novikov,
+from .quadratic import (C, S, check_anl, check_associative_novikov,
                         check_gd_bialgebra, check_novikov, star_from_mode,
                         StarMode, zero_map)
 
@@ -280,7 +280,8 @@ def check_cocycle_direct(bracket, ansatz, fail_fast=False):
 # ---------- the structured route: per-degree closed systems ----------
 
 # Terms are (coeff, sign pairs, degree index, first arg, second arg); slots
-# x, y, z take the basis triple, sigma pairs work as in quadratic.py.
+# x, y, z take the basis triple and sign pairs work as in the equations of
+# superspace.py, whose evaluator gives the two arguments as vectors.
 
 ANL_ALPHA_SYSTEM = [
     ('anl-d3a', [(1, (), 3, X, C(Z, Y)), (-1, (), 3, C(Y, X), Z)]),
@@ -371,23 +372,16 @@ NOVIKOV_LIE_ALPHA_SYSTEM = [
 ]
 
 
-def _alpha_terms(terms, ops, space, triple):
-    """Yield (signed coefficient, degree t, first argument, second argument)
-    for each term of a structured alpha equation at a basis triple, the
-    arguments evaluated to vectors."""
-    for s, vecs, (t, a1, a2) in _bound_terms(terms, space, triple):
-        yield s, t, _eval_expr(a1, ops, vecs), _eval_expr(a2, ops, vecs)
-
-
 def _alpha_rows(system, ops, space, degrees):
     """Linear rows of a structured alpha system over unknown_order."""
     unknowns = unknown_order(space, degrees)
     index = {u: i for i, u in enumerate(unknowns)}
+    value = _memoised(ops)
     rows = []
     for (_, terms), *triple in itertools.product(system,
                                                  *[range(space.dim)] * 3):
         row = {}
-        for s, t, v1, v2 in _alpha_terms(terms, ops, space, triple):
+        for s, (t, v1, v2) in _terms_at(terms, space, triple, value):
             for p, c1 in v1.items():
                 for q, c2 in v2.items():
                     u = index.get((t, p, q))
@@ -404,11 +398,12 @@ def _alpha_rows(system, ops, space, degrees):
 def check_alpha_system(system, ops, ansatz, fail_fast=False):
     """Check a given ansatz against a structured system, symbolically."""
     space = next(iter(ops.values())).space
+    value = _memoised(ops)
 
     def check(cell):
         (name, terms), *triple = cell
         total = Scalar.zero(ansatz.space.params)
-        for s, t, v1, v2 in _alpha_terms(terms, ops, space, triple):
+        for s, (t, v1, v2) in _terms_at(terms, space, triple, value):
             for p, c1 in v1.items():
                 for q, c2 in v2.items():
                     if (space.parity(p) + space.parity(q)) % 2:

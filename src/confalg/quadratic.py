@@ -13,10 +13,9 @@ Novikov / associative-Novikov / Gelfand-Dorfman style product axioms, the
 averaging-operator construction, and an exact classifier for the brackets
 compatible with a fixed circ.
 
-Structure equations are stored as data: each equation is a list of terms
-(coefficient, sign pairs, expression tree), where a sign pair (A, B) of slot
-strings contributes (-1)^{parity(A) parity(B)} for the parities of the basis
-triple substituted into slots x, y, z.  One evaluator runs every system.
+Structure equations are data in the equation language of `superspace`:
+each equation is a list of terms (coefficient, sign pairs, expression tree)
+over the slots x, y, z, and the evaluator there runs every system.
 """
 
 import itertools
@@ -24,92 +23,25 @@ from fractions import Fraction
 
 from . import linalg
 from .scalars import Scalar
-from .superspace import (AxiomReport, GradedBilinearMap, SuperSpace,
-                         check_left_leibniz_superalgebra, _associator,
-                         _classical, _left_leibniz_residual, _run_lie,
-                         _supercommutator, _supersymmetrized, _vec_failure)
+from .superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, SKEW_SYMMETRY,
+                         SUPERCOMMUTATIVITY, AxiomReport, B, GradedBilinearMap,
+                         P, SuperSpace, X, Y, Z,
+                         check_left_leibniz_superalgebra, check_system,
+                         _bilinear_map, _equations, _memoised, _op,
+                         _residual, _terms_at)
 from .conformal import LambdaBracket, VPoly
 
 
 # ---------- expression trees ----------
 
-X = ('slot', 'x')
-Y = ('slot', 'y')
-Z = ('slot', 'z')
-
-
-def C(u, v):
-    return ('op', 'circ', u, v)
-
-
-def S(u, v):
-    return ('op', 'star', u, v)
-
-
-def B(u, v):
-    return ('op', 'bracket', u, v)
-
-
-def _term_sign(sign_pairs, parities):
-    expo = 0
-    for left, right in sign_pairs:
-        pl = sum(parities[ch] for ch in left)
-        pr = sum(parities[ch] for ch in right)
-        expo += pl * pr
-    return -1 if expo % 2 else 1
-
-
-def _eval_expr(expr, ops, vecs):
-    if expr[0] == 'slot':
-        return vecs[expr[1]]
-    _, opname, left, right = expr
-    return ops[opname](_eval_expr(left, ops, vecs), _eval_expr(right, ops, vecs))
-
-
-def _bound_terms(terms, space, triple):
-    """Bind the slots x, y, z to the basis vectors of a triple: yield
-    (signed coefficient, slot vectors, rest of the term) for each term."""
-    i, j, k = triple
-    vecs = {'x': space.basis_vec(i), 'y': space.basis_vec(j),
-            'z': space.basis_vec(k)}
-    parities = {'x': space.parity(i), 'y': space.parity(j),
-                'z': space.parity(k)}
-    for term in terms:
-        yield term[0] * _term_sign(term[1], parities), vecs, term[2:]
-
-
-def equation_residual(terms, ops, space, triple):
-    """The residual vector of one structure equation at a basis triple."""
-    total = space.zero_vec()
-    for s, vecs, (expr,) in _bound_terms(terms, space, triple):
-        total = space.add(total, space.scale(s, _eval_expr(expr, ops, vecs)))
-    return total
-
-
-def _system(equations, ops):
-    """(cells, check) of every equation of a system on every basis triple:
-    cells run over the equations, then over the triples of each."""
-    space = next(iter(ops.values())).space
-    dims = [range(space.dim)] * 3
-
-    def check(cell):
-        (name, terms), i, j, k = cell
-        return _vec_failure(space, name, (i, j, k),
-                            equation_residual(terms, ops, space, (i, j, k)))
-    return itertools.product(equations, *dims), check
-
-
-def check_system(title, equations, ops, fail_fast=False):
-    """Check every equation of a system on every basis triple."""
-    return AxiomReport(title).run(*_system(equations, ops), fail_fast)
+C = _op('circ')
+S = _op('star')
+A = _op('avg')
 
 
 # ---------- the equation systems ----------
 
-LEFT_LEIBNIZ_EQ = ('bracket left Leibniz',
-                   [(1, (), B(X, B(Y, Z))),
-                    (-1, (), B(B(X, Y), Z)),
-                    (-1, (('x', 'y'),), B(Y, B(X, Z)))])
+LEFT_LEIBNIZ_EQ = ('bracket left Leibniz', LEFT_LEIBNIZ[1])
 
 T_SYSTEM = [
     ('quad1', [(1, (), C(C(X, Y), Z)),
@@ -228,6 +160,9 @@ PRODUCT_BRACKET_COMPAT_EQ = (
      (-1, (('y', 'z'),), B(C(X, Z), Y)),
      (-1, (('y', 'z'),), C(B(X, Z), Y))])
 
+AVERAGING_EQ = ('averaging identity',
+                [(1, (), A(P(A(X), Y))), (-1, (), P(A(X), A(Y)))])
+
 
 # ---------- star construction ----------
 
@@ -242,23 +177,19 @@ def zero_map(space, name=None):
     return GradedBilinearMap(space, name=name)
 
 
+# x star y in terms of circ, for each derived mode
+STAR_FROM_CIRC = {
+    StarMode.DOUBLE: [(2, (), C(X, Y))],
+    StarMode.SYMMETRIZED: [(1, (), C(X, Y)), (1, (('x', 'y'),), C(Y, X))],
+    StarMode.ZERO: [],
+}
+
+
 def star_from_mode(circ, mode):
     """Build the star product from circ for the three derived modes."""
-    space = circ.space
-    out = GradedBilinearMap(space, name='star')
-    if mode == StarMode.ZERO:
-        return out
-    if mode == StarMode.DOUBLE:
-        for (i, j), vec in circ.table.items():
-            out.set_entry(i, j, space.scale(2, vec))
-        return out
-    if mode == StarMode.SYMMETRIZED:
-        for i, j in itertools.product(range(space.dim), repeat=2):
-            vec = _supersymmetrized(circ, i, j)
-            if not space.vec_is_zero(vec):
-                out.set_entry(i, j, vec)
-        return out
-    raise ValueError("unknown star mode %r" % (mode,))
+    if mode not in STAR_FROM_CIRC:
+        raise ValueError("unknown star mode %r" % (mode,))
+    return _bilinear_map(STAR_FROM_CIRC[mode], {'circ': circ}, 'star')
 
 
 class QuadraticData:
@@ -312,6 +243,9 @@ SYSTEMS = {
     'novikov': ("Novikov axioms", NOVIKOV_SYSTEM, ('circ',)),
     'assoc-novikov': ("associative Novikov axioms", R_PRODUCT_EQS,
                       ('circ',)),
+    'gd': ("Gelfand-Dorfman compatibility axioms",
+           [SKEW_SYMMETRY, LEFT_LEIBNIZ] + NOVIKOV_SYSTEM
+           + [PRODUCT_BRACKET_COMPAT_EQ], ('circ', 'bracket')),
 }
 
 
@@ -351,14 +285,11 @@ def check_novikov(circ, fail_fast=False):
 def check_gd_bialgebra(circ, bracket, fail_fast=False):
     """Novikov product + Lie superbracket + the compatibility equation.
 
-    The product equations are checked only when the bracket is Lie.
+    The Lie part (skew-symmetry, then Jacobi) runs first and the product
+    equations after it; under fail_fast the check stops at the first
+    failure.
     """
-    rep = _run_lie(AxiomReport("Gelfand-Dorfman compatibility axioms"),
-                   bracket, fail_fast)
-    if rep.passed:
-        rep.run(*_system(NOVIKOV_SYSTEM + [PRODUCT_BRACKET_COMPAT_EQ],
-                         {'circ': circ, 'bracket': bracket}), fail_fast)
-    return rep
+    return _check_registered('gd', (circ, bracket), fail_fast)
 
 
 def check_symmetrized_case(circ, bracket, fail_fast=False):
@@ -383,31 +314,21 @@ def check_averaging(product, avg, fail_fast=False):
 
     Both product checks run (each stopping at its own first failure under
     fail_fast) before the averaging identity."""
-    space = product.space
+    ops = {'product': product, 'avg': avg}
+    value = _memoised(ops)
     rep = AxiomReport("averaging operator axioms")
-    rep.run(*_classical(product, "supercommutativity", 2, _supercommutator),
-            fail_fast)
-    rep.run(*_classical(product, "associativity", 3, _associator), fail_fast)
+    for equation in (SUPERCOMMUTATIVITY, ASSOCIATIVITY):
+        rep.run(*_equations([equation], ops, value), fail_fast)
     if fail_fast and not rep.passed:
         return rep
-
-    def averaging(p, i, j):
-        return space.sub(avg(p(avg(i), space.basis_vec(j))),
-                         p.apply_vec(avg(i), avg(j)))
-    return rep.run(*_classical(product, "averaging identity", 2, averaging),
-                   fail_fast)
+    return rep.run(*_equations([AVERAGING_EQ], ops, value), fail_fast)
 
 
 def build_assoc_novikov_from_averaging(product, avg):
     """x circ y = avg(x) y.  For an averaging operator on a supercommutative
     associative product this circ is associative Novikov."""
-    space = product.space
-    out = GradedBilinearMap(space, name='circ')
-    for i, j in itertools.product(range(space.dim), repeat=2):
-        vec = product(avg(i), space.basis_vec(j))
-        if not space.vec_is_zero(vec):
-            out.set_entry(i, j, vec)
-    return out
+    return _bilinear_map([(1, (), P(A(X), Y))],
+                         {'product': product, 'avg': avg}, 'circ')
 
 
 # ---------- classification of compatible brackets ----------
@@ -529,23 +450,21 @@ def classify_brackets(circ):
     preconditions = check_system("product axioms", R_PRODUCT_EQS,
                                  {'circ': circ})
 
+    def linear(expr, cell):
+        vecs = {slot: space.basis_vec(i) for slot, i in zip('xyz', cell)}
+        return _eval_linear_expr(expr, circ, space, vecs, admissible_index)
+
     # linear rows from the mixed equations
     rows = []
     for (_, terms), *triple in itertools.product(
             R_MIXED_EQS, *[range(space.dim)] * 3):
-        lin_total = {}
-        for s, vecs, (expr,) in _bound_terms(terms, space, triple):
-            _, lin = _eval_linear_expr(expr, circ, space, vecs,
-                                       admissible_index)
+        # one row per coordinate; linalg drops the entries that cancel
+        by_coord = {}
+        for s, [(_, lin)] in _terms_at(terms, space, triple, linear):
             for u, vec in lin.items():
                 for coord, c in vec.items():
-                    key = (coord, u)
-                    lin_total[key] = (lin_total.get(key, Fraction(0))
-                                      + s * c.rational_value())
-        by_coord = {}
-        for (coord, u), c in lin_total.items():
-            if c != 0:
-                by_coord.setdefault(coord, {})[u] = c
+                    row = by_coord.setdefault(coord, {})
+                    row[u] = row.get(u, Fraction(0)) + s * c.rational_value()
         rows.extend(by_coord.values())
 
     basis = linalg.nullspace(rows, len(triples))
@@ -575,10 +494,11 @@ def classify_brackets(circ):
         rep = check_left_leibniz_superalgebra(fam)
         if not rep.passed:
             # gather the residual scalars; solve the linear ones
+            value = _memoised({'bracket': fam})
             residual_scalars = [
                 c for cell in itertools.product(range(fspace.dim), repeat=3)
-                for c in _left_leibniz_residual(fam, *cell).values()
-                if not c.is_zero()]
+                for c in _residual(LEFT_LEIBNIZ[1], fspace, cell,
+                                   value).values()]
             linear_rows = []
             for s in residual_scalars:
                 if all(sum(e) <= 1 for e in s.terms):

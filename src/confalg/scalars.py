@@ -334,7 +334,8 @@ def combination_str(pairs):
 def falling(m, k):
     """Falling factorial m (m-1) ... (m-k+1) for integer m (negative is fine)
     and k >= 0."""
-    assert isinstance(k, int) and k >= 0
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("k must be a non-negative int, got %r" % (k,))
     out = 1
     for i in range(k):
         out *= (m - i)
@@ -343,8 +344,7 @@ def falling(m, k):
 
 def binom(m, k):
     """Generalized binomial coefficient: falling(m, k) / k! (an integer for
-    integer m, including negative m)."""
-    assert isinstance(k, int) and k >= 0
+    integer m, including negative m); falling checks k."""
     value = Fraction(falling(m, k), math.factorial(k))
     assert value.denominator == 1
     return int(value)

@@ -7,12 +7,15 @@ product by structure constants and enforces the grading
 parity(x * y) = parity(x) + parity(y).  Combination is the sparse
 linear-combination type under the conformal, mode and file-format layers.
 
-The classical axiom checks live here: super skew-symmetry + Jacobi (Lie),
-the right Leibniz identity, the left Leibniz identity, and the sign-twisted
-conversion between right and left Leibniz structures.
+Identities are written here as equations over slots and op nodes (see
+"identities as equations" below) and checked by one memoising evaluator.
+The classical ones live here: super skew-symmetry + Jacobi (Lie), the right
+and left Leibniz identities, supercommutativity and associativity, next to
+the sign-twisted conversion between right and left Leibniz structures.
 """
 
 import itertools
+from operator import itemgetter
 
 from .scalars import Scalar, ScalarError, combination_str
 
@@ -82,11 +85,7 @@ class SuperSpace:
         out = {}
         for vec in vecs:
             for k, c in vec.items():
-                tot = out.get(k, Scalar.zero(self.params)) + c
-                if tot.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = tot
+                _add_term(out, k, c)
         return out
 
     def sub(self, u, v):
@@ -99,11 +98,13 @@ class SuperSpace:
         return self.vec_is_zero(self.sub(u, v))
 
     def vec_parity(self, vec):
-        """Parity of a homogeneous vector (None for 0, error if mixed)."""
+        """Parity of a homogeneous vector (None for 0, ValueError if
+        mixed)."""
         parities = {self.parity(k) for k, c in vec.items() if not c.is_zero()}
         if not parities:
             return None
-        assert len(parities) == 1, "vector is not homogeneous"
+        if len(parities) != 1:
+            raise ValueError("vector is not homogeneous")
         return parities.pop()
 
     def vec_str(self, vec):
@@ -256,12 +257,14 @@ class GradedBilinearMap:
                                     self.space.index(j)), {}))
 
     def apply_vec(self, u, v):
-        out = self.space.zero_vec()
+        out = {}
         for i, ci in u.items():
             for j, cj in v.items():
                 e = self.table.get((i, j))
                 if e:
-                    out = self.space.add(out, self.space.scale(ci * cj, e))
+                    c = ci * cj
+                    for k, ck in e.items():
+                        _add_term(out, k, c * ck)
         return out
 
     def __call__(self, u, v):
@@ -337,82 +340,163 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _vec_failure(space, identity, cell, res):
-    """The failures of a classical identity at a basis cell: none if res
-    is 0."""
-    if space.vec_is_zero(res):
-        return ()
-    return ((identity, [space.names[i] for i in cell], space.vec_str(res)),)
+# ---------- identities as equations ----------
+
+# An equation is (name, terms), each term (coefficient, sign pairs,
+# expression).  An expression is a tree of the slots X, Y, Z and op nodes
+# ('op', name, *args), where name is a key of the ops dict that applies to
+# the argument values (a GradedBilinearMap takes two, a LinearMap one).  A
+# sign pair (A, B) of slot strings contributes (-1)^{parity(A) parity(B)}
+# for the basis vectors in the slots.  An equation is checked on every basis
+# cell of the slots it uses: pairs for x, y and triples for x, y, z.
+
+X = ('slot', 'x')
+Y = ('slot', 'y')
+Z = ('slot', 'z')
 
 
-def _classical(m, identity, arity, residual):
-    """(cells, check) of a classical identity on the basis cells of the
-    given arity: residual(m, *cell) must vanish."""
-    space = m.space
-    return (itertools.product(range(space.dim), repeat=arity),
-            lambda cell: _vec_failure(space, identity, cell,
-                                      residual(m, *cell)))
+def _op(name):
+    """The constructor of the op nodes named name."""
+    return lambda *args: ('op', name) + args
 
 
-def _supersymmetrized(m, i, j):
-    """m(x, y) + (-1)^{|x||y|} m(y, x) at a basis pair."""
-    space = m.space
-    return space.add(m(i, j),
-                     space.scale(sign(space.parity(i), space.parity(j)),
-                                 m(j, i)))
+B = _op('bracket')
+P = _op('product')
+
+SKEW_SYMMETRY = ('skew-symmetry',
+                 [(1, (), B(X, Y)), (1, (('x', 'y'),), B(Y, X))])
+
+LEFT_LEIBNIZ = ('left Leibniz',
+                [(1, (), B(X, B(Y, Z))),
+                 (-1, (), B(B(X, Y), Z)),
+                 (-1, (('x', 'y'),), B(Y, B(X, Z)))])
+
+RIGHT_LEIBNIZ = ('right Leibniz',
+                 [(1, (), B(X, B(Y, Z))),
+                  (-1, (), B(B(X, Y), Z)),
+                  (1, (('y', 'z'),), B(B(X, Z), Y))])
+
+SUPERCOMMUTATIVITY = ('supercommutativity',
+                      [(1, (), P(X, Y)), (-1, (('x', 'y'),), P(Y, X))])
+
+ASSOCIATIVITY = ('associativity',
+                 [(1, (), P(P(X, Y), Z)), (-1, (), P(X, P(Y, Z)))])
+
+
+def _term_sign(sign_pairs, parities):
+    expo = 0
+    for left, right in sign_pairs:
+        pl = sum(parities[ch] for ch in left)
+        pr = sum(parities[ch] for ch in right)
+        expo += pl * pr
+    return -1 if expo % 2 else 1
+
+
+def _slots(expr):
+    """The positions (x = 0, y = 1, z = 2) of the slots an expression uses,
+    in increasing order."""
+    if expr[0] == 'slot':
+        return ('xyz'.index(expr[1]),)
+    return tuple(sorted(set().union(*map(_slots, expr[2:]))))
+
+
+def _memoised(ops):
+    """value(expr, cell): the vector of an expression over ops with the
+    slots x, y, z bound to the basis indices of cell.
+
+    An expression that uses fewer slots than the cell has is computed once
+    for the life of the returned function (one check call) per indices of
+    its slots; one that uses them all is computed afresh, since storing it
+    would keep dim^arity vectors per expression alive.  The vectors are
+    shared: never modify one."""
+    space = next(iter(ops.values())).space
+    memo = {}   # expression -> (its slot indices, slot count, {key: vector})
+
+    def value(expr, cell):
+        entry = memo.get(expr)
+        if entry is None:
+            slots = _slots(expr)
+            entry = memo[expr] = (itemgetter(*slots), len(slots), {})
+        key_of, used, values = entry
+        key = key_of(cell)
+        vec = values.get(key)
+        if vec is None:
+            if expr[0] == 'slot':
+                vec = space.basis_vec(key)
+            else:
+                vec = ops[expr[1]](*[value(arg, cell) for arg in expr[2:]])
+            if used < len(cell):
+                values[key] = vec
+        return vec
+    return value
+
+
+def _terms_at(terms, space, cell, value):
+    """Yield (signed coefficient, values) for each term (coefficient, sign
+    pairs, *rest) of an equation at a basis cell: the sign pairs are read
+    off the parities of the cell's basis vectors, and values is rest with
+    each expression replaced by value(expr, cell) (a degree index passes
+    through)."""
+    parities = {slot: space.parities[i] for slot, i in zip('xyz', cell)}
+    for coeff, pairs, *rest in terms:
+        yield (coeff * _term_sign(pairs, parities),
+               [value(x, cell) if isinstance(x, tuple) else x for x in rest])
+
+
+def _residual(terms, space, cell, value):
+    """The residual vector of an equation at a basis cell."""
+    out = {}
+    for s, (vec,) in _terms_at(terms, space, cell, value):
+        for k, c in vec.items():
+            _add_term(out, k, c if s == 1 else c * s)
+    return out
+
+
+def _equations(equations, ops, value=None):
+    """(cells, check) of equations over ops: cells run over the equations,
+    then over the basis cells of the slots each one uses.  value is the
+    memoised evaluator of the check call; a fresh one by default."""
+    space = next(iter(ops.values())).space
+    value = value or _memoised(ops)
+
+    def cells(equation):
+        arity = 1 + max(max(_slots(term[2])) for term in equation[1])
+        return itertools.product([equation], *[range(space.dim)] * arity)
+
+    def check(cell):
+        (name, terms), *at = cell
+        res = _residual(terms, space, at, value)
+        if res:
+            yield name, [space.names[i] for i in at], space.vec_str(res)
+    return itertools.chain.from_iterable(map(cells, equations)), check
+
+
+def check_system(title, equations, ops, fail_fast=False):
+    """Check every equation of a system on every basis cell of its slots,
+    in order, into one report."""
+    return AxiomReport(title).run(*_equations(equations, ops), fail_fast)
 
 
 def check_skew_symmetry(bracket, fail_fast=False):
     """Super skew-symmetry [x, y] = -(-1)^{|x||y|} [y, x] on basis pairs."""
-    return AxiomReport("super skew-symmetry").run(
-        *_classical(bracket, "skew-symmetry", 2, _supersymmetrized), fail_fast)
-
-
-def _left_leibniz_residual(bracket, i, j, k):
-    space = bracket.space
-    return space.sub(bracket(i, bracket(j, k)),
-                     space.add(bracket(bracket(i, j), k),
-                               space.scale(sign(space.parity(i),
-                                                space.parity(j)),
-                                           bracket(j, bracket(i, k)))))
+    return check_system("super skew-symmetry", [SKEW_SYMMETRY],
+                        {'bracket': bracket}, fail_fast)
 
 
 def check_left_leibniz_superalgebra(bracket, fail_fast=False):
     """Left Leibniz identity:
     [x, [y, z]] = [[x, y], z] + (-1)^{|x||y|} [y, [x, z]].
     """
-    return AxiomReport("left Leibniz identity").run(
-        *_classical(bracket, "left Leibniz", 3, _left_leibniz_residual),
-        fail_fast)
-
-
-def _right_leibniz_residual(bracket, i, j, k):
-    space = bracket.space
-    return space.sub(bracket(i, bracket(j, k)),
-                     space.sub(bracket(bracket(i, j), k),
-                               space.scale(sign(space.parity(j),
-                                                space.parity(k)),
-                                           bracket(bracket(i, k), j))))
+    return check_system("left Leibniz identity", [LEFT_LEIBNIZ],
+                        {'bracket': bracket}, fail_fast)
 
 
 def check_leibniz_superalgebra(bracket, fail_fast=False):
     """Right Leibniz identity (the convention used throughout):
     [x, [y, z]] = [[x, y], z] - (-1)^{|y||z|} [[x, z], y].
     """
-    return AxiomReport("right Leibniz identity").run(
-        *_classical(bracket, "right Leibniz", 3, _right_leibniz_residual),
-        fail_fast)
-
-
-def _run_lie(rep, bracket, fail_fast):
-    """Super skew-symmetry, then the Jacobi identity, into rep.  The Jacobi
-    identity is checked only when skew-symmetry holds."""
-    rep.run(*_classical(bracket, "skew-symmetry", 2, _supersymmetrized),
-            fail_fast)
-    if rep.passed:
-        rep.run(*_classical(bracket, "left Leibniz", 3,
-                            _left_leibniz_residual), fail_fast)
-    return rep
+    return check_system("right Leibniz identity", [RIGHT_LEIBNIZ],
+                        {'bracket': bracket}, fail_fast)
 
 
 def check_lie_superalgebra(bracket, fail_fast=False):
@@ -421,9 +505,25 @@ def check_lie_superalgebra(bracket, fail_fast=False):
     The Jacobi identity is written in its left-normed form
     [x, [y, z]] = [[x, y], z] + (-1)^{|x||y|} [y, [x, z]], which coincides
     with the left Leibniz shape; together with skew-symmetry this is the usual
-    super Jacobi identity.  It is checked only when skew-symmetry holds.
+    super Jacobi identity.  Both run into the report; under fail_fast the
+    check stops at the first failure, so a failed skew-symmetry ends it.
     """
-    return _run_lie(AxiomReport("Lie superalgebra axioms"), bracket, fail_fast)
+    return check_system("Lie superalgebra axioms",
+                        [SKEW_SYMMETRY, LEFT_LEIBNIZ], {'bracket': bracket},
+                        fail_fast)
+
+
+def _bilinear_map(terms, ops, name):
+    """The bilinear map whose entry at each basis pair is the residual of an
+    equation in x, y there."""
+    space = next(iter(ops.values())).space
+    out = GradedBilinearMap(space, name=name)
+    value = _memoised(ops)
+    for cell in itertools.product(range(space.dim), repeat=2):
+        vec = _residual(terms, space, cell, value)
+        if vec:
+            out.set_entry(*cell, vec)
+    return out
 
 
 def to_left_superalgebra(bracket):
@@ -431,39 +531,21 @@ def to_left_superalgebra(bracket):
 
     Sends right Leibniz structures to left Leibniz structures and back.
     """
-    space = bracket.space
-    out = GradedBilinearMap(space, name=(bracket.name or "bracket") + "_left")
-    for i, j in itertools.product(range(space.dim), repeat=2):
-        vec = space.scale(-sign(space.parity(i), space.parity(j)),
-                          bracket(j, i))
-        if not space.vec_is_zero(vec):
-            out.set_entry(i, j, vec)
-    return out
-
-
-def _supercommutator(product, i, j):
-    space = product.space
-    return space.sub(product(i, j),
-                     space.scale(sign(space.parity(i), space.parity(j)),
-                                 product(j, i)))
+    return _bilinear_map([(-1, (('x', 'y'),), B(Y, X))],
+                         {'bracket': bracket},
+                         (bracket.name or "bracket") + "_left")
 
 
 def check_supercommutative(product, fail_fast=False):
     """x y = (-1)^{|x||y|} y x on basis pairs."""
-    return AxiomReport("supercommutativity").run(
-        *_classical(product, "supercommutativity", 2, _supercommutator),
-        fail_fast)
-
-
-def _associator(product, i, j, k):
-    space = product.space
-    return space.sub(product(product(i, j), k), product(i, product(j, k)))
+    return check_system("supercommutativity", [SUPERCOMMUTATIVITY],
+                        {'product': product}, fail_fast)
 
 
 def check_associative(product, fail_fast=False):
     """(x y) z = x (y z) on basis triples."""
-    return AxiomReport("associativity").run(
-        *_classical(product, "associativity", 3, _associator), fail_fast)
+    return check_system("associativity", [ASSOCIATIVITY],
+                        {'product': product}, fail_fast)
 
 
 class LinearMap:
@@ -492,9 +574,8 @@ class LinearMap:
     def __call__(self, vec):
         if isinstance(vec, (int, str)):
             vec = self.space.basis_vec(vec)
-        out = self.space.zero_vec()
+        out = {}
         for i, c in vec.items():
-            e = self.table.get(i)
-            if e:
-                out = self.space.add(out, self.space.scale(c, e))
+            for k, ck in self.table.get(i, {}).items():
+                _add_term(out, k, c * ck)
         return out

@@ -8,8 +8,8 @@ import pytest
 
 from confalg import (CocycleAnsatz, GradedBilinearMap, LambdaBracket,
                      QuadraticData, Scalar, ScalarError, SuperSpace, VPoly,
-                     build_quadratic_bracket, classify_brackets,
-                     degree_bound_experiment, solve_cocycles_direct,
+                     binom, build_quadratic_bracket, classify_brackets,
+                     degree_bound_experiment, falling, solve_cocycles_direct,
                      solve_leibniz_central_ext_gd, zero_map)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -43,6 +43,11 @@ CASES = [
      ValueError),
     ("solve_cocycles_direct(LambdaBracket(SuperSpace([('e', 0)])), [0, 1])"
      ".embed([0])", ValueError),
+    ("falling(3, -2)", ValueError),
+    ("binom(3, -1)", ValueError),
+    ("binom(3, 1.5)", ValueError),
+    ("SuperSpace([('x', 0), ('y', 1)]).vec_parity({0: Scalar.one(), "
+     "1: Scalar.one()})", ValueError),
 ]
 
 

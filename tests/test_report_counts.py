@@ -58,11 +58,34 @@ JACOBI_FAILURES = [
 ]
 
 
-# The Jacobi part of the Lie check runs only while skew-symmetry holds, and
-# the Gelfand-Dorfman product equations only while the Lie part holds: in
-# both modes a failed part ends the check (9 skew instances, no Jacobi).
+# Skew-broken bracket: the Jacobi failures found after the skew failure.
+SKEW_BROKEN_JACOBI_FAILURES = [
+    ("left Leibniz", ("x", "x", "x"), "-x"),
+    ("left Leibniz", ("x", "y", "y"), "-2 x + z"),
+    ("left Leibniz", ("x", "y", "z"), "-y"),
+    ("left Leibniz", ("x", "z", "x"), "2 z"),
+    ("left Leibniz", ("x", "z", "y"), "y"),
+    ("left Leibniz", ("y", "x", "y"), "2 x - z"),
+    ("left Leibniz", ("y", "x", "z"), "y"),
+    ("left Leibniz", ("y", "y", "x"), "-2 x - z"),
+    ("left Leibniz", ("y", "y", "y"), "-3 y"),
+    ("left Leibniz", ("y", "y", "z"), "x"),
+    ("left Leibniz", ("y", "z", "x"), "-y"),
+    ("left Leibniz", ("y", "z", "y"), "-x"),
+    ("left Leibniz", ("z", "x", "x"), "-2 z"),
+    ("left Leibniz", ("z", "x", "y"), "-y"),
+    ("left Leibniz", ("z", "y", "x"), "y"),
+    ("left Leibniz", ("z", "y", "y"), "x"),
+]
+
+
+# The Lie check runs skew-symmetry, then the Jacobi identity; the
+# Gelfand-Dorfman check runs the Lie part, then its product equations.  With
+# fail_fast off every part runs whatever failed before it (9 skew + 27
+# Jacobi instances); with fail_fast on the first failure ends the check.
 @pytest.mark.parametrize("fail_fast, expected", [
-    (False, (False, 9, [("skew-symmetry", ("x", "x"), "2 z")])),
+    (False, (False, 36, [("skew-symmetry", ("x", "x"), "2 z")]
+             + SKEW_BROKEN_JACOBI_FAILURES)),
     (True, (False, 1, [("skew-symmetry", ("x", "x"), "2 z")])),
 ])
 def test_lie_superalgebra_stops_after_failed_skew(fail_fast, expected):
@@ -81,16 +104,6 @@ def test_lie_superalgebra_jacobi_part(fail_fast, expected):
                                           fail_fast=fail_fast)) == expected
 
 
-@pytest.mark.parametrize("fail_fast, expected", [
-    (False, (False, 36, JACOBI_FAILURES)),
-    (True, (False, 14, JACOBI_FAILURES[:1])),
-])
-def test_gd_bialgebra_with_failing_lie_part(fail_fast, expected):
-    sp = space_xyz()
-    assert summary(check_gd_bialgebra(product(sp), jacobi_broken(sp),
-                                      fail_fast=fail_fast)) == expected
-
-
 NOVIKOV_FAILURES = [
     ("nov1", ("x", "x", "z"), "-x + z"),
     ("nov1", ("x", "z", "x"), "x - z"),
@@ -104,6 +117,32 @@ NOVIKOV_FAILURES = [
     ("nov2", ("y", "y", "x"), "2 x"),
     ("nov2", ("z", "x", "z"), "z"),
 ]
+
+
+# The compatibility failures of product() with jacobi_broken().
+COMPAT_FAILURES = [
+    ("product-bracket compatibility", ("x", "x", "y"), "y"),
+    ("product-bracket compatibility", ("x", "y", "x"), "-y"),
+    ("product-bracket compatibility", ("x", "y", "y"), "z"),
+    ("product-bracket compatibility", ("y", "x", "y"), "-2 z"),
+    ("product-bracket compatibility", ("y", "y", "x"), "2 z"),
+    ("product-bracket compatibility", ("z", "x", "y"), "y"),
+    ("product-bracket compatibility", ("z", "x", "z"), "-z"),
+    ("product-bracket compatibility", ("z", "y", "x"), "-y"),
+    ("product-bracket compatibility", ("z", "z", "x"), "z"),
+]
+
+
+@pytest.mark.parametrize("fail_fast, expected", [
+    # 9 skew + 27 Jacobi + 3 equations x 27 triples
+    (False, (False, 117,
+             JACOBI_FAILURES + NOVIKOV_FAILURES + COMPAT_FAILURES)),
+    (True, (False, 14, JACOBI_FAILURES[:1])),
+])
+def test_gd_bialgebra_with_failing_lie_part(fail_fast, expected):
+    sp = space_xyz()
+    assert summary(check_gd_bialgebra(product(sp), jacobi_broken(sp),
+                                      fail_fast=fail_fast)) == expected
 
 
 @pytest.mark.parametrize("fail_fast, expected", [
