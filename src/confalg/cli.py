@@ -289,23 +289,27 @@ def cmd_classify_brackets(args, out):
 # part, structured solver on (circ, bracket))
 _EXT_CASES = {
     "anl": (StarMode.DOUBLE, True,
-            lambda circ, bracket: solve_central_ext_anl(circ, bracket)),
+            lambda circ, bracket, fail_fast: solve_central_ext_anl(
+                circ, bracket, fail_fast=fail_fast)),
     "assoc-novikov": (StarMode.DOUBLE, False,
-                      lambda circ, bracket: solve_central_ext_assoc_novikov(
-                          circ)),
+                      lambda circ, bracket, fail_fast:
+                      solve_central_ext_assoc_novikov(
+                          circ, fail_fast=fail_fast)),
     "gd": (StarMode.SYMMETRIZED, True,
-           lambda circ, bracket: solve_leibniz_central_ext_gd(circ, bracket,
-                                                              case="gd")),
+           lambda circ, bracket, fail_fast: solve_leibniz_central_ext_gd(
+               circ, bracket, case="gd", fail_fast=fail_fast)),
     "novikov-lie": (StarMode.SYMMETRIZED, False,
-                    lambda circ, bracket: solve_leibniz_central_ext_gd(
-                        circ, case="novikov-lie")),
+                    lambda circ, bracket, fail_fast:
+                    solve_leibniz_central_ext_gd(
+                        circ, case="novikov-lie", fail_fast=fail_fast)),
 }
 
 
-def _structured_route(af, case, declared):
+def _structured_route(af, case, declared, fail_fast):
     """(structured solve callable, None) for a case, or (None, the reason it
     does not apply): the bracket the case builds from the file's circ (and
-    bracket) must have the entries of the declared conformal bracket."""
+    bracket) must have the entries of the declared conformal bracket.  The
+    solve checks the case's preconditions under fail_fast."""
     star_mode, with_bracket, solve = _EXT_CASES[case]
     circ = af.circ()
     bracket = af.classical_bracket() if with_bracket else zero_map(af.space)
@@ -315,7 +319,7 @@ def _structured_route(af, case, declared):
         return None, ("structured route: not applicable (case %r builds a "
                       "different bracket from the one %r declares)"
                       % (case, af.name))
-    return (lambda: solve(circ, bracket)), None
+    return (lambda: solve(circ, bracket, fail_fast)), None
 
 
 def cmd_central_ext(args, out):
@@ -325,7 +329,8 @@ def cmd_central_ext(args, out):
     _require_no_params(af, "central-ext")
     out.data["algebra"] = af.name
     declared = af.conformal_bracket()
-    solve, not_applicable = _structured_route(af, args.case, declared)
+    solve, not_applicable = _structured_route(af, args.case, declared,
+                                                 args.fail_fast)
     try:
         structured = solve() if solve else None
     except PreconditionError as exc:
@@ -376,7 +381,8 @@ def cmd_coeff(args, out):
     if args.phi:
         if args.case is None:
             raise UsageError("--phi from-central-ext needs --case")
-        solve, not_applicable = _structured_route(af, args.case, bracket)
+        solve, not_applicable = _structured_route(af, args.case, bracket,
+                                                     args.fail_fast)
         if not_applicable:
             raise UsageError(not_applicable)
     table = coeff.table_lines(grid)

@@ -26,9 +26,10 @@ reduced echelon bases are directly comparable.
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from . import linalg
-from .scalars import Scalar, binom, factor_str
+from .scalars import Scalar, factor_str
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, sign,
                          _memoised, _terms_at)
 from .conformal import LambdaBracket, VPoly
@@ -118,7 +119,8 @@ class SolutionSpace:
         self.space = space
         self.degrees = tuple(degrees)
         self.unknowns = list(unknowns)
-        self.basis = [tuple(Fraction(x) for x in vec) for vec in basis]
+        self.basis = [tuple(x if type(x) is Fraction else Fraction(x)
+                            for x in vec) for vec in basis]
         self.route = route
         self.preconditions = preconditions
         self.warnings = list(warnings)
@@ -181,31 +183,39 @@ def _require_rational_bracket(bracket):
                     "values for the parameters first")
 
 
-def _cocycle_contributions(bracket, triple, degrees):
-    """Yield (unknown key (t, p, q), l-degree, m-degree, Fraction factor,
-    Scalar entry coefficient) for the cocycle-equation residual LHS - RHS at a triple.
+def _entry_table(bracket, coeff):
+    """Each bracket entry as a list of (v, d-power, l-power, coeff(entry
+    coefficient)), keyed by its basis pair (i, j); missing pairs are zero."""
+    return {pair: [(v, dd, dl, coeff(s))
+                   for (v, dd, dl, _, _), s in vp.terms.items()]
+            for pair, vp in bracket.entries.items()}
+
+
+def _cocycle_contributions(entries, parity, triple, degrees):
+    """Yield (unknown key (t, p, q), l-degree, m-degree, value) for the
+    cocycle-equation residual LHS - RHS at a triple, where value is the
+    table coefficient times an integer and multiplies alpha_t(e_p, e_q).
 
     The unknown keys are NOT parity-filtered here; callers drop keys whose
     pair has odd parity sum (those alphas vanish identically).
     """
-    space = bracket.space
     ia, ib, ic = triple
-    sigma = sign(space.parity(ib), space.parity(ic))
+    sigma = sign(parity(ib), parity(ic))
     # LHS: alpha_l(a, [b _m c])
-    for (v, dd, dl, _, _), s in bracket.entry(ib, ic).terms.items():
+    for v, dd, dl, s in entries.get((ib, ic), ()):
         for t in degrees:
-            yield (t, ia, v), dd + t, dl, Fraction(1), s
+            yield (t, ia, v), dd + t, dl, s
     # -RHS1: -alpha_{l+m}([a _l b], c)
-    for (v, dd, dl, _, _), s in bracket.entry(ia, ib).terms.items():
+    for v, dd, dl, s in entries.get((ia, ib), ()):
+        neg_base = 1 if dd & 1 else -1  # -(-1)^dd
         for t in degrees:
-            base = Fraction((-1) ** dd)
-            for r in range(dd + t + 1):
-                yield ((t, v, ic), dl + r, dd + t - r,
-                       -base * binom(dd + t, r), s)
+            n = dd + t
+            for r in range(n + 1):
+                yield (t, v, ic), dl + r, n - r, s * (neg_base * comb(n, r))
     # +sigma RHS2: +sigma alpha_{-m}([a _l c], b)
-    for (v, dd, dl, _, _), s in bracket.entry(ia, ic).terms.items():
+    for v, dd, dl, s in entries.get((ia, ic), ()):
         for t in degrees:
-            yield (t, v, ib), dl, dd + t, Fraction(sigma * (-1) ** t), s
+            yield (t, v, ib), dl, dd + t, s * (-sigma if t & 1 else sigma)
 
 
 def assemble_cocycle_rows(bracket, degrees):
@@ -215,19 +225,23 @@ def assemble_cocycle_rows(bracket, degrees):
     space = bracket.space
     unknowns = unknown_order(space, degrees)
     index = {u: i for i, u in enumerate(unknowns)}
+    entries = _entry_table(bracket, Scalar.rational_value)
     rows = []
     for triple in itertools.product(range(space.dim), repeat=3):
         acc = {}
-        for key, ldeg, mdeg, factor, entry_coeff in \
-                _cocycle_contributions(bracket, triple, degrees):
+        for key, ldeg, mdeg, value in \
+                _cocycle_contributions(entries, space.parity, triple, degrees):
             u = index.get(key)
             if u is None:
                 continue
-            mono = acc.setdefault((ldeg, mdeg), {})
-            mono[u] = mono.get(u, Fraction(0)) \
-                + factor * entry_coeff.rational_value()
+            mono = acc.get((ldeg, mdeg))
+            if mono is None:
+                acc[(ldeg, mdeg)] = {u: value}
+            else:
+                prev = mono.get(u)
+                mono[u] = value if prev is None else prev + value
         for mono in acc.values():
-            row = {u: c for u, c in mono.items() if c != 0}
+            row = {u: c for u, c in mono.items() if c}
             if row:
                 rows.append(row)
     return unknowns, rows
@@ -247,19 +261,20 @@ def check_cocycle_direct(bracket, ansatz, fail_fast=False):
     space = bracket.space
     degrees = list(range(ansatz.max_degree() + 1)) or [0]
 
+    entries = _entry_table(bracket, lambda s: s)
+
     def check(triple):
         acc = {}
-        for (t, p, q), ldeg, mdeg, factor, entry_coeff in \
-                _cocycle_contributions(bracket, triple, degrees):
+        for (t, p, q), ldeg, mdeg, value in \
+                _cocycle_contributions(entries, space.parity, triple, degrees):
             if (space.parity(p) + space.parity(q)) % 2 != 0:
                 continue
             val = ansatz.alpha(t, p, q)
             if val.is_zero():
                 continue
-            add = entry_coeff * val * Scalar.rational(factor, ())
+            add = value * val
             prev = acc.get((ldeg, mdeg))
-            total = add if prev is None else prev + add
-            acc[(ldeg, mdeg)] = total
+            acc[(ldeg, mdeg)] = add if prev is None else prev + add
         nonzero = {k: v for k, v in acc.items() if not v.is_zero()}
         if nonzero:
             parts = []
@@ -441,39 +456,44 @@ def _solve_structured(pre, system, ops, degrees, route, span_warning=True):
                          preconditions=pre, warnings=warnings)
 
 
-def solve_central_ext_anl(circ, bracket):
+def solve_central_ext_anl(circ, bracket, fail_fast=False):
     """Structured route for the associative-Novikov-Leibniz case
-    (star = 2 circ).  Unknown degrees 0..3."""
-    return _solve_structured(check_anl(circ, bracket), ANL_ALPHA_SYSTEM,
+    (star = 2 circ).  Unknown degrees 0..3.  fail_fast stops the
+    precondition check at its first failure."""
+    return _solve_structured(check_anl(circ, bracket, fail_fast),
+                             ANL_ALPHA_SYSTEM,
                              {'circ': circ, 'bracket': bracket}, [0, 1, 2, 3],
                              "structured-anl", span_warning=False)
 
 
-def solve_central_ext_assoc_novikov(circ):
+def solve_central_ext_assoc_novikov(circ, fail_fast=False):
     """Structured route for the bracket-free associative-Novikov case.
-    Unknown degrees 0, 1, 3 (degree 2 is forced to vanish in this case)."""
-    return _solve_structured(check_associative_novikov(circ),
+    Unknown degrees 0, 1, 3 (degree 2 is forced to vanish in this case).
+    fail_fast stops the precondition check at its first failure."""
+    return _solve_structured(check_associative_novikov(circ, fail_fast),
                              ASSOC_NOVIKOV_ALPHA_SYSTEM, {'circ': circ},
                              [0, 1, 3], "structured-assoc-novikov")
 
 
-def solve_leibniz_central_ext_gd(circ, bracket=None, case='gd'):
+def solve_leibniz_central_ext_gd(circ, bracket=None, case='gd',
+                                 fail_fast=False):
     """Structured route for the symmetrized-star cases.
 
     case='gd': Novikov circ + Lie bracket (Gelfand-Dorfman data).
     case='novikov-lie': Novikov circ, zero bracket.
-    Unknown degrees 0..3 in both cases.
+    Unknown degrees 0..3 in both cases.  fail_fast stops the precondition
+    check at its first failure.
     """
     if bracket is None:
         bracket = zero_map(circ.space, 'bracket')
     if case == 'gd':
-        pre = check_gd_bialgebra(circ, bracket)
+        pre = check_gd_bialgebra(circ, bracket, fail_fast)
         system = GD_ALPHA_SYSTEM
         route = "structured-gd"
     elif case == 'novikov-lie':
         if not bracket.is_zero():
             raise ValueError("the novikov-lie case has a zero bracket")
-        pre = check_novikov(circ)
+        pre = check_novikov(circ, fail_fast)
         system = NOVIKOV_LIE_ALPHA_SYSTEM
         route = "structured-novikov-lie"
     else:

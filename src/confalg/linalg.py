@@ -24,32 +24,57 @@ def rref(rows):
     Returns (pivot_cols, reduced) where pivot_cols is the sorted list of
     pivot columns and reduced maps each pivot column to its (fully reduced,
     leading-1) row.
+
+    Incremental Gauss-Jordan.  Invariant: every stored row is zero in every
+    pivot column but its own.  So an incoming row is cleared of exactly the
+    pivot columns it holds on arrival, in any order, and a new pivot is
+    back-substituted only into the stored rows that hold its column, which
+    `users` (non-pivot column -> pivot columns whose rows hold it) lists.
     """
     reduced = {}  # pivot col -> row dict
+    users = {}    # non-pivot col -> set of pivot cols whose rows hold it
     for row in rows:
         row = _clean(row)
-        # eliminate against existing pivots
-        for pcol in sorted(reduced):
-            if pcol in row:
-                factor = row[pcol]
-                prow = reduced[pcol]
-                for col, val in prow.items():
-                    row[col] = row.get(col, Fraction(0)) - factor * val
-                    if row[col] == 0:
+        for pcol in [c for c in row if c in reduced]:
+            factor = row.pop(pcol)
+            for col, val in reduced[pcol].items():
+                if col == pcol:
+                    continue
+                cur = row.get(col)
+                if cur is None:
+                    row[col] = -factor * val
+                else:
+                    cur -= factor * val
+                    if cur:
+                        row[col] = cur
+                    else:
                         del row[col]
         if not row:
             continue
         pivot = min(row)
         inv = 1 / row[pivot]
         row = {c: v * inv for c, v in row.items()}
-        # back-substitute into the rows we already have
-        for pcol, prow in reduced.items():
-            if pivot in prow:
-                factor = prow[pivot]
-                for col, val in row.items():
-                    prow[col] = prow.get(col, Fraction(0)) - factor * val
-                    if prow[col] == 0:
+        for col in row:
+            if col != pivot:
+                users.setdefault(col, set()).add(pivot)
+        # back-substitute into the stored rows that hold the new pivot
+        for pcol in users.pop(pivot, ()):
+            prow = reduced[pcol]
+            factor = prow.pop(pivot)
+            for col, val in row.items():
+                if col == pivot:
+                    continue
+                cur = prow.get(col)
+                if cur is None:
+                    prow[col] = -factor * val
+                    users[col].add(pcol)
+                else:
+                    cur -= factor * val
+                    if cur:
+                        prow[col] = cur
+                    else:
                         del prow[col]
+                        users[col].discard(pcol)
         reduced[pivot] = row
     return sorted(reduced), reduced
 
@@ -97,11 +122,9 @@ def span_basis(vectors, ncols):
         else:
             rows.append({i: v for i, v in enumerate(vec)})
     pivots, reduced = rref(rows)
-    out = []
-    for pcol in pivots:
-        row = reduced[pcol]
-        out.append(tuple(row.get(i, Fraction(0)) for i in range(ncols)))
-    return out
+    zero = Fraction(0)
+    return [tuple(reduced[pcol].get(i, zero) for i in range(ncols))
+            for pcol in pivots]
 
 
 def same_span(vectors_a, vectors_b, ncols):

@@ -167,6 +167,24 @@ def test_fail_fast_stops_at_first_failure(capsys):
     assert fast == 2 < full
 
 
+@pytest.mark.parametrize("command", [
+    ["central-ext", "--case", "gd"],
+    ["coeff", "--grid", "0..1", "--phi", "from-central-ext", "--case", "gd"],
+])
+def test_fail_fast_stops_the_structured_preconditions(command, capsys):
+    """A failing precondition check stops where check-structure stops."""
+    def reports(*extra):
+        assert main(command + ["cur_leib", "--format", "machine",
+                               *extra]) == 1
+        return json.loads(capsys.readouterr().out)["reports"]
+    assert main(["check-structure", "--which", "gd", "cur_leib",
+                 "--format", "machine", "--fail-fast"]) == 1
+    expected = json.loads(capsys.readouterr().out)["reports"]
+    assert reports("--fail-fast") == expected
+    assert expected[0]["checked"] == 1
+    assert reports()[0]["checked"] == 36
+
+
 def test_grid_option_glues_negative_values(capsys):
     # "--grid -2..2" must not be eaten by the option parser
     assert main(["coeff", "--grid", "-2..2", "--at", "a=1,b=1", "rab"]) == 0

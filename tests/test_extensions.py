@@ -1,6 +1,7 @@
 """Central-extension cocycles: the structured solvers, the direct solver on
 the built bracket, and the extended bracket itself."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from confalg import (SuperSpace, GradedBilinearMap, Scalar, CocycleAnsatz,
                      check_cocycle_direct, extend_bracket,
                      degree_bound_experiment, build_quadratic_bracket,
                      star_from_mode, StarMode, check_conformal_leibniz)
+from confalg.extensions import assemble_cocycle_rows
 
 import gens
 
@@ -192,3 +194,80 @@ def test_embedding_preserves_dimension(seed):
     sol = solve_cocycles_direct(built, degrees=(0, 1, 2))
     wider = sol.embed((0, 1, 2, 3))
     assert wider.dimension == sol.dimension
+
+
+# ---------- pinned outputs of the direct route ----------
+
+def _trunc6_bracket():
+    circ = gens.truncated_poly_circ(6)
+    return build_quadratic_bracket(circ, star_from_mode(circ, StarMode.DOUBLE),
+                                   zero_map(circ.space))
+
+
+@pytest.mark.parametrize("name, bracket, nrows, digest", [
+    ("virasoro", lambda: gens.corpus("virasoro.alg").conformal_bracket(), 5,
+     "f76b04464d942093ead6014a91b786c09c97df141d7cdaedb5964397ec41a34c"),
+    ("rab a=1,b=-2", lambda: gens.corpus("rab.alg").substitute(
+        {"a": 1, "b": -2}).conformal_bracket(), 72,
+     "e1f7090fcd1ff3fb665a6d46edf2705f487a9bbd155e4181a9a0762a58b17f4e"),
+    ("cur_lie", lambda: gens.corpus("cur_lie.alg").conformal_bracket(), 25,
+     "063f47024be0af9eb7e81ced29d115afac1c0faaaf34e95d1ee6929b46343c05"),
+    ("truncated_poly_circ(6)", _trunc6_bracket, 1624,
+     "2ccfe6f5adc051857657b0fd650b11c8de2e5c773478b260a815f1a13079ba3e"),
+])
+def test_assembled_rows_are_pinned(name, bracket, nrows, digest):
+    """The exact row list (row order, entry order within a row and every
+    value) that the direct route hands to the solver at degrees 0..3."""
+    unknowns, rows = assemble_cocycle_rows(bracket(), [0, 1, 2, 3])
+    text = repr((unknowns, [list(row.items()) for row in rows]))
+    assert len(rows) == nrows
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+CHECKER_PINS = {
+    "rab.alg": [
+        (("L", "L", "W"), "l^4 -2 + l^3 m -4 + l^3 -2 a + l m^3 4 + m^4 2 "
+                          "+ m^3 2 a"),
+        (("L", "W", "L"), "l^4 2 + l^3 m 4 + l^3 2 a + l^2 m 6 a + l m^3 -4 "
+                          "+ l m^2 6 a + m^4 -2 + m^3 2 a"),
+        (("L", "W", "W"), "l^3 -2 b + l -a^2 + m -2 a^2"),
+        (("W", "L", "W"), "l 3 + m^3 2 b + m 3 + a"),
+        (("W", "W", "L"), "l^3 2 b + l^2 m 6 b + l m^2 6 b + l -1 + m^3 2 b "
+                          "+ m 1"),
+        (("W", "W", "W"), "l^2 m (a^2 - 1/2) + l m^2 (3 a^2 - 3/2) + l -a b "
+                          "+ m^3 (2 a^2 - 1) + m -2 a b + b"),
+    ],
+    "gd_final.alg": [
+        (("L", "L", "W"), "l m a^2 + l a + m^2 a + m 1"),
+        (("L", "W", "L"), "l^2 (a^2 - a) + l m (a^2 - 2 a) + l (-a + 1) "
+                          "+ m^2 -a + m 1"),
+        (("L", "W", "W"), "l^3 (-a^3 + a^2 + 1/2 a - 1/2) + l^2 m (-2 a^3 "
+                          "+ 3 a^2 + a - 3/2) + l m^2 (3 a^2 - 3/2) "
+                          "+ m^3 (2 a^2 - 1)"),
+        (("W", "L", "L"), "l a + m 2 a"),
+        (("W", "L", "W"), "l^2 m (2 a^3 - 3 a^2 - a + 3/2) + l m^2 (2 a^3 "
+                          "- 3 a^2 - a + 3/2) + m^3 (a^3 - a^2 - 1/2 a "
+                          "+ 1/2)"),
+        (("W", "W", "L"), "l^3 (a^3 - a^2 - 1/2 a + 1/2) + l^2 m (a^3 "
+                          "- 1/2 a) + l m^2 (a^3 - 1/2 a) + m^3 (a^3 - a^2 "
+                          "- 1/2 a + 1/2)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("fname", sorted(CHECKER_PINS))
+def test_direct_checker_residuals_are_pinned(fname):
+    """The symbolic direct check of a non-cocycle ansatz with parameter
+    entries on a parametric bracket: every residual string, in order."""
+    bracket = gens.corpus(fname).conformal_bracket()
+    sp = bracket.space
+    a = Scalar.param("a", sp.params)
+    anz = CocycleAnsatz(sp, {})
+    anz.set(0, "W", "L", 1)
+    anz.set(1, "L", "W", a)
+    anz.set(2, "W", "W", a * a - Fraction(1, 2))
+    anz.set(3, "L", "L", -2)
+    rep = check_cocycle_direct(bracket, anz)
+    assert rep.checked == 8
+    assert [(f["identity"], f["at"], f["residual"]) for f in rep.failures] \
+        == [("cocycle equation", at, res) for at, res in CHECKER_PINS[fname]]

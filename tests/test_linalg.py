@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from confalg.linalg import rref, rank, nullspace, span_basis, same_span, in_span
 
@@ -95,3 +95,76 @@ def test_in_span_rejects_outside_vector():
     rows = [(Fraction(1), Fraction(0))]
     assert not in_span((Fraction(0), Fraction(1)), rows, 2)
     assert in_span((Fraction(5), Fraction(0)), rows, 2)
+
+
+# ---------- a dense reference on wider systems ----------
+
+def dense_gauss_jordan(rows, ncols):
+    """Textbook dense Gauss-Jordan: (pivot columns, their reduced rows)."""
+    mat = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        pick = next((r for r in range(top, len(mat)) if mat[r][col]), None)
+        if pick is None:
+            continue
+        mat[top], mat[pick] = mat[pick], mat[top]
+        lead = mat[top][col]
+        mat[top] = [x / lead for x in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return pivots, [tuple(mat[i]) for i in range(len(pivots))]
+
+
+@st.composite
+def wide_systems(draw):
+    """Up to 40 rows over up to 12 columns: random rows with explicit zero
+    entries, plus repeated rows, proportional rows and empty rows, all in
+    shuffled order."""
+    ncols = draw(st.integers(1, 12))
+    row = st.dictionaries(st.integers(0, ncols - 1), fractions,
+                          max_size=ncols)
+    rows = draw(st.lists(row, max_size=20))
+    extra = []
+    for base in rows:
+        kind = draw(st.sampled_from(["none", "repeat", "scale", "empty"]))
+        if kind == "repeat":
+            extra.append(dict(base))
+        elif kind == "scale":
+            c = draw(fractions)
+            extra.append({j: c * v for j, v in base.items()})
+        elif kind == "empty":
+            extra.append({})
+    rows = rows + extra
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@given(wide_systems())
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_a_dense_reference(system):
+    rows, ncols = system
+    ref_pivots, ref_rows = dense_gauss_jordan(rows, ncols)
+    pivots, reduced = rref(rows)
+    assert pivots == ref_pivots
+    assert sorted(reduced) == pivots
+    assert [dense(reduced[p], ncols) for p in pivots] == ref_rows
+    for p in pivots:
+        row = reduced[p]
+        assert min(row) == p and row[p] == 1
+        assert all(v != 0 for v in row.values())
+        assert all(q == p or q not in row for q in pivots)
+
+    free = [j for j in range(ncols) if j not in ref_pivots]
+    ref_null = []
+    for j in free:
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
+        for p, ref_row in zip(ref_pivots, ref_rows):
+            vec[p] = -ref_row[j]
+        ref_null.append(tuple(vec))
+    assert nullspace(rows, ncols) == ref_null
+    assert span_basis(rows, ncols) == ref_rows
