@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .scalars import Scalar, factor_str
+from .scalars import Scalar, factor_str, require_rational
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, sign,
                          _memoised, _terms_at)
 from .conformal import LambdaBracket, VPoly
@@ -174,15 +174,6 @@ class SolutionSpace:
 
 # ---------- the direct route: expand the cocycle equation ----------
 
-def _require_rational_bracket(bracket):
-    for vp in bracket.entries.values():
-        for c in vp.terms.values():
-            if not c.is_rational():
-                raise ValueError(
-                    "the bracket has parameter entries; substitute rational "
-                    "values for the parameters first")
-
-
 def _entry_table(bracket, coeff):
     """Each bracket entry as a list of (v, d-power, l-power, coeff(entry
     coefficient)), keyed by its basis pair (i, j); missing pairs are zero."""
@@ -221,7 +212,8 @@ def _cocycle_contributions(entries, parity, triple, degrees):
 def assemble_cocycle_rows(bracket, degrees):
     """All monomial rows of the cocycle system, over unknown_order(space,
     degrees).  Bracket entries must be parameter-free."""
-    _require_rational_bracket(bracket)
+    require_rational((c for vp in bracket.entries.values()
+                      for c in vp.terms.values()), "the bracket")
     space = bracket.space
     unknowns = unknown_order(space, degrees)
     index = {u: i for i, u in enumerate(unknowns)}
@@ -391,7 +383,7 @@ def _alpha_rows(system, ops, space, degrees):
     """Linear rows of a structured alpha system over unknown_order."""
     unknowns = unknown_order(space, degrees)
     index = {u: i for i, u in enumerate(unknowns)}
-    value = _memoised(ops)
+    value = _memoised(space, ops)
     rows = []
     for (_, terms), *triple in itertools.product(system,
                                                  *[range(space.dim)] * 3):
@@ -402,8 +394,9 @@ def _alpha_rows(system, ops, space, degrees):
                     u = index.get((t, p, q))
                     if u is None:
                         continue
-                    val = (c1 * c2).rational_value() * s
-                    row[u] = row.get(u, Fraction(0)) + val
+                    val = c1.rational_value() * c2.rational_value() * s
+                    prev = row.get(u)
+                    row[u] = val if prev is None else prev + val
         row = {u: c for u, c in row.items() if c != 0}
         if row:
             rows.append(row)
@@ -413,7 +406,7 @@ def _alpha_rows(system, ops, space, degrees):
 def check_alpha_system(system, ops, ansatz, fail_fast=False):
     """Check a given ansatz against a structured system, symbolically."""
     space = next(iter(ops.values())).space
-    value = _memoised(ops)
+    value = _memoised(space, ops)
 
     def check(cell):
         (name, terms), *triple = cell
@@ -563,13 +556,13 @@ def degree_bound_experiment(bracket, high_degree=5, low_degree=3):
                          % (high_degree, low_degree))
     sol_high = solve_cocycles_direct(bracket, range(high_degree + 1))
     sol_low = solve_cocycles_direct(bracket, range(low_degree + 1))
+    high_basis = sol_high.reduced_basis()
     vanishing = {}
     for t in range(low_degree + 1, high_degree + 1):
         positions = [i for i, (tt, _, _) in enumerate(sol_high.unknowns)
                      if tt == t]
         vanishing[t] = all(vec[i] == 0
-                           for vec in sol_high.reduced_basis()
-                           for i in positions)
+                           for vec in high_basis for i in positions)
     agrees = (sol_low.embed(range(high_degree + 1)).reduced_basis()
-              == sol_high.reduced_basis())
+              == high_basis)
     return DegreeBoundResult(sol_high, sol_low, vanishing, agrees)

@@ -19,16 +19,15 @@ over the slots x, y, z, and the evaluator there runs every system.
 """
 
 import itertools
-from fractions import Fraction
 
 from . import linalg
-from .scalars import Scalar
+from .scalars import Scalar, require_rational
 from .superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, SKEW_SYMMETRY,
                          SUPERCOMMUTATIVITY, AxiomReport, B, GradedBilinearMap,
-                         P, SuperSpace, X, Y, Z,
-                         check_left_leibniz_superalgebra, check_system,
-                         _bilinear_map, _equations, _memoised, _op,
-                         _residual, _terms_at)
+                         P, SuperSpace, X, Y, Z, check_system, _add_term,
+                         _bilinear_map, _equations, _memoised, _op, _residual)
+# unused here, but bench/test_bench.py asserts that this name is bound here
+from .superspace import check_left_leibniz_superalgebra
 from .conformal import LambdaBracket, VPoly
 
 
@@ -315,7 +314,7 @@ def check_averaging(product, avg, fail_fast=False):
     Both product checks run (each stopping at its own first failure under
     fail_fast) before the averaging identity."""
     ops = {'product': product, 'avg': avg}
-    value = _memoised(ops)
+    value = _memoised(product.space, ops)
     rep = AxiomReport("averaging operator axioms")
     for equation in (SUPERCOMMUTATIVITY, ASSOCIATIVITY):
         rep.run(*_equations([equation], ops, value), fail_fast)
@@ -333,64 +332,23 @@ def build_assoc_novikov_from_averaging(product, avg):
 
 # ---------- classification of compatible brackets ----------
 
-def _require_rational(gbm, what):
-    for vec in gbm.table.values():
-        for c in vec.values():
-            if not c.is_rational():
-                raise ValueError(
-                    "%s has parameter entries; substitute rational values "
-                    "for the parameters first" % what)
+# The mixed equations run on values linear in an unknown bracket: a sparse
+# vector holding known coordinates under basis indices k and the
+# coefficient of unknown u in coordinate k under the key (k, u).
+
+def _coordinate(key):
+    """(basis index, unknown or None) of a key of a linear value."""
+    return key if type(key) is tuple else (key, None)
 
 
-def _eval_linear_expr(expr, circ, space, vecs, admissible_index):
-    """Evaluate an expression whose bracket is unknown.
-
-    Returns (const_vec, linear) where linear maps an unknown index (position
-    of an admissible (i, j, k) triple) to a {coordinate: Fraction} vector of
-    its coefficient in the result.  Products of two bracket-dependent values
-    raise (would be quadratic).
-    """
-    if expr[0] == 'slot':
-        return vecs[expr[1]], {}
-    _, opname, left, right = expr
-    lconst, llin = _eval_linear_expr(left, circ, space, vecs, admissible_index)
-    rconst, rlin = _eval_linear_expr(right, circ, space, vecs, admissible_index)
-    if llin and rlin:
-        raise ValueError("expression is quadratic in the unknown bracket")
-    if opname == 'circ':
-        const = circ.apply_vec(lconst, rconst)
-        lin = {}
-        for u, vec in llin.items():
-            prod = circ.apply_vec(vec, rconst)
-            if not space.vec_is_zero(prod):
-                lin[u] = prod
-        for u, vec in rlin.items():
-            prod = circ.apply_vec(lconst, vec)
-            if not space.vec_is_zero(prod):
-                lin[u] = space.add(lin.get(u, space.zero_vec()), prod)
-        return const, lin
-    assert opname == 'bracket'
-    if llin or rlin:
-        raise ValueError("nested unknown brackets are quadratic")
-    lin = {}
-    for p, cp in lconst.items():
-        for q, cq in rconst.items():
-            coeff = cp * cq
-            if coeff.is_zero():
-                continue
-            for k in range(space.dim):
-                u = admissible_index.get((p, q, k))
-                if u is None:
-                    continue
-                vec = lin.setdefault(u, space.zero_vec())
-                lin[u] = space.add(vec, space.basis_vec(k, coeff))
-    return space.zero_vec(), lin
+def _is_linear(vec):
+    return any(type(key) is tuple for key in vec)
 
 
 class ClassificationResult:
     """Everything classify_brackets found: admissible unknown order, the
-    linear-solution basis, the parametric bracket family, and any quadratic
-    constraints that could not be resolved automatically."""
+    linear-solution basis, the parametric bracket family, and the quadratic
+    constraints that the left Leibniz identity puts on its parameters."""
 
     def __init__(self, space, triples, basis, family_space, family,
                  preconditions, constraints):
@@ -436,90 +394,85 @@ def classify_brackets(circ):
     parametric family.
 
     The mixed equations are linear in the bracket and become one big exact
-    linear system; the left Leibniz identity is quadratic and is checked
-    symbolically on the resulting family, solving any constraints that turn
-    out to be linear and reporting the rest verbatim.
+    linear system; the left Leibniz identity is quadratic and is evaluated
+    symbolically on the resulting family.  Each nonzero residual
+    coefficient is a homogeneous quadratic in the family parameters and is
+    reported verbatim as a constraint.
     """
     space = circ.space
-    _require_rational(circ, "circ")
+    require_rational((c for vec in circ.table.values() for c in vec.values()),
+                     "circ")
     triples = [(i, j, k)
                for i, j, k in itertools.product(range(space.dim), repeat=3)
                if (space.parity(i) + space.parity(j)) % 2 == space.parity(k)]
-    admissible_index = {t: u for u, t in enumerate(triples)}
+    unknowns = {}   # (i, j) -> [(k, u)]: the unknown coordinates of [e_i, e_j]
+    for u, (i, j, k) in enumerate(triples):
+        unknowns.setdefault((i, j), []).append((k, u))
 
     preconditions = check_system("product axioms", R_PRODUCT_EQS,
                                  {'circ': circ})
 
-    def linear(expr, cell):
-        vecs = {slot: space.basis_vec(i) for slot, i in zip('xyz', cell)}
-        return _eval_linear_expr(expr, circ, space, vecs, admissible_index)
+    def apply_circ(a, b):
+        if _is_linear(a) and _is_linear(b):
+            raise ValueError("expression is quadratic in the unknown bracket")
+        out = {}
+        for key_a, ca in a.items():
+            i, u = _coordinate(key_a)
+            for key_b, cb in b.items():
+                j, w = _coordinate(key_b)
+                entry = circ.table.get((i, j))
+                if entry:
+                    c = ca * cb
+                    unknown = u if w is None else w
+                    for k, ck in entry.items():
+                        _add_term(out, k if unknown is None else (k, unknown),
+                                  c * ck)
+        return out
 
-    # linear rows from the mixed equations
+    def unknown_bracket(a, b):
+        if _is_linear(a) or _is_linear(b):
+            raise ValueError("nested unknown brackets are quadratic")
+        out = {}
+        for p, cp in a.items():
+            for q, cq in b.items():
+                c = cp * cq
+                for key in unknowns.get((p, q), ()):
+                    out[key] = c
+        return out
+
+    # linear rows from the mixed equations, one per coordinate; every term
+    # holds one bracket, so every residual key is a (k, u) pair
+    value = _memoised(space, {'circ': apply_circ, 'bracket': unknown_bracket})
     rows = []
     for (_, terms), *triple in itertools.product(
             R_MIXED_EQS, *[range(space.dim)] * 3):
-        # one row per coordinate; linalg drops the entries that cancel
         by_coord = {}
-        for s, [(_, lin)] in _terms_at(terms, space, triple, linear):
-            for u, vec in lin.items():
-                for coord, c in vec.items():
-                    row = by_coord.setdefault(coord, {})
-                    row[u] = row.get(u, Fraction(0)) + s * c.rational_value()
+        for (k, u), c in _residual(terms, space, triple, value).items():
+            by_coord.setdefault(k, {})[u] = c.rational_value()
         rows.extend(by_coord.values())
 
     basis = linalg.nullspace(rows, len(triples))
 
-    # left Leibniz on the parametric family, symbolically
-    def family_from(vectors):
-        params = tuple("t%d" % i for i in range(len(vectors)))
-        fspace = SuperSpace(list(zip(space.names, space.parities)),
-                            params=params, killed=space.killed)
-        fam = GradedBilinearMap(fspace, name='bracket')
-        entries = {}
-        for v, vec in enumerate(vectors):
-            tv = Scalar.param(params[v], params) if params else None
-            for u, c in enumerate(vec):
-                if c == 0:
-                    continue
-                i, j, k = triples[u]
-                cur = entries.setdefault((i, j), {})
-                cur[k] = cur.get(k, Scalar.zero(params)) + tv * Scalar.rational(c, params)
-        for (i, j), vec in entries.items():
-            fam.set_entry(i, j, vec)
-        return fspace, fam
+    # the family: the sum of t_v times the v-th basis vector
+    params = tuple("t%d" % v for v in range(len(basis)))
+    fspace = SuperSpace(list(zip(space.names, space.parities)),
+                        params=params, killed=space.killed)
+    entries = {}
+    for v, vec in enumerate(basis):
+        tv = Scalar.param(params[v], params)
+        for u, c in enumerate(vec):
+            if c == 0:
+                continue
+            i, j, k = triples[u]
+            cur = entries.setdefault((i, j), {})
+            cur[k] = cur.get(k, Scalar.zero(params)) + tv * c
+    fam = GradedBilinearMap(fspace, entries, name='bracket')
 
-    fspace, fam = family_from(basis)
-    constraints = []
-    if basis:
-        rep = check_left_leibniz_superalgebra(fam)
-        if not rep.passed:
-            # gather the residual scalars; solve the linear ones
-            value = _memoised({'bracket': fam})
-            residual_scalars = [
-                c for cell in itertools.product(range(fspace.dim), repeat=3)
-                for c in _residual(LEFT_LEIBNIZ[1], fspace, cell,
-                                   value).values()]
-            linear_rows = []
-            for s in residual_scalars:
-                if all(sum(e) <= 1 for e in s.terms):
-                    row = {}
-                    for expo, c in s.terms.items():
-                        assert sum(expo) == 1, "nonzero constant residual"
-                        row[expo.index(1)] = c
-                    linear_rows.append(row)
-                else:
-                    constraints.append(str(s))
-            if linear_rows and not constraints:
-                refine = linalg.nullspace(linear_rows, len(basis))
-                new_basis = []
-                for r in refine:
-                    vec = [Fraction(0)] * len(triples)
-                    for v, coef in enumerate(r):
-                        for u in range(len(triples)):
-                            vec[u] += coef * basis[v][u]
-                    new_basis.append(tuple(vec))
-                basis = linalg.span_basis(new_basis, len(triples))
-                fspace, fam = family_from(basis)
+    # left Leibniz on the family, symbolically
+    value = _memoised(fspace, {'bracket': fam})
+    constraints = [
+        str(c) for cell in itertools.product(range(fspace.dim), repeat=3)
+        for c in _residual(LEFT_LEIBNIZ[1], fspace, cell, value).values()]
 
     return ClassificationResult(space, triples, basis, fspace, fam,
                                 preconditions, constraints)

@@ -299,6 +299,13 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
+def require_rational(coeffs, what):
+    """ValueError unless every Scalar in coeffs is a plain rational."""
+    if not all(c.is_rational() for c in coeffs):
+        raise ValueError("%s has parameter entries; substitute rational "
+                         "values for the parameters first" % what)
+
+
 # Rendering linear combinations -------------------------------------------
 
 def factor_str(s):

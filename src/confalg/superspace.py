@@ -400,16 +400,16 @@ def _slots(expr):
     return tuple(sorted(set().union(*map(_slots, expr[2:]))))
 
 
-def _memoised(ops):
+def _memoised(space, ops):
     """value(expr, cell): the vector of an expression over ops with the
-    slots x, y, z bound to the basis indices of cell.
+    slots x, y, z bound to the basis vectors of space at the indices of
+    cell.  An op is any function of the argument vectors.
 
     An expression that uses fewer slots than the cell has is computed once
     for the life of the returned function (one check call) per indices of
     its slots; one that uses them all is computed afresh, since storing it
     would keep dim^arity vectors per expression alive.  The vectors are
     shared: never modify one."""
-    space = next(iter(ops.values())).space
     memo = {}   # expression -> (its slot indices, slot count, {key: vector})
 
     def value(expr, cell):
@@ -457,7 +457,7 @@ def _equations(equations, ops, value=None):
     then over the basis cells of the slots each one uses.  value is the
     memoised evaluator of the check call; a fresh one by default."""
     space = next(iter(ops.values())).space
-    value = value or _memoised(ops)
+    value = value or _memoised(space, ops)
 
     def cells(equation):
         arity = 1 + max(max(_slots(term[2])) for term in equation[1])
@@ -518,7 +518,7 @@ def _bilinear_map(terms, ops, name):
     equation in x, y there."""
     space = next(iter(ops.values())).space
     out = GradedBilinearMap(space, name=name)
-    value = _memoised(ops)
+    value = _memoised(space, ops)
     for cell in itertools.product(range(space.dim), repeat=2):
         vec = _residual(terms, space, cell, value)
         if vec:

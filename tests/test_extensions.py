@@ -14,8 +14,11 @@ from confalg import (SuperSpace, GradedBilinearMap, Scalar, CocycleAnsatz,
                      solve_leibniz_central_ext_gd, solve_cocycles_direct,
                      check_cocycle_direct, extend_bracket,
                      degree_bound_experiment, build_quadratic_bracket,
-                     star_from_mode, StarMode, check_conformal_leibniz)
-from confalg.extensions import assemble_cocycle_rows
+                     star_from_mode, StarMode, check_conformal_leibniz,
+                     check_alpha_system)
+from confalg.extensions import (ANL_ALPHA_SYSTEM, ASSOC_NOVIKOV_ALPHA_SYSTEM,
+                                GD_ALPHA_SYSTEM, NOVIKOV_LIE_ALPHA_SYSTEM,
+                                assemble_cocycle_rows, _alpha_rows)
 
 import gens
 
@@ -170,6 +173,57 @@ def test_gd_route_on_the_novikov_family_member():
             == direct.embed(degrees).reduced_basis())
     for anz in sol.ansatzes():
         assert check_cocycle_direct(built, anz).passed
+
+
+def _structured_cases():
+    _, circ, bracket = gens.rab_data(0, 0)
+    gd = gens.gd_circ(2)
+    return [
+        (solve_central_ext_anl(circ, bracket), ANL_ALPHA_SYSTEM,
+         {'circ': circ, 'bracket': bracket}),
+        (solve_central_ext_assoc_novikov(circ), ASSOC_NOVIKOV_ALPHA_SYSTEM,
+         {'circ': circ}),
+        (solve_leibniz_central_ext_gd(gd), GD_ALPHA_SYSTEM,
+         {'circ': gd, 'star': star_from_mode(gd, StarMode.SYMMETRIZED),
+          'bracket': zero_map(gd.space, 'bracket')}),
+    ]
+
+
+def test_structured_basis_cocycles_pass_their_alpha_system():
+    for sol, system, ops in _structured_cases():
+        assert sol.dimension == 4
+        for anz in sol.ansatzes():
+            assert check_alpha_system(system, ops, anz).passed
+
+
+def test_structured_rows_are_pinned():
+    """The exact rows (row order, entry order within a row and every value)
+    that each structured system hands to the solver at degrees 0..3."""
+    digest = hashlib.sha256()
+    for circ in [gens.truncated_poly_circ(5), gens.example_circ(),
+                 gens.gd_circ(2), gens.diag_circ([1, 2, 0])]:
+        ops = {'circ': circ,
+               'star': star_from_mode(circ, StarMode.SYMMETRIZED),
+               'bracket': zero_map(circ.space, 'bracket')}
+        for system in (ANL_ALPHA_SYSTEM, ASSOC_NOVIKOV_ALPHA_SYSTEM,
+                       GD_ALPHA_SYSTEM, NOVIKOV_LIE_ALPHA_SYSTEM):
+            unknowns, rows = _alpha_rows(system, ops, circ.space, [0, 1, 2, 3])
+            digest.update(repr((unknowns, [list(row.items())
+                                           for row in rows])).encode())
+    assert digest.hexdigest() == \
+        "1044690ec120fcbe867de5e47956f4aaa41542211820fdad302e3e3c9b05bf17"
+
+
+def test_alpha_system_catches_a_perturbed_entry():
+    sol, system, ops = _structured_cases()[0]
+    anz = sol.ansatz(0)
+    anz.set(0, "W", "W", 1)
+    rep = check_alpha_system(system, ops, anz)
+    assert rep.checked == 96
+    assert rep.failures == [
+        {"identity": "anl-d01a", "at": ("W", "W", "W"), "residual": "2"},
+        {"identity": "anl-d01b", "at": ("W", "W", "W"), "residual": "4"},
+    ]
 
 
 @given(st.integers(0, 10 ** 6))

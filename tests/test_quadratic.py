@@ -1,6 +1,7 @@
 """Quadratic data: structure-equation systems, specialized cases,
 averaging operators, and bracket classification."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from confalg import (SuperSpace, GradedBilinearMap, LinearMap, Scalar,
                      check_gd_bialgebra, check_symmetrized_case,
                      check_star_trivial_case, check_circ_trivial_case,
                      check_averaging, build_assoc_novikov_from_averaging,
-                     classify_brackets, check_conformal_leibniz)
+                     classify_brackets, check_conformal_leibniz,
+                     check_left_leibniz_superalgebra)
 
 import gens
 
@@ -201,3 +203,100 @@ def test_violating_instances_fail_both_routes(seed):
                                            fail_fast=True).passed
     br = build_quadratic_bracket(data.circ, data.star, data.bracket)
     assert not check_conformal_leibniz(br, fail_fast=True).passed
+
+
+# ---------- pinned classifications ----------
+
+def _classification(circ):
+    cls = classify_brackets(circ)
+    return (cls.dimension, cls.family.entries_str(), cls.constraints,
+            cls.preconditions.passed)
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _seeded_circ(seed):
+    """A random circ, an associative Novikov circ (on a space with a trivial
+    odd generator added every other time) or a zero circ."""
+    rng = random.Random(seed)
+    shape = seed % 4
+    if shape == 0:
+        space = gens.rand_space(rng, rng.randint(1, 3))
+        return gens.rand_gbm(rng, space, density=rng.choice([0.2, 0.4]),
+                             name="circ")
+    if shape == 3:
+        return zero_map(gens.rand_space(rng, rng.randint(1, 3)), "circ")
+    circ = gens.rand_assoc_novikov_circ(rng)
+    if shape == 2:
+        zero = zero_map(circ.space)
+        circ = gens._with_trivial_odd_line(circ, zero, zero)[0]
+    return circ
+
+
+# corpus file (parametric ones at their CLI --at points) -> (dimension,
+# number of constraints, sha256 of _classification)
+CORPUS_CLASSIFICATIONS = {
+    "avg_x3": (27, 81,
+        "9901351eced83bc6472821028bb567e26967d4114a9ab35c6fd5ea9d4e6f292d"),
+    "circ0_sq": (8, 16,
+        "aaff757db99227eb0e88b33b8ce353268ae56f03346ed71c9942ea390d8d75ce"),
+    "cur_leib": (8, 16,
+        "274d85d129c9802652cb3894b8a3e6adf17e15427750e1e741000e29ab50ea33"),
+    "cur_lie": (4, 8,
+        "5de57e876c6ca6f71eecebd135ddb6a234f54ad42579143d6c909ac3206566cd"),
+    "fpoly": (8, 16,
+        "09cae9566531fb0e73e32928687637fcd1106dc814d39b395d95332feb91eaf2"),
+    "fpoly_nonlie": (8, 16,
+        "09cae9566531fb0e73e32928687637fcd1106dc814d39b395d95332feb91eaf2"),
+    "gd_final at a=2": (1, 0,
+        "36969c42fbf6acb1f703c61eb618902900fe49522c42e5c07c618b139fd6f0a7"),
+    "r00": (2, 0,
+        "948c79ec586fd37210c0b6547652e4aa8b4dc5c409544a1176f744af0fb8653b"),
+    "rab at a=1,b=-2": (2, 0,
+        "948c79ec586fd37210c0b6547652e4aa8b4dc5c409544a1176f744af0fb8653b"),
+    "star0_sq": (2, 1,
+        "40f260b2367c8671b2d1033b99d4382cc17d3748dc8d7e6209dcbe3bf79a04ab"),
+    "virasoro": (1, 1,
+        "db6f27c4d9066878a07002d7ba435cf366ef25058506e75321a51e20f9db2599"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_CLASSIFICATIONS))
+def test_corpus_classifications_are_pinned(name):
+    fname, _, at = name.partition(" at ")
+    af = gens.corpus(fname + ".alg")
+    if at:
+        af = af.substitute({k: int(v) for k, v in
+                            (kv.split("=") for kv in at.split(","))})
+    result = _classification(af.circ())
+    assert (result[0], len(result[2]), _digest(result)) \
+        == CORPUS_CLASSIFICATIONS[name]
+
+
+# (dimension, number of constraints, preconditions passed) for seeds 0..29
+SEEDED_CLASSIFICATIONS = [(4, 8, True), (3, 1, True), (0, 0, True),
+    (1, 1, True), (0, 0, True), (2, 0, True), (0, 0, True), (4, 8, True),
+    (0, 0, True), (2, 0, True), (4, 8, True), (0, 0, True), (0, 0, True),
+    (2, 0, True), (0, 0, True), (1, 1, True), (0, 0, True), (2, 0, True),
+    (4, 8, True), (27, 81, True), (0, 0, False), (2, 1, True), (4, 8, True),
+    (8, 16, True), (0, 0, False), (2, 0, True), (6, 5, True), (0, 0, True),
+    (1, 1, True), (0, 0, True)]
+SEEDED_DIGEST = (
+    "b275bf6e9d4a2852c60ffa2f56008111175ecb7d65f561dbc00146930ac14ead")
+
+
+def test_seeded_classifications_are_pinned():
+    results = [_classification(_seeded_circ(seed)) for seed in range(30)]
+    assert [(d, len(c), ok) for d, _, c, ok in results] \
+        == SEEDED_CLASSIFICATIONS
+    assert _digest(results) == SEEDED_DIGEST
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_constraints_are_exactly_the_leibniz_failures(seed):
+    cls = classify_brackets(_seeded_circ(seed))
+    assert (cls.constraints == []) \
+        == check_left_leibniz_superalgebra(cls.family).passed
