@@ -7,7 +7,7 @@ exact classification and central-extension cocycle solving (two independent
 routes), and the coefficient (mode) superalgebra of a bracket.
 """
 
-from .scalars import Scalar, ScalarError, falling, binom
+from .scalars import Scalar, ScalarError, as_rational, falling, binom
 from .linalg import rref, rank, nullspace, span_basis, same_span, in_span
 from .superspace import (SuperSpace, GradedBilinearMap, LinearMap,
                          AxiomReport, sign,
@@ -45,7 +45,7 @@ from .dsl import AlgebraFile, DslError, parse, parse_file
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scalar", "ScalarError", "falling", "binom",
+    "Scalar", "ScalarError", "as_rational", "falling", "binom",
     "rref", "rank", "nullspace", "span_basis", "same_span", "in_span",
     "SuperSpace", "GradedBilinearMap", "LinearMap", "AxiomReport", "sign",
     "check_skew_symmetry", "check_leibniz_superalgebra",

@@ -81,11 +81,14 @@ def _parse_at(at):
         piece = piece.strip()
         if not piece:
             continue
-        if "=" not in piece:
+        name, sep, value = piece.partition("=")
+        name = name.strip()
+        if not sep or not name:
             raise UsageError("--at expects name=value pairs, got %r" % piece)
-        name, _, value = piece.partition("=")
+        if name in assignments:
+            raise UsageError("--at gives parameter %r twice" % name)
         try:
-            assignments[name.strip()] = Fraction(value.strip())
+            assignments[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise UsageError("--at value %r is not a rational" % value)
     return assignments
@@ -345,9 +348,11 @@ def cmd_central_ext(args, out):
         out.data.update(structured=None, direct=_solution_payload(direct),
                         agree=None)
         return True
-    degrees = sorted(set(structured.degrees) | set(direct.degrees))
-    agree = (structured.embed(degrees).reduced_basis()
-             == direct.embed(degrees).reduced_basis())
+    # the direct route holds no cocycle above --degree, so compare the
+    # structured cocycles that vanish there, on the direct route's degrees
+    degrees = list(direct.degrees)
+    agree = (structured.up_to(args.degree).embed(degrees).reduced_basis()
+             == direct.reduced_basis())
     out.text(str(structured))
     out.text(str(direct))
     out.text("routes %s on the common degree range %s"

@@ -26,7 +26,7 @@ from .conformal import jth_products
 
 
 class ModeExpr(Combination):
-    """A finite linear combination of modes: terms {(k, m): Scalar}."""
+    """A finite linear combination of modes: terms {(k, m): coefficient}."""
 
     __slots__ = ()
 
@@ -50,7 +50,8 @@ class CoeffAlgebra:
     def __init__(self, bracket):
         self.bracket = bracket
         self.space = bracket.space
-        # cache the t-th products as lists of (basis index, d power, Scalar)
+        # cache the t-th products as lists of (basis index, d power,
+        # coefficient)
         self._products = {}
         for i, j in itertools.product(range(self.space.dim), repeat=2):
             table = {}
@@ -78,9 +79,7 @@ class CoeffAlgebra:
             for (k, dd, c) in entries:
                 pos = m + n - t
                 _add_term(terms, (k, pos - dd),
-                          c * Scalar.rational(factor * (-1) ** dd
-                                              * falling(pos, dd),
-                                              self.space.params))
+                          c * (factor * (-1) ** dd * falling(pos, dd)))
         out = self._brackets[key] = ModeExpr(self.space, terms)
         return out
 
@@ -142,7 +141,7 @@ def _check_mode_identity(coeff, outer, grid, fail_fast, title, identity):
             res = res + tail
         else:
             res = res - tail
-        if not res.is_zero():
+        if res:
             yield (identity, ["%s[%d]" % (space.names[b], mode)
                               for b, mode in ((i, m), (j, n), (k, p))],
                    str(res))
@@ -180,8 +179,7 @@ class PhiCocycle:
         t = m + n + 1
         if t < 0:
             return Scalar.zero(self.ansatz.space.params)
-        return self.ansatz.alpha(t, i, j) * Scalar.rational(
-            falling(m, t), self.ansatz.space.params)
+        return self.ansatz.alpha(t, i, j) * falling(m, t)
 
     def on_modes(self, u, v):
         """Bilinear extension to ModeExprs (or (index, mode) pairs)."""

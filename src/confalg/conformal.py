@@ -7,9 +7,9 @@ of terms
 
     scalar * d^dd l^dl m^dm n^dn * e_k
 
-stored as {(k, dd, dl, dm, dn): Scalar}.  A LambdaBracket stores the products
-[e_i _l e_j] as VPolys in d and l only; apply_bracket extends them to the
-whole module by the conformal sesquilinearity rules
+stored as {(k, dd, dl, dm, dn): coefficient}.  A LambdaBracket stores the
+products [e_i _l e_j] as VPolys in d and l only; apply_bracket extends them
+to the whole module by the conformal sesquilinearity rules
 
     [d a _v b] = -v [a _v b],      [a _v d b] = (d + v) [a _v b]
 
@@ -27,7 +27,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .superspace import AxiomReport, Combination, _add_term, sign
+from .superspace import (AxiomReport, Combination, _add_term, _substituted,
+                         sign)
 
 # axis position of each variable inside a term key (k, dd, dl, dm, dn)
 _AXIS = {'d': 1, 'l': 2, 'm': 3, 'n': 4}
@@ -59,7 +60,7 @@ def _linear_power(linear, t):
 
 
 class VPoly(Combination):
-    """A sparse element of Q[d, l, m, n] (x) V with Scalar coefficients."""
+    """A sparse element of Q[d, l, m, n] (x) V."""
 
     __slots__ = ()
 
@@ -78,7 +79,7 @@ class VPoly(Combination):
 
     @classmethod
     def vector(cls, space, vec):
-        """Embed a classical vector {k: Scalar} (names or indices)."""
+        """Embed a classical vector {k: coefficient} (names or indices)."""
         return cls(space, {(space.index(k), 0, 0, 0, 0): c
                            for k, c in vec.items()})
 
@@ -229,10 +230,12 @@ class LambdaBracket:
 
     def substitute_params(self, assignments):
         space = self.space.substitute_params(assignments)
-        return LambdaBracket(space, {
-            key: VPoly(space, {k: c.substitute(assignments)
-                               for k, c in vp.terms.items()})
-            for key, vp in self.entries.items()}, name=self.name)
+        table = _substituted({key: vp.terms
+                              for key, vp in self.entries.items()},
+                             assignments)
+        return LambdaBracket(space, {key: VPoly(space, terms)
+                                     for key, terms in table.items()},
+                             name=self.name)
 
 
 def apply_bracket(bracket, x, y, attach):

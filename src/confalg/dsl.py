@@ -343,7 +343,7 @@ class _ExprParser:
     def entry(self):
         """Parse and require a combination of basis vectors (no scalar
         part): a VPoly in d and l where they are allowed, else a classical
-        vector {k: Scalar} (d and l are then already rejected)."""
+        vector {k: coefficient} (d and l are then already rejected)."""
         val = self.parse()
         if any(k is None for k, _, _ in val.terms):
             self.p.error("entry must be a linear combination of basis vectors")

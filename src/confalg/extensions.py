@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .scalars import Scalar, factor_str, require_rational
+from .scalars import Scalar, as_rational, factor_str, require_rational
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, sign,
                          _memoised, _terms_at)
 from .conformal import LambdaBracket, VPoly
@@ -50,7 +50,7 @@ class PreconditionError(Exception):
 
 class CocycleAnsatz:
     """A polynomial cocycle candidate: entries[(t, p, q)] = alpha_t(e_p, e_q),
-    a Scalar.  Entries exist only on pairs of even parity sum."""
+    a coefficient.  Entries exist only on pairs of even parity sum."""
 
     def __init__(self, space, entries=None):
         self.space = space
@@ -64,7 +64,7 @@ class CocycleAnsatz:
         if (self.space.parity(p) + self.space.parity(q)) % 2:
             raise ValueError("cocycle entries vanish on odd-parity pairs")
         value = Scalar.coerce(value, self.space.params)
-        if value.is_zero():
+        if not value:
             self.entries.pop((t, p, q), None)
         else:
             self.entries[(t, p, q)] = value
@@ -149,6 +149,21 @@ class SolutionSpace:
         return SolutionSpace(self.space, degrees, unknowns, basis,
                              self.route, self.preconditions, self.warnings)
 
+    def up_to(self, top):
+        """The subspace of cocycles that vanish in every degree above top,
+        over the degrees up to top."""
+        if top >= max(self.degrees, default=-1):
+            return self
+        keep = [n for n, (t, _, _) in enumerate(self.unknowns) if t <= top]
+        rows = [{b: vec[n] for b, vec in enumerate(self.basis) if vec[n]}
+                for n, (t, _, _) in enumerate(self.unknowns) if t > top]
+        basis = [[sum(c * vec[n] for c, vec in zip(combo, self.basis))
+                  for n in keep]
+                 for combo in linalg.nullspace(rows, self.dimension)]
+        return SolutionSpace(self.space, [t for t in self.degrees if t <= top],
+                             [self.unknowns[n] for n in keep], basis,
+                             self.route, self.preconditions, self.warnings)
+
     def ansatz(self, vec):
         """Turn a basis index or a coefficient vector into a CocycleAnsatz."""
         if isinstance(vec, int):
@@ -217,7 +232,7 @@ def assemble_cocycle_rows(bracket, degrees):
     space = bracket.space
     unknowns = unknown_order(space, degrees)
     index = {u: i for i, u in enumerate(unknowns)}
-    entries = _entry_table(bracket, Scalar.rational_value)
+    entries = _entry_table(bracket, as_rational)
     rows = []
     for triple in itertools.product(range(space.dim), repeat=3):
         acc = {}
@@ -262,12 +277,12 @@ def check_cocycle_direct(bracket, ansatz, fail_fast=False):
             if (space.parity(p) + space.parity(q)) % 2 != 0:
                 continue
             val = ansatz.alpha(t, p, q)
-            if val.is_zero():
+            if not val:
                 continue
             add = value * val
             prev = acc.get((ldeg, mdeg))
             acc[(ldeg, mdeg)] = add if prev is None else prev + add
-        nonzero = {k: v for k, v in acc.items() if not v.is_zero()}
+        nonzero = {k: v for k, v in acc.items() if v}
         if nonzero:
             parts = []
             for (ldeg, mdeg) in sorted(nonzero, reverse=True):
@@ -390,11 +405,12 @@ def _alpha_rows(system, ops, space, degrees):
         row = {}
         for s, (t, v1, v2) in _terms_at(terms, space, triple, value):
             for p, c1 in v1.items():
+                r1 = as_rational(c1) * s
                 for q, c2 in v2.items():
                     u = index.get((t, p, q))
                     if u is None:
                         continue
-                    val = c1.rational_value() * c2.rational_value() * s
+                    val = r1 * as_rational(c2)
                     prev = row.get(u)
                     row[u] = val if prev is None else prev + val
         row = {u: c for u, c in row.items() if c != 0}
@@ -417,7 +433,7 @@ def check_alpha_system(system, ops, ansatz, fail_fast=False):
                     if (space.parity(p) + space.parity(q)) % 2:
                         continue
                     total = total + c1 * c2 * ansatz.alpha(t, p, q) * s
-        if not total.is_zero():
+        if total:
             yield name, [space.names[i] for i in triple], str(total)
     return AxiomReport("structured cocycle system").run(
         itertools.product(system, *[range(space.dim)] * 3), check, fail_fast)
@@ -427,7 +443,7 @@ def _circ_spans_space(circ):
     space = circ.space
     rows = []
     for vec in circ.table.values():
-        rows.append({k: c.rational_value() for k, c in vec.items()})
+        rows.append({k: as_rational(c) for k, c in vec.items()})
     return linalg.rank(rows) == space.dim
 
 
@@ -440,6 +456,8 @@ def _solve_structured(pre, system, ops, degrees, route, span_warning=True):
     """Solve a structured alpha system once its preconditions hold."""
     if not pre.passed:
         raise PreconditionError(pre)
+    require_rational((c for op in ops.values() for vec in op.table.values()
+                      for c in vec.values()), "the circ or bracket")
     circ = ops['circ']
     warnings = ([_SPAN_WARNING]
                 if span_warning and not _circ_spans_space(circ) else [])
@@ -518,7 +536,7 @@ def extend_bracket(bracket, ansatz, central_name=None):
             if (space.parity(i) + space.parity(j)) % 2:
                 continue
             val = ansatz.alpha(t, i, j)
-            if not val.is_zero():
+            if val:
                 vp = vp + VPoly.monomial(new_space, cidx, dl=t, coeff=val)
         if not vp.is_zero():
             out.set_entry(i, j, vp)

@@ -21,7 +21,7 @@ over the slots x, y, z, and the evaluator there runs every system.
 import itertools
 
 from . import linalg
-from .scalars import Scalar, require_rational
+from .scalars import Scalar, as_rational, require_rational
 from .superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, SKEW_SYMMETRY,
                          SUPERCOMMUTATIVITY, AxiomReport, B, GradedBilinearMap,
                          P, SuperSpace, X, Y, Z, check_system, _add_term,
@@ -448,7 +448,7 @@ def classify_brackets(circ):
             R_MIXED_EQS, *[range(space.dim)] * 3):
         by_coord = {}
         for (k, u), c in _residual(terms, space, triple, value).items():
-            by_coord.setdefault(k, {})[u] = c.rational_value()
+            by_coord.setdefault(k, {})[u] = as_rational(c)
         rows.extend(by_coord.values())
 
     basis = linalg.nullspace(rows, len(triples))

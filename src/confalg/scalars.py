@@ -1,18 +1,24 @@
-"""Exact scalars: multivariate polynomials over Q in a fixed tuple of parameters.
+"""Exact coefficients: rationals, and polynomials over Q in parameters.
 
-Every coefficient in the package is a Scalar.  A Scalar with no parameters is
-just a rational number; adding parameters ("a", "b", ...) gives polynomials
-with Fraction coefficients.  Parameters are formal: they are added and
-multiplied but never inverted, so zero-testing is exact (a polynomial is zero
-iff it has no terms).
+A coefficient on a space without parameters is a bare fractions.Fraction.
+On a space with parameters ("a", "b", ...) it is a Scalar: a polynomial in
+those parameters with Fraction coefficients.  The one switch is
+Scalar.coerce(x, params): on an empty parameter tuple it (like
+Scalar.rational, zero, one and a substitute that removes every parameter)
+returns a Fraction, so library code never builds a Scalar without
+parameters, and the constructor refuses an empty tuple.  Both types share
++ - * ==, bool, str and factor_str, and a Scalar takes ints and Fractions
+as operands on either side; as_rational reads a Fraction off either type.
+Parameters are formal: they are added and multiplied but never inverted,
+so zero-testing is exact (a polynomial is zero iff it has no terms).
 
 Example:
     >>> a, b = Scalar.parameters('a', 'b')
     >>> s = a * a + Scalar.rational(Fraction(3, 2), ('a', 'b')) * b
     >>> str(s)
     'a^2 + 3/2 b'
-    >>> (s - s).is_zero()
-    True
+    >>> s.substitute({'a': 1, 'b': 2})
+    Fraction(4, 1)
 """
 
 from fractions import Fraction
@@ -46,14 +52,17 @@ class Scalar:
     """A polynomial in the declared parameters with Fraction coefficients.
 
     Stored sparsely: terms maps an exponent tuple (one entry per parameter)
-    to a nonzero Fraction.  The empty exponent tuple of a parameter-free
-    Scalar is (), so a plain rational q is {(): q}.
+    to a nonzero Fraction.  Library code builds Scalars only over a
+    nonempty parameter tuple; a rational coefficient without parameters is
+    a bare Fraction (see the module docstring).
     """
 
     __slots__ = ('params', 'terms')
 
-    def __init__(self, params=(), terms=None):
+    def __init__(self, params, terms=None):
         self.params = params = _check_params(params)
+        if not params:
+            raise ScalarError("a coefficient without parameters is a Fraction")
         clean = {}
         if terms:
             for expo, coeff in terms.items():
@@ -86,7 +95,7 @@ class Scalar:
 
     @classmethod
     def zero(cls, params=()):
-        return cls._trusted(tuple(params), {})
+        return cls.rational(0, params)
 
     @classmethod
     def one(cls, params=()):
@@ -94,8 +103,11 @@ class Scalar:
 
     @classmethod
     def rational(cls, q, params=()):
+        """q over params: a Fraction when there are no parameters."""
         q = _as_fraction(q)
         params = tuple(params)
+        if not params:
+            return q
         return cls._trusted(params, {(0,) * len(params): q} if q else {})
 
     @classmethod
@@ -115,44 +127,15 @@ class Scalar:
 
     @classmethod
     def coerce(cls, x, params=()):
-        if isinstance(x, Scalar):
-            return x.lift(params) if x.params != tuple(params) else x
-        return cls.rational(x, params)
-
-    # ---------- parameter plumbing ----------
-
-    def lift(self, params):
-        """Re-express over a larger parameter tuple (the old parameters must
-        all be present in the new tuple)."""
-        params = tuple(params)
-        if params == self.params:
-            return self
-        try:
-            positions = [params.index(p) for p in self.params]
-        except ValueError:
-            raise ScalarError("cannot lift %r from parameters %r to %r"
-                              % (str(self), self.params, params))
-        terms = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * len(params)
-            for pos, e in zip(positions, expo):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return Scalar._trusted(params, terms)
-
-    def _pair(self, other):
-        """Coerce self and other to a common parameter tuple.  Constants lift
-        to anything; genuinely different parameter lists are an error."""
-        if not isinstance(other, Scalar):
-            other = Scalar.rational(other, self.params)
-        if self.params == other.params:
-            return self, other
-        if not self.params:
-            return self.lift(other.params), other
-        if not other.params:
-            return self, other.lift(self.params)
-        raise ScalarError("parameter lists differ: %r vs %r"
-                          % (self.params, other.params))
+        """x (an int, Fraction or Scalar) as a coefficient over params: a
+        Fraction when there are no parameters, else a Scalar.  A Scalar
+        over other parameters is an error."""
+        if not isinstance(x, Scalar):
+            return cls.rational(x, params)
+        if x.params != tuple(params):
+            raise ScalarError("parameter lists differ: %r vs %r"
+                              % (x.params, tuple(params)))
+        return x
 
     # ---------- ring operations ----------
 
@@ -161,8 +144,8 @@ class Scalar:
     # (first appearance), which callers that walk `terms` rely on.
 
     def __add__(self, other):
-        s, o = self._pair(other)
-        terms = dict(s.terms)
+        o = Scalar.coerce(other, self.params)
+        terms = dict(self.terms)
         for expo, coeff in o.terms.items():
             if expo in terms:
                 coeff = terms[expo] + coeff
@@ -170,7 +153,7 @@ class Scalar:
                     del terms[expo]  # o's exponents are distinct
                     continue
             terms[expo] = coeff
-        return Scalar._trusted(s.params, terms)
+        return Scalar._trusted(self.params, terms)
 
     __radd__ = __add__
 
@@ -179,24 +162,22 @@ class Scalar:
                                {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        s, o = self._pair(other)
-        return s + (-o)
+        return self + (-Scalar.coerce(other, self.params))
 
     def __rsub__(self, other):
-        s, o = self._pair(other)
-        return o + (-s)
+        return Scalar.coerce(other, self.params) + (-self)
 
     def __mul__(self, other):
-        s, o = self._pair(other)
+        o = Scalar.coerce(other, self.params)
         terms = {}
-        for e1, c1 in s.terms.items():
+        for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 expo = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 terms[expo] = terms[expo] + c if expo in terms else c
         # filter at the end: deleting a cancelled sum mid-loop would move a
         # later sum at the same exponent to the end of the order
-        return Scalar._trusted(s.params,
+        return Scalar._trusted(self.params,
                                {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
@@ -210,43 +191,26 @@ class Scalar:
             out = out * self
         return out
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         try:
-            s, o = self._pair(other)
+            return self.terms == Scalar.coerce(other, self.params).terms
         except ScalarError:
             return NotImplemented
-        return s.terms == o.terms
 
     def __hash__(self):
         return hash((self.params, frozenset(self.terms.items())))
 
-    # ---------- queries ----------
-
-    def is_rational(self):
-        zero_expo = (0,) * len(self.params)
-        return all(e == zero_expo for e in self.terms)
-
-    def rational_value(self):
-        """The Fraction value of a constant Scalar."""
-        if self.is_zero():
-            return Fraction(0)
-        zero_expo = (0,) * len(self.params)
-        if not self.is_rational():
-            raise ScalarError("%s is not a plain rational" % self)
-        return self.terms[zero_expo]
+    # ---------- substitution ----------
 
     def substitute(self, assignments):
         """Substitute rationals (or Scalars) for some parameters.
 
-        assignments maps parameter names to ints/Fractions/Scalars.  The
-        result lives over the remaining parameters (plus any parameters the
-        substituted values carry).
+        assignments maps parameter names to ints, Fractions or Scalars
+        over the remaining parameters.  The result lives over the remaining
+        parameters: a Fraction when none remain.
         """
         remaining = tuple(p for p in self.params if p not in assignments)
         out = Scalar.zero(remaining)
@@ -299,9 +263,18 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
+def as_rational(c):
+    """The Fraction value of a coefficient, or None if it has a parameter
+    term: c itself when it is a Fraction."""
+    if not isinstance(c, Scalar):
+        return c
+    zero = (0,) * len(c.params)
+    return c.terms.get(zero, Fraction(0)) if set(c.terms) <= {zero} else None
+
+
 def require_rational(coeffs, what):
-    """ValueError unless every Scalar in coeffs is a plain rational."""
-    if not all(c.is_rational() for c in coeffs):
+    """ValueError unless every coefficient in coeffs is a plain rational."""
+    if any(as_rational(c) is None for c in coeffs):
         raise ValueError("%s has parameter entries; substitute rational "
                          "values for the parameters first" % what)
 
@@ -315,11 +288,11 @@ def factor_str(s):
 
 
 def combination_str(pairs):
-    """Render a sum from (Scalar, label) pairs, e.g. '2 x - (a + 1) y'.
+    """Render a sum from (coefficient, label) pairs, e.g. '2 x - (a + 1) y'.
     Zero coefficients are skipped; an empty sum is '0'."""
     pieces = []
     for c, label in pairs:
-        if c.is_zero():
+        if not c:
             continue
         cs = factor_str(c)
         if cs == "1":

@@ -1,10 +1,11 @@
 """Finite-dimensional Z/2-graded vector spaces with exact structure constants.
 
 A SuperSpace is a list of named basis vectors, each even (parity 0) or odd
-(parity 1), over the Scalar ring (rationals, possibly with parameters).
-Vectors are sparse dicts {basis index: Scalar}.  A GradedBilinearMap stores a
-product by structure constants and enforces the grading
-parity(x * y) = parity(x) + parity(y).  Combination is the sparse
+(parity 1), over the rationals, possibly with parameters.  Vectors are
+sparse dicts {basis index: coefficient}, the coefficients Fractions on a
+space without parameters and Scalars on one with them.  A
+GradedBilinearMap stores a product by structure constants and enforces the
+grading parity(x * y) = parity(x) + parity(y).  Combination is the sparse
 linear-combination type under the conformal, mode and file-format layers.
 
 Identities are written here as equations over slots and op nodes (see
@@ -70,14 +71,14 @@ class SuperSpace:
 
     def basis_vec(self, i, coeff=1):
         c = Scalar.coerce(coeff, self.params)
-        return {self.index(i): c} if not c.is_zero() else {}
+        return {self.index(i): c} if c else {}
 
     def scale(self, s, vec):
         s = Scalar.coerce(s, self.params)
         out = {}
         for k, c in vec.items():
             prod = s * c
-            if not prod.is_zero():
+            if prod:
                 out[k] = prod
         return out
 
@@ -92,7 +93,7 @@ class SuperSpace:
         return self.add(u, self.scale(-1, v))
 
     def vec_is_zero(self, vec):
-        return all(c.is_zero() for c in vec.values())
+        return not any(vec.values())
 
     def vec_eq(self, u, v):
         return self.vec_is_zero(self.sub(u, v))
@@ -100,7 +101,7 @@ class SuperSpace:
     def vec_parity(self, vec):
         """Parity of a homogeneous vector (None for 0, ValueError if
         mixed)."""
-        parities = {self.parity(k) for k, c in vec.items() if not c.is_zero()}
+        parities = {self.parity(k) for k, c in vec.items() if c}
         if not parities:
             return None
         if len(parities) != 1:
@@ -124,7 +125,7 @@ class SuperSpace:
 
 
 class Combination:
-    """A sparse linear combination {key: Scalar} over a SuperSpace.
+    """A sparse linear combination {key: coefficient} over a SuperSpace.
 
     The constructor coerces every coefficient to the space's parameters and
     leaves out zeros and the keys _drops rejects (subclasses drop what a
@@ -139,7 +140,7 @@ class Combination:
         clean = {}
         for key, coeff in (terms or {}).items():
             coeff = Scalar.coerce(coeff, space.params)
-            if not coeff.is_zero() and not self._drops(key):
+            if coeff and not self._drops(key):
                 clean[key] = coeff
         self.terms = clean
 
@@ -164,15 +165,18 @@ class Combination:
         return self + other.scale(-1)
 
     def scale(self, s):
-        # the parameters are formal, so a product of nonzero Scalars is
-        # nonzero
+        # the parameters are formal, so a product of nonzero coefficients
+        # is nonzero
         s = Scalar.coerce(s, self.space.params)
-        if s.is_zero():
+        if not s:
             return self._trusted({})
         return self._trusted({key: s * c for key, c in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.space is other.space
@@ -190,7 +194,7 @@ class Combination:
 def _add_term(terms, key, coeff):
     """terms[key] += coeff, leaving the key out when the sum is zero."""
     total = terms[key] + coeff if key in terms else coeff
-    if total.is_zero():
+    if not total:
         terms.pop(key, None)
     else:
         terms[key] = total
@@ -205,7 +209,7 @@ def _set_graded(space, table, key, vec, want, violation):
     for k, c in vec.items():
         k = space.index(k)
         c = Scalar.coerce(c, space.params)
-        if c.is_zero():
+        if not c:
             continue
         if space.parity(k) != want:
             raise ScalarError(violation(k))
@@ -217,8 +221,10 @@ def _set_graded(space, table, key, vec, want, violation):
 
 
 def _substituted(table, assignments):
-    """A table of vectors with parameters substituted in every coefficient."""
-    return {key: {k: c.substitute(assignments) for k, c in vec.items()}
+    """A table of vectors with parameters substituted in every coefficient
+    (a Fraction has none)."""
+    return {key: {k: c.substitute(assignments) if isinstance(c, Scalar)
+                  else c for k, c in vec.items()}
             for key, vec in table.items()}
 
 

@@ -109,6 +109,17 @@ def test_central_ext_negative_degree_is_usage_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("degree", ["0", "2"])
+def test_central_ext_below_the_structured_degrees_agrees(degree, capsys):
+    # the structured route reaches degree 3; the routes are compared on the
+    # structured cocycles that vanish above --degree
+    assert main(["central-ext", "r00", "--case", "anl", "--degree",
+                 degree]) == 0
+    out = capsys.readouterr().out
+    assert ("routes AGREE on the common degree range %s"
+            % list(range(int(degree) + 1))) in out
+
+
 def test_at_accepts_fractions(capsys):
     assert main(["verify-conformal", "--at", "a=2,b=-1/3", "rab"]) == 0
     capsys.readouterr()
@@ -117,6 +128,17 @@ def test_at_accepts_fractions(capsys):
 def test_at_rejects_garbage(capsys):
     assert main(["verify-conformal", "--at", "a=oops", "rab"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("at, message", [
+    ("a=1,a=2,b=3", "parameter 'a' twice"),
+    ("a=1,=2,b=3", "name=value pairs, got '=2'"),
+])
+def test_at_rejects_a_repeated_or_empty_parameter(at, message, capsys):
+    assert main(["coeff", "rab", "--at", at]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_coeff_table(capsys):

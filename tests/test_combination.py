@@ -57,7 +57,7 @@ def brackets(draw):
 
 def assert_clean(value, drops):
     for key, c in value.terms.items():
-        assert not c.is_zero(), (key, value)
+        assert c, (key, value)
         assert not drops(key), (key, value)
 
 
