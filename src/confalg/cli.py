@@ -348,10 +348,11 @@ def cmd_central_ext(args, out):
         out.data.update(structured=None, direct=_solution_payload(direct),
                         agree=None)
         return True
-    # the direct route holds no cocycle above --degree, so compare the
-    # structured cocycles that vanish there, on the direct route's degrees
+    # the direct route holds no cocycle above --degree, so compare and show
+    # the structured cocycles that vanish there, on the direct route's degrees
+    structured = structured.up_to(args.degree)
     degrees = list(direct.degrees)
-    agree = (structured.up_to(args.degree).embed(degrees).reduced_basis()
+    agree = (structured.embed(degrees).reduced_basis()
              == direct.reduced_basis())
     out.text(str(structured))
     out.text(str(direct))

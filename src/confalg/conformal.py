@@ -23,12 +23,11 @@ normalization, which is exactly why substituting n -> -m - d into a killed
 vector's coefficient lands on the value at -m.
 """
 
-import functools
 import itertools
 from fractions import Fraction
 
-from .superspace import (AxiomReport, Combination, _add_term, _substituted,
-                         sign)
+from .superspace import (AxiomReport, Combination, X, Y, Z, check_system,
+                         _add_term, _op, _substituted, _tabulate)
 
 # axis position of each variable inside a term key (k, dd, dl, dm, dn)
 _AXIS = {'d': 1, 'l': 2, 'm': 3, 'n': 4}
@@ -289,17 +288,38 @@ def substitute(x, var, replacement):
 
 # ---------- axiom checks ----------
 
-def _check_identity(bracket, title, identity, arity, residual, fail_fast):
-    """Check that residual(bracket, *cell) vanishes on every basis cell of
-    the given arity."""
-    space = bracket.space
+# The conformal identities are equations over the ops of superspace's
+# equation language, each op [x _v y] attached at v: a variable, or a linear
+# form reached by attaching n and substituting n -> v.
+_FORMS = {'l': 'l', 'm': 'm', 'l+m': {'l': 1, 'm': 1},
+          '-m-d': {'m': -1, 'd': -1}, '-l-d': {'l': -1, 'd': -1}}
 
-    def check(cell):
-        res = residual(bracket, *cell)
-        if not res.is_zero():
-            yield identity, [space.names[i] for i in cell], str(res)
-    return AxiomReport(title).run(
-        itertools.product(range(space.dim), repeat=arity), check, fail_fast)
+BL, BM, BLM, BMD, BLD = map(_op, ('l', 'm', 'l+m', '-m-d', '-l-d'))
+
+CONFORMAL_SKEW = ('skew-symmetry',
+                  [(1, (), BL(X, Y)), (1, (('x', 'y'),), BLD(Y, X))])
+
+CONFORMAL_LEIBNIZ = ('conformal Leibniz',
+                     [(1, (), BL(X, BM(Y, Z))),
+                      (-1, (), BLM(BL(X, Y), Z)),
+                      (1, (('y', 'z'),), BMD(BL(X, Z), Y))])
+
+CONFORMAL_JACOBI = ('conformal Jacobi',
+                    [(1, (), BL(X, BM(Y, Z))),
+                     (-1, (), BLM(BL(X, Y), Z)),
+                     (-1, (('x', 'y'),), BM(Y, BL(X, Z)))])
+
+
+def _ops(bracket):
+    """The ops of _FORMS on bracket, functions that carry its space."""
+    def attached_at(form):
+        def op(x, y):
+            if isinstance(form, str):
+                return apply_bracket(bracket, x, y, form)
+            return apply_bracket(bracket, x, y, 'n').substitute('n', form)
+        op.space = bracket.space
+        return op
+    return {v: attached_at(form) for v, form in _FORMS.items()}
 
 
 def check_conformal_sesquilinearity(bracket, fail_fast=False):
@@ -329,60 +349,18 @@ def check_conformal_sesquilinearity(bracket, fail_fast=False):
         itertools.product(range(space.dim), repeat=2), check, fail_fast)
 
 
-def _flipped(bracket, i, j):
-    """[e_j _{-l-d} e_i]."""
-    space = bracket.space
-    flip = apply_bracket(bracket, VPoly.monomial(space, j),
-                         VPoly.monomial(space, i), 'n')
-    return flip.substitute('n', {'l': -1, 'd': -1})
-
-
-def _skew_residual(bracket, i, j):
-    space = bracket.space
-    lhs = apply_bracket(bracket, VPoly.monomial(space, i),
-                        VPoly.monomial(space, j), 'l')
-    return lhs + _flipped(bracket, i, j).scale(sign(space.parity(i),
-                                                    space.parity(j)))
-
-
 def check_conformal_skew(bracket, fail_fast=False):
     """[a _l b] = -(-1)^{|a||b|} [b _{-l-d} a] on basis pairs."""
-    return _check_identity(bracket, "conformal skew-symmetry",
-                           "skew-symmetry", 2, _skew_residual, fail_fast)
-
-
-def _leibniz_residual(bracket, i, j, k, left=False):
-    """Residual of the conformal Leibniz identity at a basis triple.
-
-    right (default):
-        [a _l [b _m c]] - [[a _l b] _{l+m} c]
-                        + (-1)^{|b||c|} [[a _l c] _{-m-d} b]
-    left:
-        [a _l [b _m c]] - [[a _l b] _{l+m} c]
-                        - (-1)^{|a||b|} [b _m [a _l c]]
-    """
-    space = bracket.space
-    ei = VPoly.monomial(space, i)
-    ej = VPoly.monomial(space, j)
-    ek = VPoly.monomial(space, k)
-    lhs = apply_bracket(bracket, ei, apply_bracket(bracket, ej, ek, 'm'), 'l')
-    inner = apply_bracket(bracket, ei, ej, 'l')
-    r1 = apply_bracket(bracket, inner, ek, 'n').substitute('n', {'l': 1, 'm': 1})
-    if left:
-        r2 = apply_bracket(bracket, ej, apply_bracket(bracket, ei, ek, 'l'), 'm')
-        return lhs - r1 - r2.scale(sign(space.parity(i), space.parity(j)))
-    r2 = apply_bracket(bracket, apply_bracket(bracket, ei, ek, 'l'), ej, 'n')
-    r2 = r2.substitute('n', {'m': -1, 'd': -1})
-    return lhs - r1 + r2.scale(sign(space.parity(j), space.parity(k)))
+    return check_system("conformal skew-symmetry", [CONFORMAL_SKEW],
+                        _ops(bracket), fail_fast)
 
 
 def check_conformal_leibniz(bracket, fail_fast=False):
     """The (right) conformal Leibniz identity on basis triples:
     [a _l [b _m c]] = [[a _l b] _{l+m} c] - (-1)^{|b||c|} [[a _l c] _{-m-d} b].
     """
-    return _check_identity(bracket, "conformal Leibniz identity",
-                           "conformal Leibniz", 3, _leibniz_residual,
-                           fail_fast)
+    return check_system("conformal Leibniz identity", [CONFORMAL_LEIBNIZ],
+                        _ops(bracket), fail_fast)
 
 
 def check_conformal_jacobi(bracket, fail_fast=False):
@@ -392,10 +370,8 @@ def check_conformal_jacobi(bracket, fail_fast=False):
     This is also the left conformal Leibniz identity when skew-symmetry is
     not assumed.
     """
-    return _check_identity(bracket, "conformal Jacobi identity",
-                           "conformal Jacobi", 3,
-                           functools.partial(_leibniz_residual, left=True),
-                           fail_fast)
+    return check_system("conformal Jacobi identity", [CONFORMAL_JACOBI],
+                        _ops(bracket), fail_fast)
 
 
 def to_left_conformal(bracket):
@@ -404,14 +380,9 @@ def to_left_conformal(bracket):
     Sends right Leibniz conformal structures to left ones and back; applying
     it twice gives back the original bracket.
     """
-    space = bracket.space
-    out = LambdaBracket(space, name=(bracket.name or "bracket") + "_left")
-    for i, j in itertools.product(range(space.dim), repeat=2):
-        vp = _flipped(bracket, i, j).scale(-sign(space.parity(i),
-                                                 space.parity(j)))
-        if not vp.is_zero():
-            out.set_entry(i, j, vp)
-    return out
+    return _tabulate(LambdaBracket(bracket.space, name=(
+        bracket.name or "bracket") + "_left"),
+        [(-1, (('x', 'y'),), BLD(Y, X))], _ops(bracket))
 
 
 def jth_products(bracket, i, j):

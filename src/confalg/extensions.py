@@ -60,6 +60,9 @@ class CocycleAnsatz:
                 self.set(t, p, q, val)
 
     def set(self, t, p, q, value):
+        if not isinstance(t, int) or t < 0:
+            raise ValueError("cocycle degrees are integers >= 0, got %r"
+                             % (t,))
         p, q = self.space.index(p), self.space.index(q)
         if (self.space.parity(p) + self.space.parity(q)) % 2:
             raise ValueError("cocycle entries vanish on odd-parity pairs")

@@ -25,7 +25,7 @@ from .scalars import Scalar, as_rational, require_rational
 from .superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, SKEW_SYMMETRY,
                          SUPERCOMMUTATIVITY, AxiomReport, B, GradedBilinearMap,
                          P, SuperSpace, X, Y, Z, check_system, _add_term,
-                         _bilinear_map, _equations, _memoised, _op, _residual)
+                         _equations, _memoised, _op, _residual, _tabulate)
 # unused here, but bench/test_bench.py asserts that this name is bound here
 from .superspace import check_left_leibniz_superalgebra
 from .conformal import LambdaBracket, VPoly
@@ -188,7 +188,8 @@ def star_from_mode(circ, mode):
     """Build the star product from circ for the three derived modes."""
     if mode not in STAR_FROM_CIRC:
         raise ValueError("unknown star mode %r" % (mode,))
-    return _bilinear_map(STAR_FROM_CIRC[mode], {'circ': circ}, 'star')
+    return _tabulate(GradedBilinearMap(circ.space, name='star'),
+                     STAR_FROM_CIRC[mode], {'circ': circ})
 
 
 class QuadraticData:
@@ -326,8 +327,8 @@ def check_averaging(product, avg, fail_fast=False):
 def build_assoc_novikov_from_averaging(product, avg):
     """x circ y = avg(x) y.  For an averaging operator on a supercommutative
     associative product this circ is associative Novikov."""
-    return _bilinear_map([(1, (), P(A(X), Y))],
-                         {'product': product, 'avg': avg}, 'circ')
+    return _tabulate(GradedBilinearMap(product.space, name='circ'),
+                     [(1, (), P(A(X), Y))], {'product': product, 'avg': avg})
 
 
 # ---------- classification of compatible brackets ----------

@@ -12,7 +12,8 @@ Identities are written here as equations over slots and op nodes (see
 "identities as equations" below) and checked by one memoising evaluator.
 The classical ones live here: super skew-symmetry + Jacobi (Lie), the right
 and left Leibniz identities, supercommutativity and associativity, next to
-the sign-twisted conversion between right and left Leibniz structures.
+the sign-twisted conversion between right and left Leibniz structures; the
+conformal ones live in the conformal layer.
 """
 
 import itertools
@@ -174,6 +175,9 @@ class Combination:
 
     def is_zero(self):
         return not self.terms
+
+    def items(self):
+        return self.terms.items()
 
     def __bool__(self):
         return bool(self.terms)
@@ -351,10 +355,13 @@ class AxiomReport:
 # An equation is (name, terms), each term (coefficient, sign pairs,
 # expression).  An expression is a tree of the slots X, Y, Z and op nodes
 # ('op', name, *args), where name is a key of the ops dict that applies to
-# the argument values (a GradedBilinearMap takes two, a LinearMap one).  A
-# sign pair (A, B) of slot strings contributes (-1)^{parity(A) parity(B)}
+# the argument values (a GradedBilinearMap takes two, a LinearMap one); the
+# ops carry the space they act on, a plain function as its space attribute.
+# A sign pair (A, B) of slot strings contributes (-1)^{parity(A) parity(B)}
 # for the basis vectors in the slots.  An equation is checked on every basis
-# cell of the slots it uses: pairs for x, y and triples for x, y, z.
+# cell of the slots it uses: pairs for x, y and triples for x, y, z.  The
+# values are vectors {k: coefficient} or Combinations (the conformal layer's
+# VPolys), and a residual has the type of its values.
 
 X = ('slot', 'x')
 Y = ('slot', 'y')
@@ -450,12 +457,14 @@ def _terms_at(terms, space, cell, value):
 
 
 def _residual(terms, space, cell, value):
-    """The residual vector of an equation at a basis cell."""
-    out = {}
+    """The residual of an equation at a basis cell, of the type of its
+    values: a vector {k: coefficient} (also for no terms), or a Combination
+    such as a VPoly."""
+    out = vec = {}
     for s, (vec,) in _terms_at(terms, space, cell, value):
         for k, c in vec.items():
             _add_term(out, k, c if s == 1 else c * s)
-    return out
+    return vec._trusted(out) if isinstance(vec, Combination) else out
 
 
 def _equations(equations, ops, value=None):
@@ -473,7 +482,9 @@ def _equations(equations, ops, value=None):
         (name, terms), *at = cell
         res = _residual(terms, space, at, value)
         if res:
-            yield name, [space.names[i] for i in at], space.vec_str(res)
+            yield name, [space.names[i] for i in at], (
+                str(res) if isinstance(res, Combination)
+                else space.vec_str(res))
     return itertools.chain.from_iterable(map(cells, equations)), check
 
 
@@ -519,16 +530,13 @@ def check_lie_superalgebra(bracket, fail_fast=False):
                         fail_fast)
 
 
-def _bilinear_map(terms, ops, name):
-    """The bilinear map whose entry at each basis pair is the residual of an
-    equation in x, y there."""
-    space = next(iter(ops.values())).space
-    out = GradedBilinearMap(space, name=name)
+def _tabulate(out, terms, ops):
+    """out, an empty map of pairs, with its entry at each basis pair set to
+    the residual of an equation in x, y there."""
+    space = out.space
     value = _memoised(space, ops)
     for cell in itertools.product(range(space.dim), repeat=2):
-        vec = _residual(terms, space, cell, value)
-        if vec:
-            out.set_entry(*cell, vec)
+        out.set_entry(*cell, _residual(terms, space, cell, value))
     return out
 
 
@@ -537,9 +545,9 @@ def to_left_superalgebra(bracket):
 
     Sends right Leibniz structures to left Leibniz structures and back.
     """
-    return _bilinear_map([(-1, (('x', 'y'),), B(Y, X))],
-                         {'bracket': bracket},
-                         (bracket.name or "bracket") + "_left")
+    return _tabulate(GradedBilinearMap(bracket.space, name=(
+        bracket.name or "bracket") + "_left"),
+        [(-1, (('x', 'y'),), B(Y, X))], {'bracket': bracket})
 
 
 def check_supercommutative(product, fail_fast=False):

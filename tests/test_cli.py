@@ -120,6 +120,24 @@ def test_central_ext_below_the_structured_degrees_agrees(degree, capsys):
             % list(range(int(degree) + 1))) in out
 
 
+def test_central_ext_below_the_structured_degrees_shows_what_it_compared(
+        capsys):
+    # the structured space printed is the one compared: at --degree 2 it
+    # has the direct space's dimension, not the full degree-3 one
+    command = ["central-ext", "r00", "--case", "anl", "--degree", "2"]
+    assert main(command) == 0
+    out = capsys.readouterr().out
+    assert ("structured-anl route: 2-dimensional cocycle space (ansatz "
+            "degrees [0, 1, 2])") in out
+    assert ("direct route: 2-dimensional cocycle space (ansatz degrees "
+            "[0, 1, 2])") in out
+    assert main(command + ["--format", "machine"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for route in ("structured", "direct"):
+        assert payload[route]["dimension"] == 2
+        assert payload[route]["degrees"] == [0, 1, 2]
+
+
 def test_at_accepts_fractions(capsys):
     assert main(["verify-conformal", "--at", "a=2,b=-1/3", "rab"]) == 0
     capsys.readouterr()

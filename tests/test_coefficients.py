@@ -13,7 +13,7 @@ from confalg import (CoeffAlgebra, GradedBilinearMap, Scalar, ScalarError,
                      assemble_cocycle_rows, build_quadratic_bracket,
                      check_conformal_leibniz, star_from_mode)
 from confalg.cli import main
-from confalg.conformal import _leibniz_residual
+from confalg.conformal import CONFORMAL_LEIBNIZ, _ops
 from confalg.quadratic import SYSTEMS
 from confalg.superspace import _memoised, _residual, _slots, check_system
 
@@ -126,9 +126,11 @@ def assert_representations_agree(circ, star, bracket, point):
     built = build_quadratic_bracket(circ, star, bracket)
     built_at = build_quadratic_bracket(at["circ"], at["star"], at["bracket"])
     space_at = built_at.space
+    value = _memoised(built.space, _ops(built))
     failures = []
     for cell in itertools.product(range(space_at.dim), repeat=3):
-        res = substituted(_leibniz_residual(built, *cell).terms, point)
+        res = substituted(_residual(CONFORMAL_LEIBNIZ[1], built.space, cell,
+                                    value).terms, point)
         if res:
             failures.append(("conformal Leibniz",
                              tuple(space_at.names[i] for i in cell),

@@ -1,5 +1,6 @@
 """Lambda brackets: sesquilinearity, skew, Jacobi, Leibniz, currents."""
 
+import hashlib
 import random
 
 import pytest
@@ -205,3 +206,53 @@ def test_substitute_params_on_bracket():
     assert num.space.params == ()
     assert str(num.entry("L", "W")) == "(d + 2 l + 1) L"
     assert str(num.entry("W", "W")) == "(-2) L + (d + 2 l) W"
+
+
+# ---------- pinned reports ----------
+
+def pinned_brackets():
+    """Forty-three seeded quadratic brackets: random data on spaces with an
+    odd generator (mostly failing every identity), data that passes the
+    structure equations, one space with a killed vector, and the parametric
+    two-generator families."""
+    out = []
+    for seed in range(36):
+        rng = random.Random(seed)
+        dim = 1 + seed % 4
+        space = SuperSpace([("e0", 1)] + [("e%d" % i, rng.randint(0, 1))
+                                          for i in range(1, dim)])
+        density = rng.choice([0.3, 0.5, 0.8])
+        out.append(build_quadratic_bracket(
+            *(gens.rand_gbm(rng, space, density, name)
+              for name in ("circ", "star", "bracket"))))
+    for seed in range(4):
+        data = gens.passing_quadratic_instance(random.Random(seed))
+        out.append(build_quadratic_bracket(data.circ, data.star,
+                                           data.bracket))
+    rng = random.Random(99)
+    space = SuperSpace([("L", 0), ("G", 1), ("c", 0)], killed=("c",))
+    out.append(build_quadratic_bracket(
+        *(gens.rand_gbm(rng, space, 0.6, name)
+          for name in ("circ", "star", "bracket"))))
+    out.append(gens.rab_bracket())
+    out.append(gens.gd_bracket())
+    return out
+
+
+def test_conformal_reports_are_pinned():
+    """Every report of the conformal Leibniz, Jacobi and skew checks, with
+    and without fail_fast, and every entry of the sign-twisted opposite,
+    byte for byte."""
+    brackets = pinned_brackets()
+    assert any(sp.parity(i) for sp in (br.space for br in brackets)
+               for i in range(sp.dim))
+    text = []
+    for br in brackets:
+        for check in (check_conformal_leibniz, check_conformal_jacobi,
+                      check_conformal_skew):
+            for fail_fast in (False, True):
+                text.append(str(check(br, fail_fast=fail_fast)))
+        text.extend(to_left_conformal(br).entries_str())
+    digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
+    assert digest == ("45f8a3854b3fb792f66682c3cab0a2b1"
+                      "8dc94142daf1b47692b95ce026eeb07d")

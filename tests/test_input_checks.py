@@ -32,6 +32,10 @@ CASES = [
      "circ=zero_map(SuperSpace([('e', 0)])))", ValueError),
     ("CocycleAnsatz(SuperSpace([('x', 0), ('y', 1)])).set(0, 'x', 'y', 1)",
      ValueError),
+    ("CocycleAnsatz(SuperSpace([('L', 0)])).set(-1, 'L', 'L', 5)",
+     ValueError),
+    ("CocycleAnsatz(SuperSpace([('L', 0)])).set(1.0, 'L', 'L', 5)",
+     ValueError),
     ("build_quadratic_bracket(zero_map(sp := SuperSpace([('e', 0)])), "
      "zero_map(sp), zero_map(SuperSpace([('e', 0)])))", ValueError),
     ("solve_leibniz_central_ext_gd(zero_map(sp := SuperSpace([('e', 0)])), "
