@@ -16,7 +16,7 @@ from .superspace import (SuperSpace, GradedBilinearMap, LinearMap,
                          check_lie_superalgebra, to_left_superalgebra,
                          check_supercommutative, check_associative)
 from .conformal import (VPoly, LambdaBracket, ConformalError,
-                        VariableCaptureError, apply_bracket, substitute,
+                        VariableCaptureError, apply_bracket,
                         check_conformal_sesquilinearity, check_conformal_skew,
                         check_conformal_leibniz, check_conformal_jacobi,
                         to_left_conformal, jth_products, build_current)
@@ -52,7 +52,7 @@ __all__ = [
     "check_left_leibniz_superalgebra", "check_lie_superalgebra",
     "to_left_superalgebra", "check_supercommutative", "check_associative",
     "VPoly", "LambdaBracket", "ConformalError", "VariableCaptureError",
-    "apply_bracket", "substitute",
+    "apply_bracket",
     "check_conformal_sesquilinearity", "check_conformal_skew",
     "check_conformal_leibniz", "check_conformal_jacobi",
     "to_left_conformal", "jth_products", "build_current",

@@ -31,17 +31,14 @@ from .superspace import (check_leibniz_superalgebra,
                          check_lie_superalgebra)
 from .conformal import (check_conformal_sesquilinearity, check_conformal_skew,
                         check_conformal_leibniz, check_conformal_jacobi)
-from .quadratic import (build_quadratic_bracket, zero_map, star_from_mode,
-                        StarMode, check_structure_equations_t, check_anl,
+from .quadratic import (zero_map, check_structure_equations_t, check_anl,
                         check_symmetrized_case, check_star_trivial_case,
                         check_circ_trivial_case, check_gd_bialgebra,
                         check_novikov, check_associative_novikov,
                         check_averaging, build_assoc_novikov_from_averaging,
                         classify_brackets)
-from .extensions import (PreconditionError, solve_cocycles_direct,
-                         solve_central_ext_anl,
-                         solve_central_ext_assoc_novikov,
-                         solve_leibniz_central_ext_gd)
+from .extensions import (CASES, PreconditionError, case_bracket,
+                         solve_cocycles_direct, solve_structured)
 from .coeff import CoeffAlgebra, build_phi_cocycles, check_phi_cocycle
 
 
@@ -288,41 +285,17 @@ def cmd_classify_brackets(args, out):
     return not result.constraints
 
 
-# central-extension case -> (star mode, whether the file's bracket takes
-# part, structured solver on (circ, bracket))
-_EXT_CASES = {
-    "anl": (StarMode.DOUBLE, True,
-            lambda circ, bracket, fail_fast: solve_central_ext_anl(
-                circ, bracket, fail_fast=fail_fast)),
-    "assoc-novikov": (StarMode.DOUBLE, False,
-                      lambda circ, bracket, fail_fast:
-                      solve_central_ext_assoc_novikov(
-                          circ, fail_fast=fail_fast)),
-    "gd": (StarMode.SYMMETRIZED, True,
-           lambda circ, bracket, fail_fast: solve_leibniz_central_ext_gd(
-               circ, bracket, case="gd", fail_fast=fail_fast)),
-    "novikov-lie": (StarMode.SYMMETRIZED, False,
-                    lambda circ, bracket, fail_fast:
-                    solve_leibniz_central_ext_gd(
-                        circ, case="novikov-lie", fail_fast=fail_fast)),
-}
-
-
 def _structured_route(af, case, declared, fail_fast):
     """(structured solve callable, None) for a case, or (None, the reason it
     does not apply): the bracket the case builds from the file's circ (and
     bracket) must have the entries of the declared conformal bracket.  The
     solve checks the case's preconditions under fail_fast."""
-    star_mode, with_bracket, solve = _EXT_CASES[case]
-    circ = af.circ()
-    bracket = af.classical_bracket() if with_bracket else zero_map(af.space)
-    built = build_quadratic_bracket(circ, star_from_mode(circ, star_mode),
-                                    bracket)
-    if built.entries != declared.entries:
+    circ, bracket = af.circ(), af.classical_bracket()
+    if case_bracket(case, circ, bracket).entries != declared.entries:
         return None, ("structured route: not applicable (case %r builds a "
                       "different bracket from the one %r declares)"
                       % (case, af.name))
-    return (lambda: solve(circ, bracket, fail_fast)), None
+    return (lambda: solve_structured(case, circ, bracket, fail_fast)), None
 
 
 def cmd_central_ext(args, out):
@@ -384,9 +357,11 @@ def cmd_coeff(args, out):
     bracket = af.conformal_bracket()
     coeff = CoeffAlgebra(bracket)
     grid = _parse_grid(args.grid)
+    if args.phi and args.case is None:
+        raise UsageError("--phi from-central-ext needs --case")
+    if args.case and not args.phi:
+        raise UsageError("--case needs --phi from-central-ext")
     if args.phi:
-        if args.case is None:
-            raise UsageError("--phi from-central-ext needs --case")
         solve, not_applicable = _structured_route(af, args.case, bracket,
                                                      args.fail_fast)
         if not_applicable:
@@ -517,7 +492,7 @@ def _build_parser():
                        help="solve the central-extension cocycle system by "
                             "both routes and compare")
     common(p)
-    p.add_argument("--case", choices=_EXT_CASES, required=True)
+    p.add_argument("--case", choices=CASES, required=True)
     p.add_argument("--degree", type=int, default=3,
                    help="ansatz degree for the direct route (default 3)")
     p.set_defaults(fn=cmd_central_ext)
@@ -532,7 +507,7 @@ def _build_parser():
     p.add_argument("--phi", choices=("from-central-ext",), default=None,
                    help="also check the mode cocycles of the central-"
                         "extension solutions")
-    p.add_argument("--case", choices=_EXT_CASES, default=None)
+    p.add_argument("--case", choices=CASES, default=None)
     p.set_defaults(fn=cmd_coeff)
 
     p = sub.add_parser("examples",

@@ -26,6 +26,7 @@ vector's coefficient lands on the value at -m.
 import itertools
 from fractions import Fraction
 
+from .scalars import combination_str, graded_lex, monomial_str
 from .superspace import (AxiomReport, Combination, X, Y, Z, check_system,
                          _add_term, _op, _substituted, _tabulate)
 
@@ -130,51 +131,31 @@ class VPoly(Combination):
     # ---------- printing ----------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         per_basis = {}
-        for (k, dd, dl, dm, dn), c in self.terms.items():
-            per_basis.setdefault(k, {})[(dd, dl, dm, dn)] = c
-        pieces = []
-        for k in sorted(per_basis):
-            poly = per_basis[k]
-            mono_strs = []
-            ordered = sorted(poly.items(),
-                             key=lambda it: (-sum(it[0]),
-                                             tuple(-e for e in it[0])))
-            for expo, c in ordered:
-                factors = []
-                for name, e in zip(_VARS, expo):
-                    if e == 1:
-                        factors.append(name)
-                    elif e > 1:
-                        factors.append("%s^%d" % (name, e))
-                cs = str(c)
-                composite = ("+" in cs[1:]) or ("-" in cs[1:]) or (" " in cs)
-                if not factors:
-                    body = "(%s)" % cs if composite else cs
-                elif cs == "1":
-                    body = " ".join(factors)
-                elif cs == "-1":
-                    body = "-" + " ".join(factors)
-                elif composite:
-                    body = "(%s) %s" % (cs, " ".join(factors))
-                else:
-                    body = "%s %s" % (cs, " ".join(factors))
-                mono_strs.append(body)
-            joined = mono_strs[0]
-            for ms in mono_strs[1:]:
-                joined += (" - " + ms[1:]) if ms.startswith("-") else (" + " + ms)
-            name = self.space.names[k]
-            already_wrapped = (len(mono_strs) == 1 and joined.startswith("(")
-                               and joined.endswith(")"))
-            if already_wrapped:
-                pieces.append("%s %s" % (joined, name))
-            elif len(mono_strs) > 1 or " " in joined or joined.startswith("-"):
-                pieces.append("(%s) %s" % (joined, name))
-            else:
-                pieces.append("%s %s" % (joined, name) if joined != "1" else name)
-        return " + ".join(pieces)
+        for (k, *expo), c in self.terms.items():
+            per_basis.setdefault(k, {})[tuple(expo)] = c
+        return combination_str(((poly, self.space.names[k])
+                                for k, poly in sorted(per_basis.items())),
+                               factor=_basis_coeff_str)
+
+
+def _coeff_factor(c):
+    """A coefficient before d, l, m, n powers: in parentheses when it is a
+    sum or a product, as in (a + 1) d or (2 a) d."""
+    text = str(c)
+    composite = "+" in text[1:] or "-" in text[1:] or " " in text
+    return "(%s)" % text if composite else text
+
+
+def _basis_coeff_str(poly):
+    """The coefficient of one basis vector, a polynomial {(dd, dl, dm, dn):
+    coefficient}, in parentheses unless it is one plain factor."""
+    text = combination_str(((poly[e], monomial_str(_VARS, e))
+                            for e in sorted(poly, key=graded_lex)),
+                           factor=_coeff_factor)
+    if len(poly) == 1 and text.startswith("(") and text.endswith(")"):
+        return text
+    return "(%s)" % text if " " in text or text.startswith("-") else text
 
 
 class LambdaBracket:
@@ -279,11 +260,6 @@ def apply_bracket(bracket, x, y, attach):
                         b + e for b, e in zip(base, expo)),
                         cs if f == 1 else cs * f)
     return VPoly(space, terms)
-
-
-def substitute(x, var, replacement):
-    """Module-level alias of VPoly.substitute."""
-    return x.substitute(var, replacement)
 
 
 # ---------- axiom checks ----------

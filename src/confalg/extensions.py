@@ -16,7 +16,8 @@ module solves it two independent ways:
 * the **structured route** instantiates the per-degree equation systems known
   in closed form for the quadratic cases (the associative-Novikov-Leibniz
   case, the bracket-free associative-Novikov case, the symmetrized
-  Gelfand-Dorfman case, and the bracket-free Novikov case).
+  Gelfand-Dorfman case, and the bracket-free Novikov case): one row of
+  CASES each, all solved by solve_structured.
 
 Both routes produce solution spaces over the same unknown order
 (degree index t, row basis index p, column basis index q), restricted to
@@ -29,13 +30,13 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .scalars import Scalar, as_rational, factor_str, require_rational
-from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, sign,
-                         _memoised, _terms_at)
+from .scalars import (Scalar, as_rational, factor_str, monomial_str,
+                      require_rational)
+from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, check_system,
+                         sign, _memoised, _terms_at)
 from .conformal import LambdaBracket, VPoly
-from .quadratic import (C, S, check_anl, check_associative_novikov,
-                        check_gd_bialgebra, check_novikov, star_from_mode,
-                        StarMode, zero_map)
+from .quadratic import (C, S, SYSTEMS, StarMode, build_quadratic_bracket,
+                        star_from_mode, zero_map)
 
 
 class PreconditionError(Exception):
@@ -287,17 +288,11 @@ def check_cocycle_direct(bracket, ansatz, fail_fast=False):
             acc[(ldeg, mdeg)] = add if prev is None else prev + add
         nonzero = {k: v for k, v in acc.items() if v}
         if nonzero:
-            parts = []
-            for (ldeg, mdeg) in sorted(nonzero, reverse=True):
-                mono = []
-                if ldeg:
-                    mono.append("l" if ldeg == 1 else "l^%d" % ldeg)
-                if mdeg:
-                    mono.append("m" if mdeg == 1 else "m^%d" % mdeg)
-                parts.append(" ".join(mono
-                                      + [factor_str(nonzero[(ldeg, mdeg)])]))
+            # each monomial l^i m^j before its coefficient, i descending
             yield ("cocycle equation", [space.names[i] for i in triple],
-                   " + ".join(parts))
+                   " + ".join(("%s %s" % (monomial_str('lm', e),
+                                          factor_str(nonzero[e]))).lstrip()
+                              for e in sorted(nonzero, reverse=True)))
     return AxiomReport("cocycle functional equation").run(
         itertools.product(range(space.dim), repeat=3), check, fail_fast)
 
@@ -455,66 +450,80 @@ _SPAN_WARNING = ("the circ products do not span the whole space; the "
                  "justified for this input")
 
 
-def _solve_structured(pre, system, ops, degrees, route, span_warning=True):
-    """Solve a structured alpha system once its preconditions hold."""
-    if not pre.passed:
-        raise PreconditionError(pre)
+# case -> (star mode, precondition system in quadratic.SYSTEMS, alpha
+# system, ansatz degrees, whether to warn when circ does not span the
+# space).  A case takes a classical bracket when its preconditions name one
+# (anl, gd); the other two build on the zero bracket.  Degree 2 vanishes in
+# the assoc-novikov case.
+CASES = {
+    'anl': (StarMode.DOUBLE, 'anl', ANL_ALPHA_SYSTEM, (0, 1, 2, 3), False),
+    'assoc-novikov': (StarMode.DOUBLE, 'assoc-novikov',
+                      ASSOC_NOVIKOV_ALPHA_SYSTEM, (0, 1, 3), True),
+    'gd': (StarMode.SYMMETRIZED, 'gd', GD_ALPHA_SYSTEM, (0, 1, 2, 3), True),
+    'novikov-lie': (StarMode.SYMMETRIZED, 'novikov', NOVIKOV_LIE_ALPHA_SYSTEM,
+                    (0, 1, 2, 3), True),
+}
+
+
+def _case_ops(case, circ, bracket):
+    """The circ, star and bracket of a case: its star built from circ, and
+    the given bracket if the case takes one, else (or for None) zero."""
+    if case not in CASES:
+        raise ValueError("unknown case %r" % (case,))
+    star_mode, pre = CASES[case][:2]
+    if bracket is None or 'bracket' not in SYSTEMS[pre][2]:
+        bracket = zero_map(circ.space, 'bracket')
+    return {'circ': circ, 'star': star_from_mode(circ, star_mode),
+            'bracket': bracket}
+
+
+def case_bracket(case, circ, bracket=None):
+    """The lambda-bracket a case builds from circ (and bracket, in the cases
+    that take one): the structured route of the case solves for it."""
+    ops = _case_ops(case, circ, bracket)
+    return build_quadratic_bracket(ops['circ'], ops['star'], ops['bracket'])
+
+
+def solve_structured(case, circ, bracket=None, fail_fast=False):
+    """The structured route of a case in CASES on circ (and bracket, in the
+    cases that take one).  The case's preconditions run first, fail_fast
+    stopping them at their first failure; PreconditionError if they fail,
+    ValueError if the data then has parameter entries."""
+    ops = _case_ops(case, circ, bracket)
+    _, pre, system, degrees, span_warning = CASES[case]
+    title, equations, names = SYSTEMS[pre]
+    report = check_system(title, equations, {n: ops[n] for n in names},
+                          fail_fast)
+    if not report.passed:
+        raise PreconditionError(report)
     require_rational((c for op in ops.values() for vec in op.table.values()
                       for c in vec.values()), "the circ or bracket")
-    circ = ops['circ']
     warnings = ([_SPAN_WARNING]
                 if span_warning and not _circ_spans_space(circ) else [])
     unknowns, rows = _alpha_rows(system, ops, circ.space, degrees)
     basis = linalg.nullspace(rows, len(unknowns))
-    return SolutionSpace(circ.space, degrees, unknowns, basis, route,
-                         preconditions=pre, warnings=warnings)
+    return SolutionSpace(circ.space, degrees, unknowns, basis,
+                         "structured-" + case, preconditions=report,
+                         warnings=warnings)
 
 
 def solve_central_ext_anl(circ, bracket, fail_fast=False):
-    """Structured route for the associative-Novikov-Leibniz case
-    (star = 2 circ).  Unknown degrees 0..3.  fail_fast stops the
-    precondition check at its first failure."""
-    return _solve_structured(check_anl(circ, bracket, fail_fast),
-                             ANL_ALPHA_SYSTEM,
-                             {'circ': circ, 'bracket': bracket}, [0, 1, 2, 3],
-                             "structured-anl", span_warning=False)
+    """The associative-Novikov-Leibniz case (star = 2 circ)."""
+    return solve_structured('anl', circ, bracket, fail_fast)
 
 
 def solve_central_ext_assoc_novikov(circ, fail_fast=False):
-    """Structured route for the bracket-free associative-Novikov case.
-    Unknown degrees 0, 1, 3 (degree 2 is forced to vanish in this case).
-    fail_fast stops the precondition check at its first failure."""
-    return _solve_structured(check_associative_novikov(circ, fail_fast),
-                             ASSOC_NOVIKOV_ALPHA_SYSTEM, {'circ': circ},
-                             [0, 1, 3], "structured-assoc-novikov")
+    """The bracket-free associative-Novikov case (star = 2 circ)."""
+    return solve_structured('assoc-novikov', circ, fail_fast=fail_fast)
 
 
 def solve_leibniz_central_ext_gd(circ, bracket=None, case='gd',
                                  fail_fast=False):
-    """Structured route for the symmetrized-star cases.
-
-    case='gd': Novikov circ + Lie bracket (Gelfand-Dorfman data).
-    case='novikov-lie': Novikov circ, zero bracket.
-    Unknown degrees 0..3 in both cases.  fail_fast stops the precondition
-    check at its first failure.
-    """
-    if bracket is None:
-        bracket = zero_map(circ.space, 'bracket')
-    if case == 'gd':
-        pre = check_gd_bialgebra(circ, bracket, fail_fast)
-        system = GD_ALPHA_SYSTEM
-        route = "structured-gd"
-    elif case == 'novikov-lie':
-        if not bracket.is_zero():
-            raise ValueError("the novikov-lie case has a zero bracket")
-        pre = check_novikov(circ, fail_fast)
-        system = NOVIKOV_LIE_ALPHA_SYSTEM
-        route = "structured-novikov-lie"
-    else:
-        raise ValueError("unknown case %r" % (case,))
-    ops = {'circ': circ, 'star': star_from_mode(circ, StarMode.SYMMETRIZED),
-           'bracket': bracket}
-    return _solve_structured(pre, system, ops, [0, 1, 2, 3], route)
+    """The symmetrized-star cases: 'gd' (Novikov circ + Lie bracket) and,
+    through case= kept for compatibility, 'novikov-lie' (zero bracket)."""
+    if case == 'novikov-lie' and bracket is not None and not bracket.is_zero():
+        raise ValueError("the novikov-lie case has a zero bracket")
+    return solve_structured(case, circ, bracket, fail_fast)
 
 
 # ---------- building the extended bracket ----------

@@ -12,6 +12,10 @@ as operands on either side; as_rational reads a Fraction off either type.
 Parameters are formal: they are added and multiplied but never inverted,
 so zero-testing is exact (a polynomial is zero iff it has no terms).
 
+combination_str is the one renderer of sums: a Scalar, a vector, a VPoly
+and a mode expression all print through it, with monomial_str and the
+graded_lex order for their monomials.
+
 Example:
     >>> a, b = Scalar.parameters('a', 'b')
     >>> s = a * a + Scalar.rational(Fraction(3, 2), ('a', 'b')) * b
@@ -229,35 +233,9 @@ class Scalar:
 
     # ---------- printing ----------
 
-    def sorted_terms(self):
-        """Terms in graded-lex order: higher total degree first, then
-        lexicographically larger exponent tuple first."""
-        return sorted(self.terms.items(),
-                      key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])))
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for expo, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.params, expo):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = " ".join(factors)
-            else:
-                body = str(abs(coeff)) + " " + " ".join(factors)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        return combination_str((self.terms[e], monomial_str(self.params, e))
+                               for e in sorted(self.terms, key=graded_lex))
 
     def __repr__(self):
         return "Scalar(%s)" % self
@@ -281,21 +259,37 @@ def require_rational(coeffs, what):
 
 # Rendering linear combinations -------------------------------------------
 
+def graded_lex(expo):
+    """Sort key for exponent tuples in graded-lex order: higher total degree
+    first, then the lexicographically larger tuple first."""
+    return -sum(expo), tuple(-e for e in expo)
+
+
+def monomial_str(names, expo):
+    """The monomial with these exponents, e.g. 'a^2 c'; '' for a constant."""
+    return " ".join(name if e == 1 else "%s^%d" % (name, e)
+                    for name, e in zip(names, expo) if e)
+
+
 def factor_str(s):
     """str(s), in parentheses when s is a sum of several terms."""
     text = str(s)
     return "(%s)" % text if "+" in text[1:] or "-" in text[1:] else text
 
 
-def combination_str(pairs):
-    """Render a sum from (coefficient, label) pairs, e.g. '2 x - (a + 1) y'.
-    Zero coefficients are skipped; an empty sum is '0'."""
+def combination_str(pairs, factor=factor_str):
+    """Render a sum from (coefficient, label) pairs, e.g. '2 x - (a + 1) y',
+    each coefficient rendered by factor.  An empty label is the constant
+    monomial, shown as its coefficient alone.  Zero coefficients are
+    skipped; an empty sum is '0'."""
     pieces = []
     for c, label in pairs:
         if not c:
             continue
-        cs = factor_str(c)
-        if cs == "1":
+        cs = factor(c)
+        if not label:
+            pieces.append(cs)
+        elif cs == "1":
             pieces.append(label)
         elif cs == "-1":
             pieces.append("-" + label)

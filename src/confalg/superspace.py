@@ -156,7 +156,8 @@ class Combination:
         return out
 
     def __add__(self, other):
-        assert self.space is other.space
+        if self.space is not other.space:
+            raise ValueError("cannot add combinations on different spaces")
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             _add_term(terms, key, coeff)

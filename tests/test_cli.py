@@ -281,3 +281,13 @@ def test_coeff_phi_needs_a_case_that_builds_the_declared_bracket(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: %s\n" % NOT_APPLICABLE
     assert captured.out == ""
+
+
+def test_coeff_case_needs_phi(capsys):
+    """--case only selects the cocycles of --phi; alone it would be ignored."""
+    assert main(["coeff", "r00", "--case", "gd"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --case needs --phi from-central-ext\n"
+    assert captured.out == ""
+    assert main(["coeff", "r00", "--phi", "from-central-ext"]) == 2
+    assert "--phi from-central-ext needs --case" in capsys.readouterr().err

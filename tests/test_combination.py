@@ -5,6 +5,10 @@ annihilates (d^k e with k >= 1, or a mode other than -1, on a killed e),
 whichever of +, -, scale or apply_bracket built them.
 """
 
+import hashlib
+import random
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from confalg import (SuperSpace, LambdaBracket, VPoly, Scalar, ModeExpr,
@@ -103,3 +107,55 @@ def test_apply_bracket_stays_clean(br, x, y, z):
     flipped = apply_bracket(br, y, x, 'n').substitute('n', {'l': -1, 'd': -1})
     assert_clean(flipped, vpoly_drops)
     assert (flipped - flipped).is_zero()
+
+
+# ---------- pinned renderings ----------
+
+def _rand_coeff(rng, params):
+    """A seeded coefficient over params: sums of up to four monomials of
+    degree at most 3 with small coefficients of either sign, constants
+    and lone 2 a style terms included."""
+    if not params:
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        expo = tuple(rng.choice([0, 0, 1, 1, 2, 3]) for _ in params)
+        terms[expo] = Fraction(rng.choice([-3, -2, -1, 1, 1, 2]),
+                               rng.choice([1, 1, 2]))
+    return Scalar(params, terms)
+
+
+def test_renderings_are_pinned():
+    """str of seeded Scalars, VPolys (rational and parametric coefficients,
+    a killed vector), classical vectors and ModeExprs, byte for byte."""
+    rng = random.Random(11)
+    text = []
+    for n in range(60):
+        params = ("a", "b", "c")[:1 + n % 3]
+        text.append(str(_rand_coeff(rng, params)))
+    a, b = Scalar.parameters("a", "b")
+    text += [str(x) for x in (2 * a, -a, a - 1, -2 * a * b + 1, a ** 3,
+                              Scalar.rational(-1, ("a", "b")))]
+    for params in ((), ("a",), ("a", "b")):
+        space = SuperSpace([("L", 0), ("G", 1), ("c", 0)], params=params,
+                           killed=("c",))
+        for _ in range(40):
+            terms = {(rng.randrange(3), rng.randint(0, 2), rng.randint(0, 2),
+                      rng.randint(0, 1), rng.randint(0, 1)):
+                     _rand_coeff(rng, params)
+                     for _ in range(rng.choice([1, 1, 2, 3, 5]))}
+            text.append(str(VPoly(space, terms)))
+            vec = {rng.randrange(3): _rand_coeff(rng, params)
+                   for _ in range(rng.randint(0, 3))}
+            text.append(space.vec_str(vec))
+            modes = {(rng.randrange(3), rng.randint(-2, 2)):
+                     _rand_coeff(rng, params)
+                     for _ in range(rng.randint(0, 3))}
+            text.append(str(ModeExpr(space, modes)))
+    text.append(str(VPoly(SPACE, {(0, 1, 0, 0, 0): 2 * A,
+                                  (1, 0, 0, 0, 0): A + 1,
+                                  (2, 0, 0, 0, 0): -A})))
+    assert "(2 a) d" in text[-1] and "(a + 1) y" in text[-1]
+    digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
+    assert digest == ("4034602c8de7fe57f9ef4c8b60d599d1"
+                      "a83b9c747e7688ab6889289390166353")

@@ -4,6 +4,7 @@ the built bracket, and the extended bracket itself."""
 import hashlib
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,3 +326,64 @@ def test_direct_checker_residuals_are_pinned(fname):
     assert rep.checked == 8
     assert [(f["identity"], f["at"], f["residual"]) for f in rep.failures] \
         == [("cocycle equation", at, res) for at, res in CHECKER_PINS[fname]]
+
+
+# ---------- pinned structured routes ----------
+
+CORPUS_AT = {"rab.alg": {"a": 1, "b": -2}, "gd_final.alg": {"a": 2}}
+CASE_SOLVERS = {
+    "anl": lambda circ, bracket, fail_fast: solve_central_ext_anl(
+        circ, bracket, fail_fast=fail_fast),
+    "assoc-novikov": lambda circ, bracket, fail_fast:
+        solve_central_ext_assoc_novikov(circ, fail_fast=fail_fast),
+    "gd": lambda circ, bracket, fail_fast: solve_leibniz_central_ext_gd(
+        circ, bracket, fail_fast=fail_fast),
+    "novikov-lie": lambda circ, bracket, fail_fast:
+        solve_leibniz_central_ext_gd(circ, case="novikov-lie",
+                                     fail_fast=fail_fast),
+}
+
+
+def _route_text(solve):
+    """The PreconditionError report of a structured solve, or its solution
+    as (route, degrees, unknowns, basis, warnings)."""
+    try:
+        sol = solve()
+    except PreconditionError as exc:
+        return str(exc.report)
+    return repr((sol.route, sol.degrees, sol.unknowns,
+                 [[str(x) for x in vec] for vec in sol.basis], sol.warnings))
+
+
+def test_structured_routes_are_pinned():
+    """For every corpus file and every case: whether the CLI finds the case
+    applicable, and what the structured solve gives, through the CLI's route
+    and through the public solver, with and without fail_fast."""
+    from confalg.cli import _structured_route
+    text = []
+    files = sorted(f.name for f in
+                   resources.files("confalg").joinpath("corpus").iterdir()
+                   if f.name.endswith(".alg"))
+    assert len(files) == 11
+    for fname in files:
+        af = gens.corpus(fname)
+        if fname in CORPUS_AT:
+            af = af.substitute(CORPUS_AT[fname])
+        declared = af.conformal_bracket()
+        for case in ("anl", "assoc-novikov", "gd", "novikov-lie"):
+            for fail_fast in (False, True):
+                solve, reason = _structured_route(af, case, declared,
+                                                  fail_fast)
+                text.append("%s %s %s: %s" % (fname, case, fail_fast,
+                                              reason))
+                if solve is not None:
+                    text.append(_route_text(solve))
+                text.append(_route_text(
+                    lambda: CASE_SOLVERS[case](af.circ(),
+                                               af.classical_bracket(),
+                                               fail_fast)))
+    assert sum("not applicable" in line for line in text) == 62
+    assert sum(line.startswith("('structured-") for line in text) == 102
+    digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
+    assert digest == ("1d5c3f9ada877f5d2ad551615682a134"
+                      "108c64f7f29500338b16f394695863db")

@@ -26,6 +26,8 @@ CASES = [
     ("Scalar(('a',), {(1, 2): 1})", ScalarError),
     ("Scalar(('a',), {(-1,): 1})", ScalarError),
     ("Scalar(('a',), {('1',): 1})", ScalarError),
+    ("VPoly.monomial(SuperSpace([('L', 0)]), 'L')"
+     " + VPoly.monomial(SuperSpace([('W', 0)]), 'W')", ValueError),
     ("LambdaBracket(sp := SuperSpace([('L', 0)]))"
      ".set_entry('L', 'L', VPoly.monomial(sp, 'L', dm=1))", ValueError),
     ("QuadraticData(SuperSpace([('e', 0)]), "
