@@ -151,7 +151,7 @@ def _solution_payload(sol):
         "degrees": list(sol.degrees),
         "dimension": sol.dimension,
         "unknowns": [list(u) for u in sol.unknowns],
-        "basis": [[str(Fraction(x)) for x in vec] for vec in sol.basis],
+        "basis": [[str(x) for x in vec] for vec in sol.basis],
         "warnings": list(sol.warnings),
     }
 

@@ -24,7 +24,6 @@ vector's coefficient lands on the value at -m.
 """
 
 import itertools
-from fractions import Fraction
 
 from .scalars import combination_str, graded_lex, monomial_str
 from .superspace import (AxiomReport, Combination, X, Y, Z, check_system,
@@ -44,9 +43,9 @@ class VariableCaptureError(ConformalError):
 
 
 def _linear_power(linear, t):
-    """(sum of c * var over linear's items)^t as {(dd, dl, dm, dn): Fraction},
+    """(sum of c * var over linear's items)^t as {(dd, dl, dm, dn): rational},
     linear mapping variable names to rational coefficients."""
-    out = {(0, 0, 0, 0): Fraction(1)}
+    out = {(0, 0, 0, 0): 1}
     for _ in range(t):
         step = {}
         for expo, c in out.items():

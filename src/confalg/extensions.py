@@ -26,12 +26,11 @@ reduced echelon bases are directly comparable.
 """
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .scalars import (Scalar, as_rational, factor_str, monomial_str,
-                      require_rational)
+from .scalars import (Scalar, as_rational, combination_str, graded_lex,
+                      monomial_str, require_rational)
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, check_system,
                          sign, _memoised, _terms_at)
 from .conformal import LambdaBracket, VPoly
@@ -123,8 +122,7 @@ class SolutionSpace:
         self.space = space
         self.degrees = tuple(degrees)
         self.unknowns = list(unknowns)
-        self.basis = [tuple(x if type(x) is Fraction else Fraction(x)
-                            for x in vec) for vec in basis]
+        self.basis = [tuple(vec) for vec in basis]
         self.route = route
         self.preconditions = preconditions
         self.warnings = list(warnings)
@@ -146,7 +144,7 @@ class SolutionSpace:
         pos = {u: i for i, u in enumerate(unknowns)}
         basis = []
         for vec in self.basis:
-            new = [Fraction(0)] * len(unknowns)
+            new = [0] * len(unknowns)
             for u, val in zip(self.unknowns, vec):
                 new[pos[u]] = val
             basis.append(tuple(new))
@@ -286,13 +284,10 @@ def check_cocycle_direct(bracket, ansatz, fail_fast=False):
             add = value * val
             prev = acc.get((ldeg, mdeg))
             acc[(ldeg, mdeg)] = add if prev is None else prev + add
-        nonzero = {k: v for k, v in acc.items() if v}
-        if nonzero:
-            # each monomial l^i m^j before its coefficient, i descending
+        if any(acc.values()):
             yield ("cocycle equation", [space.names[i] for i in triple],
-                   " + ".join(("%s %s" % (monomial_str('lm', e),
-                                          factor_str(nonzero[e]))).lstrip()
-                              for e in sorted(nonzero, reverse=True)))
+                   combination_str((acc[e], monomial_str('lm', e))
+                                   for e in sorted(acc, key=graded_lex)))
     return AxiomReport("cocycle functional equation").run(
         itertools.product(range(space.dim), repeat=3), check, fail_fast)
 

@@ -1,6 +1,9 @@
-"""Exact linear algebra over Q (Fraction entries), done sparsely.
+"""Exact linear algebra over Q, done sparsely.
 
-Rows are dicts mapping column index -> Fraction; a missing key is 0.  The
+Rows are dicts mapping column index -> rational, an int or a Fraction; a
+missing key is 0.  Integral entries may stay ints: the only division is
+the pivot inverse, taken as Fraction(denominator, numerator) so that
+int / int never makes a float, and a pivot of 1 or -1 needs none.  The
 row-reduced echelon form is unique, so every routine here is deterministic
 no matter what order rows arrive in.
 """
@@ -9,13 +12,7 @@ from fractions import Fraction
 
 
 def _clean(row):
-    out = {}
-    for col, val in row.items():
-        if not isinstance(val, Fraction):
-            val = Fraction(val)
-        if val != 0:
-            out[col] = val
-    return out
+    return {col: val for col, val in row.items() if val}
 
 
 def rref(rows):
@@ -52,8 +49,12 @@ def rref(rows):
         if not row:
             continue
         pivot = min(row)
-        inv = 1 / row[pivot]
-        row = {c: v * inv for c, v in row.items()}
+        lead = row[pivot]
+        if lead == -1:
+            row = {c: -v for c, v in row.items()}
+        elif lead != 1:
+            inv = Fraction(lead.denominator, lead.numerator)
+            row = {c: inv * v for c, v in row.items()}
         for col in row:
             if col != pivot:
                 users.setdefault(col, set()).add(pivot)
@@ -90,7 +91,7 @@ def nullspace(rows, ncols):
     One basis vector per free column, in increasing free-column order: the
     vector has 1 in its free column, 0 in the other free columns, and the
     negated reduced-row entries in the pivot columns.  Vectors are returned
-    as tuples of Fractions of length ncols.
+    as tuples of rationals (ints or Fractions) of length ncols.
     """
     pivots, reduced = rref(rows)
     pivot_set = set(pivots)
@@ -98,8 +99,8 @@ def nullspace(rows, ncols):
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [0] * ncols
+        vec[free] = 1
         for pcol in pivots:
             entry = reduced[pcol].get(free)
             if entry is not None:
@@ -113,7 +114,7 @@ def span_basis(vectors, ncols):
 
     Two lists of vectors span the same subspace iff this returns the same
     list for both.  Vectors come in as sequences or sparse dicts; the result
-    is a list of length-ncols Fraction tuples sorted by pivot column.
+    is a list of length-ncols rational tuples sorted by pivot column.
     """
     rows = []
     for vec in vectors:
@@ -122,8 +123,7 @@ def span_basis(vectors, ncols):
         else:
             rows.append({i: v for i, v in enumerate(vec)})
     pivots, reduced = rref(rows)
-    zero = Fraction(0)
-    return [tuple(reduced[pcol].get(i, zero) for i in range(ncols))
+    return [tuple(reduced[pcol].get(i, 0) for i in range(ncols))
             for pcol in pivots]
 
 

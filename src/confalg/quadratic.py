@@ -355,7 +355,7 @@ class ClassificationResult:
                  preconditions, constraints):
         self.space = space
         self.triples = triples          # unknown order: admissible (i, j, k)
-        self.basis = basis              # list of Fraction tuples
+        self.basis = basis              # list of rational tuples
         self.family_space = family_space
         self.family = family            # GradedBilinearMap over t-parameters
         self.preconditions = preconditions  # AxiomReport for circ alone

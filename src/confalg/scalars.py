@@ -1,14 +1,20 @@
 """Exact coefficients: rationals, and polynomials over Q in parameters.
 
-A coefficient on a space without parameters is a bare fractions.Fraction.
-On a space with parameters ("a", "b", ...) it is a Scalar: a polynomial in
-those parameters with Fraction coefficients.  The one switch is
+A coefficient on a space without parameters is a bare rational: an int
+when it is integral, else a fractions.Fraction (int arithmetic is many
+times cheaper, and most coefficients are integral).  On a space with
+parameters ("a", "b", ...) it is a Scalar: a polynomial in those
+parameters whose coefficients follow the same rule.  The one switch is
 Scalar.coerce(x, params): on an empty parameter tuple it (like
 Scalar.rational, zero, one and a substitute that removes every parameter)
-returns a Fraction, so library code never builds a Scalar without
-parameters, and the constructor refuses an empty tuple.  Both types share
-+ - * ==, bool, str and factor_str, and a Scalar takes ints and Fractions
-as operands on either side; as_rational reads a Fraction off either type.
+returns a bare rational, so library code never builds a Scalar without
+parameters, and the constructor refuses an empty tuple.  An integral
+Fraction that arithmetic produces may stay a Fraction: int and Fraction
+compare, hash and print alike.  Bare rationals and Scalars share + - * ==,
+bool, str and factor_str, and a Scalar takes ints and Fractions as
+operands on either side; as_rational reads the rational value off either.
+Nothing here divides; linalg's pivot inverse, the one division on
+coefficients, is a Fraction, so int / int never makes a float.
 Parameters are formal: they are added and multiplied but never inverted,
 so zero-testing is exact (a polynomial is zero iff it has no terms).
 
@@ -22,7 +28,7 @@ Example:
     >>> str(s)
     'a^2 + 3/2 b'
     >>> s.substitute({'a': 1, 'b': 2})
-    Fraction(4, 1)
+    4
 """
 
 from fractions import Fraction
@@ -37,11 +43,12 @@ class ScalarError(ArithmeticError):
 
 def _as_fraction(x):
     # ints and Fractions are the only bare numbers we accept; floats would
-    # silently break exactness.
+    # silently break exactness.  An integral value comes back as an int (a
+    # bool as 0 or 1), any other as a Fraction.
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise ScalarError("expected an int or Fraction, got %r" % (x,))
 
 
@@ -53,12 +60,12 @@ def _check_params(params):
 
 
 class Scalar:
-    """A polynomial in the declared parameters with Fraction coefficients.
+    """A polynomial in the declared parameters with rational coefficients.
 
     Stored sparsely: terms maps an exponent tuple (one entry per parameter)
-    to a nonzero Fraction.  Library code builds Scalars only over a
+    to a nonzero int or Fraction.  Library code builds Scalars only over a
     nonempty parameter tuple; a rational coefficient without parameters is
-    a bare Fraction (see the module docstring).
+    a bare int or Fraction (see the module docstring).
     """
 
     __slots__ = ('params', 'terms')
@@ -66,7 +73,8 @@ class Scalar:
     def __init__(self, params, terms=None):
         self.params = params = _check_params(params)
         if not params:
-            raise ScalarError("a coefficient without parameters is a Fraction")
+            raise ScalarError("a coefficient without parameters is an int "
+                              "or a Fraction")
         clean = {}
         if terms:
             for expo, coeff in terms.items():
@@ -79,7 +87,7 @@ class Scalar:
                                       "got %r" % (expo,))
                 coeff = _as_fraction(coeff)
                 if coeff != 0:
-                    clean[expo] = clean.get(expo, Fraction(0)) + coeff
+                    clean[expo] = clean.get(expo, 0) + coeff
                     if clean[expo] == 0:
                         del clean[expo]
         self.terms = clean
@@ -87,7 +95,8 @@ class Scalar:
     @classmethod
     def _trusted(cls, params, terms):
         """A Scalar on a parameter tuple and terms that are already clean
-        (exponent tuples of the right arity, nonzero Fractions), unchecked.
+        (exponent tuples of the right arity, nonzero ints or Fractions),
+        unchecked.
         Ring operations build their results here; outside input goes
         through the constructor."""
         out = object.__new__(cls)
@@ -107,7 +116,8 @@ class Scalar:
 
     @classmethod
     def rational(cls, q, params=()):
-        """q over params: a Fraction when there are no parameters."""
+        """q over params: a bare int or Fraction when there are no
+        parameters."""
         q = _as_fraction(q)
         params = tuple(params)
         if not params:
@@ -120,7 +130,7 @@ class Scalar:
         if name not in params:
             raise ScalarError("unknown parameter %r" % (name,))
         expo = tuple(1 if p == name else 0 for p in params)
-        return cls._trusted(params, {expo: Fraction(1)})
+        return cls._trusted(params, {expo: 1})
 
     @classmethod
     def parameters(cls, *names):
@@ -131,9 +141,9 @@ class Scalar:
 
     @classmethod
     def coerce(cls, x, params=()):
-        """x (an int, Fraction or Scalar) as a coefficient over params: a
-        Fraction when there are no parameters, else a Scalar.  A Scalar
-        over other parameters is an error."""
+        """x (an int, Fraction or Scalar) as a coefficient over params: an
+        int or Fraction when there are no parameters, else a Scalar.  A
+        Scalar over other parameters is an error."""
         if not isinstance(x, Scalar):
             return cls.rational(x, params)
         if x.params != tuple(params):
@@ -214,7 +224,7 @@ class Scalar:
 
         assignments maps parameter names to ints, Fractions or Scalars
         over the remaining parameters.  The result lives over the remaining
-        parameters: a Fraction when none remain.
+        parameters: an int or Fraction when none remain.
         """
         remaining = tuple(p for p in self.params if p not in assignments)
         out = Scalar.zero(remaining)
@@ -229,7 +239,7 @@ class Scalar:
                     val = Scalar.param(name, remaining)
                 term = term * val ** e
             out = out + term
-        return out
+        return Scalar.coerce(out, remaining)
 
     # ---------- printing ----------
 
@@ -242,12 +252,12 @@ class Scalar:
 
 
 def as_rational(c):
-    """The Fraction value of a coefficient, or None if it has a parameter
-    term: c itself when it is a Fraction."""
+    """The rational value (int or Fraction) of a coefficient, or None if it
+    has a parameter term: c itself when it is a bare number."""
     if not isinstance(c, Scalar):
         return c
     zero = (0,) * len(c.params)
-    return c.terms.get(zero, Fraction(0)) if set(c.terms) <= {zero} else None
+    return c.terms.get(zero, 0) if set(c.terms) <= {zero} else None
 
 
 def require_rational(coeffs, what):
@@ -317,8 +327,7 @@ def falling(m, k):
 
 
 def binom(m, k):
-    """Generalized binomial coefficient: falling(m, k) / k! (an integer for
-    integer m, including negative m); falling checks k."""
-    value = Fraction(falling(m, k), math.factorial(k))
-    assert value.denominator == 1
-    return int(value)
+    """Generalized binomial coefficient falling(m, k) / k!, an int for any
+    integer m, negative included; falling checks k.  The floor division is
+    exact: k! divides every product of k consecutive integers."""
+    return falling(m, k) // math.factorial(k)

@@ -2,8 +2,9 @@
 
 A SuperSpace is a list of named basis vectors, each even (parity 0) or odd
 (parity 1), over the rationals, possibly with parameters.  Vectors are
-sparse dicts {basis index: coefficient}, the coefficients Fractions on a
-space without parameters and Scalars on one with them.  A
+sparse dicts {basis index: coefficient}, the coefficients bare rationals
+(an int when integral, else a Fraction) on a space without parameters and
+Scalars on one with them.  A
 GradedBilinearMap stores a product by structure constants and enforces the
 grading parity(x * y) = parity(x) + parity(y).  Combination is the sparse
 linear-combination type under the conformal, mode and file-format layers.
@@ -227,7 +228,7 @@ def _set_graded(space, table, key, vec, want, violation):
 
 def _substituted(table, assignments):
     """A table of vectors with parameters substituted in every coefficient
-    (a Fraction has none)."""
+    (a bare number has none)."""
     return {key: {k: c.substitute(assignments) if isinstance(c, Scalar)
                   else c for k, c in vec.items()}
             for key, vec in table.items()}

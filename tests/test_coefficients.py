@@ -1,5 +1,6 @@
-"""One coefficient interface: bare Fractions on a space without parameters,
-Scalars only where parameters exist, and the same verdicts either way."""
+"""One coefficient interface: bare rationals on a space without parameters
+(an int when integral, else a Fraction), Scalars only where parameters
+exist, and the same verdicts either way."""
 
 import itertools
 import random
@@ -8,12 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confalg import (CoeffAlgebra, GradedBilinearMap, Scalar, ScalarError,
-                     SuperSpace, StarMode, VPoly, as_rational,
-                     assemble_cocycle_rows, build_quadratic_bracket,
-                     check_conformal_leibniz, star_from_mode)
+from confalg import (CoeffAlgebra, GradedBilinearMap, ModeExpr,
+                     PreconditionError, Scalar, ScalarError, SuperSpace,
+                     StarMode, VPoly, as_rational, assemble_cocycle_rows,
+                     build_quadratic_bracket, check_conformal_leibniz,
+                     solve_cocycles_direct, star_from_mode)
+from confalg import linalg
 from confalg.cli import main
 from confalg.conformal import CONFORMAL_LEIBNIZ, _ops
+from confalg.extensions import CASES, _alpha_rows, solve_structured
 from confalg.quadratic import SYSTEMS
 from confalg.superspace import _memoised, _residual, _slots, check_system
 
@@ -22,17 +26,35 @@ import gens
 GRID = range(-2, 3)
 
 
-def all_fractions(values):
-    return all(type(c) is Fraction for c in values)
+def all_rationals(values):
+    """Every value an int or a Fraction: never a float, a bool or a Scalar.
+    (Arithmetic may leave an integral value a Fraction.)"""
+    return all(type(c) in (int, Fraction) for c in values)
+
+
+def all_switched(values):
+    """Every value as the switch gives it: an int when integral, else a
+    Fraction with a denominator above 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in values)
 
 
 def test_the_switch_is_an_empty_parameter_tuple():
     for value in (Scalar.rational(3, ()), Scalar.zero(()), Scalar.one(()),
-                  Scalar.coerce(2, ()), Scalar.coerce(Fraction(1, 2), ())):
+                  Scalar.coerce(2, ()), Scalar.coerce(Fraction(4, 2), ()),
+                  Scalar.rational(Fraction(-3), ()), Scalar.coerce(True, ())):
+        assert type(value) is int
+    assert Scalar.coerce(True, ()) == 1
+    for value in (Scalar.coerce(Fraction(1, 2), ()),
+                  Scalar.rational(Fraction(-4, 6), ())):
         assert type(value) is Fraction
     a, b = Scalar.parameters("a", "b")
     assert type(Scalar.zero(("a",))) is Scalar
-    assert type((a * b + 1).substitute({"a": 2, "b": 3})) is Fraction
+    assert all_switched(Scalar(("a",), {(0,): Fraction(6, 3), (1,): True,
+                                        (2,): Fraction(1, 2)}).terms.values())
+    assert type((a * b + 1).substitute({"a": 2, "b": 3})) is int
+    assert type((a * b + 1).substitute({"a": Fraction(1, 2), "b": 3})) \
+        is Fraction
     assert type((a * b).substitute({"a": 2})) is Scalar
     assert as_rational(Fraction(2, 3)) == Fraction(2, 3)
     assert as_rational(a - a + 2) == 2
@@ -47,36 +69,105 @@ def test_the_switch_is_an_empty_parameter_tuple():
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
-def test_parameter_free_spaces_hold_only_fractions(seed, dim):
+def test_coefficients_are_int_or_fraction_never_float_bool_or_scalar(
+        seed, dim):
+    """Tables, vectors and bracket entries hold each coefficient as the
+    switch gives it (test_no_float_reaches_a_coefficient covers what
+    arithmetic makes from them)."""
     rng = random.Random(seed)
     space = gens.rand_space(rng, dim)
     circ, star, bracket = (gens.rand_gbm(rng, space, name=name)
                            for name in ("circ", "star", "bracket"))
     for i in range(dim):
-        assert all_fractions(space.basis_vec(i).values())
+        assert all_switched(space.basis_vec(i).values())
+        assert all_switched(space.basis_vec(i, Fraction(2)).values())
     for gbm in (circ, star, bracket):
-        for u, v in itertools.product(range(dim), repeat=2):
-            assert all_fractions(gbm.apply_vec(space.basis_vec(u),
-                                               space.basis_vec(v)).values())
+        for vec in gbm.table.values():
+            assert all_switched(vec.values())
     built = build_quadratic_bracket(circ, star, bracket)
     for vp in built.entries.values():
-        assert all_fractions(vp.terms.values())
+        assert all_switched(vp.terms.values())
+
+
+# ---------- no float anywhere ----------
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_no_float_reaches_a_coefficient(seed, dim):
+    """Parameter-free data with odd generators and non-integral constants:
+    every vector, VPoly entry, mode bracket, cocycle row, reduced row,
+    nullspace vector, cocycle basis and substituted Scalar holds ints and
+    Fractions only."""
+    rng = random.Random(seed)
+    space = gens.rand_space(rng, dim)
+    ops = {name: gens.rand_gbm(rng, space, density=0.7, name=name)
+           for name in ("circ", "star", "bracket")}
+    vectors = [space.basis_vec(i, gens.rand_fraction(rng, nonzero=True))
+               for i in range(dim)]
+    for gbm in ops.values():
+        for u, v in itertools.product(vectors, repeat=2):
+            assert all_rationals(gbm.apply_vec(u, v).values())
+    built = build_quadratic_bracket(ops["circ"], ops["star"], ops["bracket"])
+    for vp in built.entries.values():
+        assert all_rationals(vp.terms.values())
+
     coeff = CoeffAlgebra(built)
     for i, j, m, n in itertools.product(range(dim), range(dim), GRID, GRID):
-        assert all_fractions(coeff.mode_bracket_basis(i, m, j, n)
+        assert all_rationals(coeff.mode_bracket_basis(i, m, j, n)
                              .terms.values())
-    _, rows = assemble_cocycle_rows(built, [0, 1, 2])
-    assert all(all_fractions(row.values()) for row in rows)
+    modes = ModeExpr(space, {(i, m): gens.rand_fraction(rng)
+                             for i in range(dim) for m in (-1, 1)})
+    assert all_rationals(coeff.mode_bracket(modes, modes).terms.values())
+
+    degrees = [0, 1, 2]
+    unknowns, rows = assemble_cocycle_rows(built, degrees)
+    for system in (case[2] for case in CASES.values()):
+        rows += _alpha_rows(system, ops, space, degrees)[1]
+    assert all(all_rationals(row.values()) for row in rows)
+    _, reduced = linalg.rref(rows)
+    assert all(all_rationals(row.values()) for row in reduced.values())
+    assert all(all_rationals(vec)
+               for vec in linalg.nullspace(rows, len(unknowns)))
+
+    sol = solve_cocycles_direct(built, degrees)
+    for basis in (sol.basis, sol.up_to(1).basis, sol.embed([0, 1, 2, 3]).basis,
+                  sol.reduced_basis()):
+        assert all(all_rationals(vec) for vec in basis)
+    data = gens.passing_quadratic_instance(rng)
+    for case in CASES:
+        try:
+            structured = solve_structured(case, data.circ, data.bracket)
+        except PreconditionError:
+            continue
+        assert all(all_rationals(vec) for vec in structured.basis)
+
+    a, = Scalar.parameters("a")
+    for vec in ops["circ"].table.values():
+        poly = sum((c * a ** k for k, c in enumerate(vec.values())),
+                   Scalar.zero(("a",)))
+        assert all_rationals([poly.substitute({"a": gens.rand_fraction(rng)}),
+                              poly.substitute({"a": 2})])
+
+
+def test_the_pivot_inverse_is_exact():
+    """An int pivot of 2 or 3 is inverted as a Fraction, never by int / int."""
+    pivots, reduced = linalg.rref([{0: 2, 1: 3}, {1: 3, 2: 1}])
+    assert pivots == [0, 1]
+    assert reduced == {0: {0: 1, 2: Fraction(-1, 2)},
+                       1: {1: 1, 2: Fraction(1, 3)}}
+    assert all(all_rationals(row.values()) for row in reduced.values())
+    assert linalg.nullspace([{0: 2, 1: 3}, {1: 3, 2: 1}], 3) \
+        == [(Fraction(1, 2), Fraction(-1, 3), 1)]
 
 
 # ---------- the two representations agree ----------
 
 def substituted(terms, point):
     """terms with every coefficient substituted at point, zeros left out;
-    every value left is a Fraction."""
+    every value left is a bare number as the switch gives it."""
     out = {k: c.substitute(point) for k, c in terms.items()}
     out = {k: c for k, c in out.items() if c}
-    assert all_fractions(out.values())
+    assert all_switched(out.values())
     return out
 
 
@@ -143,7 +234,7 @@ def assert_representations_agree(circ, star, bracket, point):
     dims = range(space_at.dim)
     for i, j, m, n in itertools.product(dims, dims, GRID, GRID):
         direct = coeff_at.mode_bracket_basis(i, m, j, n).terms
-        assert all_fractions(direct.values())
+        assert all_rationals(direct.values())
         assert substituted(coeff.mode_bracket_basis(i, m, j, n).terms,
                            point) == direct
 

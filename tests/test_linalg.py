@@ -48,6 +48,20 @@ def test_nullspace_of_zero_system_is_everything():
     assert basis[0] == (Fraction(1), Fraction(0), Fraction(0))
 
 
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-4, 4),
+                                max_size=6), max_size=6))
+def test_int_rows_reduce_like_fraction_rows(rows):
+    """Integral entries may stay ints; the pivot inverse never makes a
+    float."""
+    pivots, reduced = rref(rows)
+    assert (pivots, reduced) == rref([{j: Fraction(v) for j, v in row.items()}
+                                      for row in rows])
+    assert all(type(v) in (int, Fraction)
+               for row in reduced.values() for v in row.values())
+    assert all(type(v) in (int, Fraction)
+               for vec in nullspace(rows, 6) for v in vec)
+
+
 @given(rows_strategy(4))
 def test_rref_is_shuffle_invariant(rows):
     shuffled = list(rows)

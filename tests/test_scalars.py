@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: polynomials over the rationals in declared
 parameters."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -81,7 +82,7 @@ def test_substitute():
     assert partial.params == ("b",)
     assert str(partial) == "3/2 b + 4"
     full = s.substitute({"a": 2, "b": -2})
-    assert type(full) is Fraction and full == 1
+    assert type(full) is int and full == 1
 
 
 def test_equality_and_hash_ignore_term_order():
@@ -143,8 +144,8 @@ def _validated_power(x, n):
 @st.composite
 def scalar_pairs(draw):
     """Two Scalars over the same 1-3 parameters; often y cancels some or all
-    of x's terms.  (Without parameters a coefficient is a Fraction:
-    tests/test_coefficients.py covers that case.)"""
+    of x's terms.  (Without parameters a coefficient is a bare int or
+    Fraction: tests/test_coefficients.py covers that case.)"""
     params = ("a", "b", "c")[:draw(st.integers(1, 3))]
     expos = st.tuples(*[st.integers(0, 2)] * len(params))
     terms = st.dictionaries(expos, st.integers(-2, 2), max_size=4)
@@ -160,7 +161,7 @@ def scalar_pairs(draw):
 def assert_same_scalar(result, expected):
     assert result.params == expected.params
     assert list(result.terms.items()) == list(expected.terms.items())
-    assert all(isinstance(c, Fraction) and c != 0
+    assert all(type(c) in (int, Fraction) and c != 0
                for c in result.terms.values())
     rebuilt = Scalar(result.params, dict(result.terms))
     assert list(rebuilt.terms.items()) == list(result.terms.items())
@@ -214,5 +215,17 @@ def test_falling_recurrence(m, k):
 
 @given(st.integers(-6, 6), st.integers(0, 6))
 def test_binom_from_falling(m, k):
-    import math
     assert binom(m, k) * math.factorial(k) == falling(m, k)
+
+
+@given(st.integers(0, 40), st.integers(0, 12))
+def test_binom_is_math_comb_on_naturals(m, k):
+    value = binom(m, k)
+    assert type(value) is int and value == math.comb(m, k)
+
+
+@given(st.integers(0, 40), st.integers(0, 12))
+def test_binom_of_a_negative_upper_index(m, k):
+    value = binom(-m, k)
+    assert type(value) is int
+    assert value == (-1) ** k * binom(m + k - 1, k)
