@@ -32,7 +32,7 @@ from . import linalg
 from .scalars import (Scalar, as_rational, combination_str, graded_lex,
                       monomial_str, require_rational)
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, check_system,
-                         sign, _memoised, _terms_at)
+                         sign, _memoised)
 from .conformal import LambdaBracket, VPoly
 from .quadratic import (C, S, SYSTEMS, StarMode, build_quadratic_bracket,
                         star_from_mode, zero_map)
@@ -391,12 +391,13 @@ def _alpha_rows(system, ops, space, degrees):
     """Linear rows of a structured alpha system over unknown_order."""
     unknowns = unknown_order(space, degrees)
     index = {u: i for i, u in enumerate(unknowns)}
-    value = _memoised(space, ops)
+    plan = _memoised(space, ops)
     rows = []
-    for (_, terms), *triple in itertools.product(system,
-                                                 *[range(space.dim)] * 3):
+    for at, *triple in itertools.product(
+            [plan(terms, 3) for _, terms in system], *[range(space.dim)] * 3):
         row = {}
-        for s, (t, v1, v2) in _terms_at(terms, space, triple, value):
+        for s, t, f1, f2 in at(triple):
+            v1, v2 = f1(triple), f2(triple)
             for p, c1 in v1.items():
                 r1 = as_rational(c1) * s
                 for q, c2 in v2.items():
@@ -415,12 +416,13 @@ def _alpha_rows(system, ops, space, degrees):
 def check_alpha_system(system, ops, ansatz, fail_fast=False):
     """Check a given ansatz against a structured system, symbolically."""
     space = next(iter(ops.values())).space
-    value = _memoised(space, ops)
+    plan = _memoised(space, ops)
 
     def check(cell):
-        (name, terms), *triple = cell
+        (name, at), *triple = cell
         total = Scalar.zero(ansatz.space.params)
-        for s, (t, v1, v2) in _terms_at(terms, space, triple, value):
+        for s, t, f1, f2 in at(triple):
+            v1, v2 = f1(triple), f2(triple)
             for p, c1 in v1.items():
                 for q, c2 in v2.items():
                     if (space.parity(p) + space.parity(q)) % 2:
@@ -429,7 +431,8 @@ def check_alpha_system(system, ops, ansatz, fail_fast=False):
         if total:
             yield name, [space.names[i] for i in triple], str(total)
     return AxiomReport("structured cocycle system").run(
-        itertools.product(system, *[range(space.dim)] * 3), check, fail_fast)
+        itertools.product([(name, plan(terms, 3)) for name, terms in system],
+                          *[range(space.dim)] * 3), check, fail_fast)
 
 
 def _circ_spans_space(circ):

@@ -315,13 +315,13 @@ def check_averaging(product, avg, fail_fast=False):
     Both product checks run (each stopping at its own first failure under
     fail_fast) before the averaging identity."""
     ops = {'product': product, 'avg': avg}
-    value = _memoised(product.space, ops)
+    plan = _memoised(product.space, ops)
     rep = AxiomReport("averaging operator axioms")
     for equation in (SUPERCOMMUTATIVITY, ASSOCIATIVITY):
-        rep.run(*_equations([equation], ops, value), fail_fast)
+        rep.run(*_equations([equation], ops, plan), fail_fast)
     if fail_fast and not rep.passed:
         return rep
-    return rep.run(*_equations([AVERAGING_EQ], ops, value), fail_fast)
+    return rep.run(*_equations([AVERAGING_EQ], ops, plan), fail_fast)
 
 
 def build_assoc_novikov_from_averaging(product, avg):
@@ -443,12 +443,13 @@ def classify_brackets(circ):
 
     # linear rows from the mixed equations, one per coordinate; every term
     # holds one bracket, so every residual key is a (k, u) pair
-    value = _memoised(space, {'circ': apply_circ, 'bracket': unknown_bracket})
+    plan = _memoised(space, {'circ': apply_circ, 'bracket': unknown_bracket})
     rows = []
-    for (_, terms), *triple in itertools.product(
-            R_MIXED_EQS, *[range(space.dim)] * 3):
+    for at, *triple in itertools.product(
+            [plan(terms, 3) for _, terms in R_MIXED_EQS],
+            *[range(space.dim)] * 3):
         by_coord = {}
-        for (k, u), c in _residual(terms, space, triple, value).items():
+        for (k, u), c in _residual(at(triple), triple).items():
             by_coord.setdefault(k, {})[u] = as_rational(c)
         rows.extend(by_coord.values())
 
@@ -470,10 +471,10 @@ def classify_brackets(circ):
     fam = GradedBilinearMap(fspace, entries, name='bracket')
 
     # left Leibniz on the family, symbolically
-    value = _memoised(fspace, {'bracket': fam})
+    at = _memoised(fspace, {'bracket': fam})(LEFT_LEIBNIZ[1], 3)
     constraints = [
         str(c) for cell in itertools.product(range(fspace.dim), repeat=3)
-        for c in _residual(LEFT_LEIBNIZ[1], fspace, cell, value).values()]
+        for c in _residual(at(cell), cell).values()]
 
     return ClassificationResult(space, triples, basis, fspace, fam,
                                 preconditions, constraints)

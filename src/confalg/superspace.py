@@ -10,13 +10,15 @@ grading parity(x * y) = parity(x) + parity(y).  Combination is the sparse
 linear-combination type under the conformal, mode and file-format layers.
 
 Identities are written here as equations over slots and op nodes (see
-"identities as equations" below) and checked by one memoising evaluator.
+"identities as equations" below) and checked by one evaluator, which per
+check compiles expressions into closures and equations into per-parity plans.
 The classical ones live here: super skew-symmetry + Jacobi (Lie), the right
 and left Leibniz identities, supercommutativity and associativity, next to
 the sign-twisted conversion between right and left Leibniz structures; the
 conformal ones live in the conformal layer.
 """
 
+import functools
 import itertools
 from operator import itemgetter
 
@@ -416,75 +418,95 @@ def _slots(expr):
 
 
 def _memoised(space, ops):
-    """value(expr, cell): the vector of an expression over ops with the
-    slots x, y, z bound to the basis vectors of space at the indices of
-    cell.  An op is any function of the argument vectors.
+    """plan(terms, arity) compiles an equation's terms (coefficient, sign
+    pairs, *rest) once for cells of arity basis indices into x, y, z: at a
+    cell, plan(terms, arity)(cell) lists (signed coefficient, *rest) for
+    the parities of its basis vectors, each expression of rest a closure
+    cell -> vector (a degree index passes through).  A map op runs as its
+    apply_vec; another op is any function of the argument vectors.
 
-    An expression that uses fewer slots than the cell has is computed once
-    for the life of the returned function (one check call) per indices of
-    its slots; one that uses them all is computed afresh, since storing it
-    would keep dim^arity vectors per expression alive.  The vectors are
-    shared: never modify one."""
-    memo = {}   # expression -> (its slot indices, slot count, {key: vector})
+    An expression that uses fewer slots than the cell is computed once per
+    indices of its slots while plan lives (one check call), in
+    plan.memo[expression], shared across arities; one that uses them all
+    is computed afresh, since storing it would keep dim^arity vectors per
+    expression alive.  The vectors are shared: never modify one."""
+    basis = [space.basis_vec(i) for i in range(space.dim)]
+    parities = space.parities
+    memo = {}   # expression -> {indices of its slots: vector}
 
-    def value(expr, cell):
-        entry = memo.get(expr)
-        if entry is None:
-            slots = _slots(expr)
-            entry = memo[expr] = (itemgetter(*slots), len(slots), {})
-        key_of, used, values = entry
-        key = key_of(cell)
-        vec = values.get(key)
-        if vec is None:
-            if expr[0] == 'slot':
-                vec = space.basis_vec(key)
-            else:
-                vec = ops[expr[1]](*[value(arg, cell) for arg in expr[2:]])
-            if used < len(cell):
-                values[key] = vec
-        return vec
-    return value
+    @functools.cache
+    def compiled(expr, arity):
+        if expr[0] == 'slot':
+            pos = 'xyz'.index(expr[1])
+            return lambda cell: basis[cell[pos]]
+        op = getattr(ops[expr[1]], 'apply_vec', ops[expr[1]])
+        args = [compiled(arg, arity) for arg in expr[2:]]
+        if len(args) == 2:
+            f, g = args
+            fresh = lambda cell: op(f(cell), g(cell))
+        else:
+            fresh = lambda cell: op(*[f(cell) for f in args])
+        slots = _slots(expr)
+        if len(slots) == arity:
+            return fresh
+        key_of, values = itemgetter(*slots), memo.setdefault(expr, {})
+
+        def stored(cell):
+            key = key_of(cell)
+            vec = values.get(key)
+            if vec is None:
+                vec = values[key] = fresh(cell)
+            return vec
+        return stored
+
+    def plan(terms, arity):
+        by_parity = {}
+
+        def at(cell):
+            key = tuple([parities[i] for i in cell])
+            if key not in by_parity:
+                by_parity[key] = [
+                    (coeff * _term_sign(pairs, dict(zip('xyz', key))), *[
+                        compiled(x, arity) if isinstance(x, tuple) else x
+                        for x in rest])
+                    for coeff, pairs, *rest in terms]
+            return by_parity[key]
+        return at
+    plan.memo = memo
+    return plan
 
 
-def _terms_at(terms, space, cell, value):
-    """Yield (signed coefficient, values) for each term (coefficient, sign
-    pairs, *rest) of an equation at a basis cell: the sign pairs are read
-    off the parities of the cell's basis vectors, and values is rest with
-    each expression replaced by value(expr, cell) (a degree index passes
-    through)."""
-    parities = {slot: space.parities[i] for slot, i in zip('xyz', cell)}
-    for coeff, pairs, *rest in terms:
-        yield (coeff * _term_sign(pairs, parities),
-               [value(x, cell) if isinstance(x, tuple) else x for x in rest])
-
-
-def _residual(terms, space, cell, value):
-    """The residual of an equation at a basis cell, of the type of its
-    values: a vector {k: coefficient} (also for no terms), or a Combination
-    such as a VPoly."""
+def _residual(terms, cell):
+    """The residual at a basis cell of an equation's compiled terms there,
+    (signed coefficient, closure) pairs; of the type of its values: a
+    vector {k: coefficient} (also for no terms), or a Combination such as a
+    VPoly."""
     out = vec = {}
-    for s, (vec,) in _terms_at(terms, space, cell, value):
+    for s, value in terms:
+        vec = value(cell)
         for k, c in vec.items():
             _add_term(out, k, c if s == 1 else c * s)
     return vec._trusted(out) if isinstance(vec, Combination) else out
 
 
-def _equations(equations, ops, value=None):
+def _equations(equations, ops, plan=None):
     """(cells, check) of equations over ops: cells run over the equations,
-    then over the basis cells of the slots each one uses.  value is the
-    memoised evaluator of the check call; a fresh one by default."""
+    then over the basis cells of the slots each one uses.  plan is the
+    compiler of the check call (see _memoised); a fresh one by default."""
     space = next(iter(ops.values())).space
-    value = value or _memoised(space, ops)
+    plan = plan or _memoised(space, ops)
 
     def cells(equation):
-        arity = 1 + max(max(_slots(term[2])) for term in equation[1])
-        return itertools.product([equation], *[range(space.dim)] * arity)
+        name, terms = equation
+        arity = 1 + max(max(_slots(term[2])) for term in terms)
+        return itertools.product([(name, plan(terms, arity))],
+                                 *[range(space.dim)] * arity)
 
     def check(cell):
-        (name, terms), *at = cell
-        res = _residual(terms, space, at, value)
+        (name, at), *indices = cell
+        res = _residual(at(indices), indices)
         if res:
-            yield name, [space.names[i] for i in at], (
+            yield name, [space.names[i] for i in indices], (
                 str(res) if isinstance(res, Combination)
                 else space.vec_str(res))
     return itertools.chain.from_iterable(map(cells, equations)), check
@@ -536,9 +558,9 @@ def _tabulate(out, terms, ops):
     """out, an empty map of pairs, with its entry at each basis pair set to
     the residual of an equation in x, y there."""
     space = out.space
-    value = _memoised(space, ops)
+    at = _memoised(space, ops)(terms, 2)
     for cell in itertools.product(range(space.dim), repeat=2):
-        out.set_entry(*cell, _residual(terms, space, cell, value))
+        out.set_entry(*cell, _residual(at(cell), cell))
     return out
 
 
@@ -590,6 +612,9 @@ class LinearMap:
     def __call__(self, vec):
         if isinstance(vec, (int, str)):
             vec = self.space.basis_vec(vec)
+        return self.apply_vec(vec)
+
+    def apply_vec(self, vec):
         out = {}
         for i, c in vec.items():
             for k, ck in self.table.get(i, {}).items():

@@ -190,12 +190,13 @@ def expected_failures(equations, ops, point):
     """The failures of a system on ops, each residual substituted at point."""
     space = next(iter(ops.values())).space
     space_at = space.substitute_params(point)
-    value = _memoised(space, ops)
+    plan = _memoised(space, ops)
     out = []
     for name, terms in equations:
         arity = 1 + max(max(_slots(term[2])) for term in terms)
+        at = plan(terms, arity)
         for cell in itertools.product(range(space.dim), repeat=arity):
-            res = substituted(_residual(terms, space, cell, value), point)
+            res = substituted(_residual(at(cell), cell), point)
             if res:
                 out.append((name, tuple(space.names[i] for i in cell),
                             space_at.vec_str(res)))
@@ -217,11 +218,10 @@ def assert_representations_agree(circ, star, bracket, point):
     built = build_quadratic_bracket(circ, star, bracket)
     built_at = build_quadratic_bracket(at["circ"], at["star"], at["bracket"])
     space_at = built_at.space
-    value = _memoised(built.space, _ops(built))
+    terms_at = _memoised(built.space, _ops(built))(CONFORMAL_LEIBNIZ[1], 3)
     failures = []
     for cell in itertools.product(range(space_at.dim), repeat=3):
-        res = substituted(_residual(CONFORMAL_LEIBNIZ[1], built.space, cell,
-                                    value).terms, point)
+        res = substituted(_residual(terms_at(cell), cell).terms, point)
         if res:
             failures.append(("conformal Leibniz",
                              tuple(space_at.names[i] for i in cell),

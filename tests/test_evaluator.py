@@ -1,0 +1,267 @@
+"""The compiled equation evaluator of `superspace` against an uncompiled
+reference, and the memo it keeps during one check."""
+
+import copy
+import itertools
+import random
+from operator import itemgetter
+
+from hypothesis import given, settings, strategies as st
+
+from confalg import (AxiomReport, GradedBilinearMap, LinearMap, Scalar,
+                     SuperSpace, build_quadratic_bracket, check_averaging)
+from confalg.conformal import (CONFORMAL_JACOBI, CONFORMAL_LEIBNIZ,
+                               CONFORMAL_SKEW, _ops)
+from confalg.extensions import CASES
+from confalg.quadratic import AVERAGING_EQ, SYSTEMS
+from confalg.superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, RIGHT_LEIBNIZ,
+                                SKEW_SYMMETRY, SUPERCOMMUTATIVITY, B,
+                                Combination, X, Y, Z, _add_term, _equations,
+                                _memoised, _residual, check_system)
+
+import gens
+
+
+# ---------- the reference: one dispatch per node and per cell ----------
+
+def ref_term_sign(sign_pairs, parities):
+    expo = 0
+    for left, right in sign_pairs:
+        pl = sum(parities[ch] for ch in left)
+        pr = sum(parities[ch] for ch in right)
+        expo += pl * pr
+    return -1 if expo % 2 else 1
+
+
+def ref_slots(expr):
+    if expr[0] == 'slot':
+        return ('xyz'.index(expr[1]),)
+    return tuple(sorted(set().union(*map(ref_slots, expr[2:]))))
+
+
+def ref_memoised(space, ops):
+    """value(expr, cell), looking the expression up in the memo, then
+    dispatching on its node type, at every node of every cell."""
+    memo = {}
+
+    def value(expr, cell):
+        entry = memo.get(expr)
+        if entry is None:
+            slots = ref_slots(expr)
+            entry = memo[expr] = (itemgetter(*slots), len(slots), {})
+        key_of, used, values = entry
+        key = key_of(cell)
+        vec = values.get(key)
+        if vec is None:
+            if expr[0] == 'slot':
+                vec = space.basis_vec(key)
+            else:
+                vec = ops[expr[1]](*[value(arg, cell) for arg in expr[2:]])
+            if used < len(cell):
+                values[key] = vec
+        return vec
+    return value
+
+
+def ref_terms_at(terms, space, cell, value):
+    parities = {slot: space.parities[i] for slot, i in zip('xyz', cell)}
+    for coeff, pairs, *rest in terms:
+        yield (coeff * ref_term_sign(pairs, parities),
+               [value(x, cell) if isinstance(x, tuple) else x for x in rest])
+
+
+def ref_residual(terms, space, cell, value):
+    out = vec = {}
+    for s, (vec,) in ref_terms_at(terms, space, cell, value):
+        for k, c in vec.items():
+            _add_term(out, k, c if s == 1 else c * s)
+    return vec._trusted(out) if isinstance(vec, Combination) else out
+
+
+# ---------- random data: odd generators, entries c + c' a ----------
+
+def odd_parametric_space(rng, dim):
+    base = gens.rand_space(rng, dim)
+    parities = list(base.parities)
+    if 1 not in parities:
+        parities[rng.randrange(dim)] = 1
+    return SuperSpace(list(zip(base.names, parities)), params=("a",))
+
+
+def parametric_map(rng, space, name):
+    a = Scalar.param("a", space.params)
+    gbm = gens.rand_gbm(rng, space, density=rng.choice([0.2, 0.5]),
+                        name=name)
+    out = GradedBilinearMap(space, name=name)
+    for (i, j), vec in gbm.table.items():
+        out.set_entry(i, j, {k: c + a * gens.rand_fraction(rng)
+                             for k, c in vec.items()})
+    return out
+
+
+def parametric_even_map(rng, space):
+    a = Scalar.param("a", space.params)
+    avg = LinearMap(space, name="avg")
+    for i in range(space.dim):
+        avg.set_entry(i, {k: gens.rand_fraction(rng)
+                          + a * gens.rand_fraction(rng)
+                          for k in range(space.dim)
+                          if space.parity(k) == space.parity(i)
+                          and rng.random() < 0.5})
+    return avg
+
+
+def arity(terms):
+    return 1 + max(max(ref_slots(term[2])) for term in terms)
+
+
+def assert_same_residuals(equations, ops):
+    """The compiled residual equals the reference residual at every cell,
+    as a value and as rendered text."""
+    space = next(iter(ops.values())).space
+    plan, value = _memoised(space, ops), ref_memoised(space, ops)
+    for _, terms in equations:
+        n = arity(terms)
+        terms_at = plan(terms, n)
+        for cell in itertools.product(range(space.dim), repeat=n):
+            got = _residual(terms_at(cell), cell)
+            want = ref_residual(terms, space, cell, value)
+            assert type(got) is type(want)
+            if isinstance(want, Combination):
+                assert got.terms == want.terms and str(got) == str(want)
+            else:
+                assert got == want
+                assert space.vec_str(got) == space.vec_str(want)
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_compiled_residuals_match_the_reference(dim, seed):
+    rng = random.Random(seed)
+    space = odd_parametric_space(rng, dim)
+    maps = {name: parametric_map(rng, space, name)
+            for name in ("circ", "star", "bracket")}
+    for _, equations, names in SYSTEMS.values():
+        assert_same_residuals(equations, {n: maps[n] for n in names})
+    assert_same_residuals(
+        [SKEW_SYMMETRY, LEFT_LEIBNIZ, RIGHT_LEIBNIZ],
+        {"bracket": maps["bracket"]})
+    assert_same_residuals([SUPERCOMMUTATIVITY, ASSOCIATIVITY],
+                          {"product": maps["circ"]})
+    assert_same_residuals(
+        [AVERAGING_EQ],
+        {"product": maps["circ"], "avg": parametric_even_map(rng, space)})
+    if dim <= 2:
+        built = build_quadratic_bracket(maps["circ"], maps["star"],
+                                        maps["bracket"])
+        assert_same_residuals(
+            [CONFORMAL_LEIBNIZ, CONFORMAL_JACOBI, CONFORMAL_SKEW],
+            _ops(built))
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=15, deadline=None)
+def test_compiled_alpha_terms_match_the_reference(dim, seed):
+    """The structured cocycle systems keep their degree index in place and
+    evaluate both expressions as the reference does."""
+    rng = random.Random(seed)
+    space = gens.rand_space(rng, dim)
+    ops = {name: gens.rand_gbm(rng, space, name=name)
+           for name in ("circ", "star", "bracket")}
+    plan, value = _memoised(space, ops), ref_memoised(space, ops)
+    for case in CASES.values():
+        for _, terms in case[2]:
+            terms_at = plan(terms, 3)
+            for cell in itertools.product(range(space.dim), repeat=3):
+                got = [(s, t, f1(cell), f2(cell))
+                       for s, t, f1, f2 in terms_at(cell)]
+                want = [(s, *values) for s, values
+                        in ref_terms_at(terms, space, cell, value)]
+                assert got == want
+
+
+# ---------- the memo of one check ----------
+
+def run_check(equations, ops, plan):
+    return AxiomReport("check").run(*_equations(equations, ops, plan))
+
+
+def report_summary(rep):
+    return (rep.passed, rep.checked,
+            [(f["identity"], f["at"], f["residual"]) for f in rep.failures])
+
+
+@given(st.integers(1, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_memo_keeps_only_nodes_with_fewer_slots(dim, seed):
+    rng = random.Random(seed)
+    space = gens.rand_space(rng, dim)
+    maps = {name: gens.rand_gbm(rng, space, name=name)
+            for name in ("circ", "star", "bracket")}
+    for _, equations, names in SYSTEMS.values():
+        for n in (2, 3):
+            same_arity = [eq for eq in equations if arity(eq[1]) == n]
+            if not same_arity:
+                continue
+            ops = {m: maps[m] for m in names}
+            plan = _memoised(space, ops)
+            run_check(same_arity, ops, plan)
+            for expr, values in plan.memo.items():
+                used = len(ref_slots(expr))
+                assert used < n or not values
+                assert len(values) <= space.dim ** (n - 1)
+            if n == 3:
+                assert any(plan.memo.values())
+
+
+@given(st.integers(1, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_checks_modify_no_table_and_no_memoised_vector(dim, seed):
+    rng = random.Random(seed)
+    space = odd_parametric_space(rng, dim)
+    maps = {name: parametric_map(rng, space, name)
+            for name in ("circ", "star", "bracket")}
+    tables = copy.deepcopy({name: gbm.table for name, gbm in maps.items()})
+    equations = SYSTEMS['t'][1]
+    plan = _memoised(space, maps)
+    first = report_summary(run_check(equations, maps, plan))
+    memo = copy.deepcopy(plan.memo)
+    # a second run reads every memoised vector again and stores no new one
+    assert report_summary(run_check(equations, maps, plan)) == first
+    assert plan.memo == memo
+    assert {name: gbm.table for name, gbm in maps.items()} == tables
+    assert first == report_summary(check_system("check", equations, maps))
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_averaging_check_matches_three_fresh_checks(dim, seed):
+    """check_averaging runs arities 2, 3 and 2 on one memo."""
+    rng = random.Random(seed)
+    space = odd_parametric_space(rng, dim)
+    product = parametric_map(rng, space, "product")
+    avg = parametric_even_map(rng, space)
+    ops = {"product": product, "avg": avg}
+    fresh = [check_system("averaging operator axioms", [equation], ops)
+             for equation in (SUPERCOMMUTATIVITY, ASSOCIATIVITY,
+                              AVERAGING_EQ)]
+    rep = check_averaging(product, avg)
+    assert rep.checked == sum(r.checked for r in fresh)
+    assert report_summary(rep)[2] == [f for r in fresh
+                                      for f in report_summary(r)[2]]
+
+
+def test_plans_are_keyed_by_the_equation_not_its_name():
+    space = SuperSpace([("e0", 0), ("e1", 0)])
+    br = GradedBilinearMap(space, {(0, 0): {1: 1}, (0, 1): {0: 1}},
+                           name="bracket")
+    twins = [("twin", [(1, (), B(X, Y))]), ("twin", [(1, (), B(Y, X))]),
+             ("twin", [(1, (), B(X, B(Y, Z)))])]
+    rep = check_system("twins", twins, {"bracket": br})
+    assert rep.checked == 4 + 4 + 8
+    assert [(f["identity"], f["at"], f["residual"])
+            for f in rep.failures] == [
+        ("twin", ("e0", "e0"), "e1"), ("twin", ("e0", "e1"), "e0"),
+        ("twin", ("e0", "e0"), "e1"), ("twin", ("e1", "e0"), "e0"),
+        ("twin", ("e0", "e0", "e0"), "e0"),
+        ("twin", ("e0", "e0", "e1"), "e1")]
