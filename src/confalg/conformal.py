@@ -253,12 +253,18 @@ def apply_bracket(bracket, x, y, attach):
                 base = list(shift)
                 base[0] += dd
                 base[att] += dl
+                bd, bl, bm, bn = base
                 cs = c * s
-                for expo, f in powers[ddy].items():
-                    _add_term(terms, (k,) + tuple(
-                        b + e for b, e in zip(base, expo)),
-                        cs if f == 1 else cs * f)
-    return VPoly(space, terms)
+                for (ed, el, em, en), f in powers[ddy].items():
+                    _add_term(terms, (k, bd + ed, bl + el, bm + em, bn + en),
+                              cs if f == 1 else cs * f)
+    if x.space is not space or y.space is not space:
+        return VPoly(space, terms)
+    # the coefficients are products of clean ones on space: only what a
+    # killed vector annihilates has to go
+    if space.killed:
+        terms = {key: c for key, c in terms.items() if not x._drops(key)}
+    return x._trusted(terms)
 
 
 # ---------- axiom checks ----------

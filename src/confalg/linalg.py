@@ -1,18 +1,17 @@
 """Exact linear algebra over Q, done sparsely.
 
-Rows are dicts mapping column index -> rational, an int or a Fraction; a
-missing key is 0.  Integral entries may stay ints: the only division is
-the pivot inverse, taken as Fraction(denominator, numerator) so that
-int / int never makes a float, and a pivot of 1 or -1 needs none.  The
-row-reduced echelon form is unique, so every routine here is deterministic
-no matter what order rows arrive in.
+Rows are dicts mapping column index -> rational, an int, a Fraction or a
+bool; a missing key is 0.  rref eliminates fraction-free: it scales each
+incoming row to integers once, keeps every stored row a primitive integer
+row (int entries with gcd 1) with a positive lead, and divides each row by
+its lead only when it returns, so integral results are ints, the rest are
+Fractions, and no float is ever made.  The row-reduced echelon form is
+unique, so every routine here is deterministic no matter what order rows
+arrive in.
 """
 
 from fractions import Fraction
-
-
-def _clean(row):
-    return {col: val for col, val in row.items() if val}
+from math import gcd, lcm
 
 
 def rref(rows):
@@ -22,19 +21,36 @@ def rref(rows):
     pivot columns and reduced maps each pivot column to its (fully reduced,
     leading-1) row.
 
-    Incremental Gauss-Jordan.  Invariant: every stored row is zero in every
-    pivot column but its own.  So an incoming row is cleared of exactly the
-    pivot columns it holds on arrival, in any order, and a new pivot is
-    back-substituted only into the stored rows that hold its column, which
-    `users` (non-pivot column -> pivot columns whose rows hold it) lists.
+    Incremental, fraction-free Gauss-Jordan.  Invariant: every stored row
+    is a primitive integer row with a positive lead, and it is zero in
+    every pivot column but its own.  So an incoming row is cleared of
+    exactly the pivot columns it holds on arrival, in any order, and a new
+    pivot is back-substituted only into the stored rows that hold its
+    column, which `users` (non-pivot column -> pivot columns whose rows
+    hold it) lists.  Both clear column p of a row r with the row s that
+    leads at p by cross-multiplication, r <- (s[p]/g) r - (r[p]/g) s with
+    g = gcd(s[p], r[p]): no division, and no scaling when s[p] divides
+    r[p].  A row is divided by its lead once, on return.
     """
-    reduced = {}  # pivot col -> row dict
+    reduced = {}  # pivot col -> primitive int row, lead > 0
     users = {}    # non-pivot col -> set of pivot cols whose rows hold it
     for row in rows:
-        row = _clean(row)
+        row = {col: val for col, val in row.items() if val}
+        if not all(type(val) is int for val in row.values()):
+            den = lcm(*[val.denominator for val in row.values()])
+            row = {col: val.numerator * (den // val.denominator)
+                   for col, val in row.items()}
         for pcol in [c for c in row if c in reduced]:
+            prow = reduced[pcol]
             factor = row.pop(pcol)
-            for col, val in reduced[pcol].items():
+            lead = prow[pcol]
+            if lead != 1:
+                g = gcd(lead, factor)
+                factor //= g
+                if g != lead:
+                    scale = lead // g
+                    row = {col: scale * val for col, val in row.items()}
+            for col, val in prow.items():
                 if col == pcol:
                     continue
                 cur = row.get(col)
@@ -49,12 +65,12 @@ def rref(rows):
         if not row:
             continue
         pivot = min(row)
+        content = gcd(*row.values())
+        if row[pivot] < 0:
+            content = -content
+        if content != 1:
+            row = {col: val // content for col, val in row.items()}
         lead = row[pivot]
-        if lead == -1:
-            row = {c: -v for c, v in row.items()}
-        elif lead != 1:
-            inv = Fraction(lead.denominator, lead.numerator)
-            row = {c: inv * v for c, v in row.items()}
         for col in row:
             if col != pivot:
                 users.setdefault(col, set()).add(pivot)
@@ -62,6 +78,13 @@ def rref(rows):
         for pcol in users.pop(pivot, ()):
             prow = reduced[pcol]
             factor = prow.pop(pivot)
+            if lead != 1:
+                g = gcd(lead, factor)
+                factor //= g
+                if g != lead:
+                    scale = lead // g
+                    for col in prow:
+                        prow[col] *= scale
             for col, val in row.items():
                 if col == pivot:
                     continue
@@ -76,7 +99,17 @@ def rref(rows):
                     else:
                         del prow[col]
                         users[col].discard(pcol)
+            content = gcd(*prow.values())
+            if content != 1:
+                for col in prow:
+                    prow[col] //= content
         reduced[pivot] = row
+    for pivot, row in reduced.items():
+        lead = row[pivot]
+        if lead != 1:
+            reduced[pivot] = {col: val // lead if val % lead == 0
+                              else Fraction(val, lead)
+                              for col, val in row.items()}
     return sorted(reduced), reduced
 
 

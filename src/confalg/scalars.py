@@ -13,8 +13,8 @@ Fraction that arithmetic produces may stay a Fraction: int and Fraction
 compare, hash and print alike.  Bare rationals and Scalars share + - * ==,
 bool, str and factor_str, and a Scalar takes ints and Fractions as
 operands on either side; as_rational reads the rational value off either.
-Nothing here divides; linalg's pivot inverse, the one division on
-coefficients, is a Fraction, so int / int never makes a float.
+Nothing here divides; the one division on coefficients, rref's final
+division by each row's lead, is exact: an int or a Fraction, never a float.
 Parameters are formal: they are added and multiplied but never inverted,
 so zero-testing is exact (a polynomial is zero iff it has no terms).
 

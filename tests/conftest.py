@@ -1,9 +1,15 @@
-"""Shared pytest plumbing: the acceptance-criterion result registry.
+"""Shared pytest plumbing: the hypothesis profile "ci" and the
+acceptance-criterion result registry.
 
 test_acceptance.py records one entry per criterion; the terminal-summary
 hook below prints one PASS/FAIL line for each at the end of the run, so a
 plain `pytest -v` shows the per-criterion outcome.
 """
+
+from hypothesis import settings
+
+# a deeper fuzz for CI: python -m pytest ... --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=500)
 
 ACCEPTANCE_RESULTS = {}
 

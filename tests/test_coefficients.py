@@ -149,8 +149,9 @@ def test_no_float_reaches_a_coefficient(seed, dim):
                               poly.substitute({"a": 2})])
 
 
-def test_the_pivot_inverse_is_exact():
-    """An int pivot of 2 or 3 is inverted as a Fraction, never by int / int."""
+def test_the_final_division_is_exact():
+    """rref divides each integer row by its lead once, when it returns: a
+    lead of 2 or 3 leaves Fractions, never a float from int / int."""
     pivots, reduced = linalg.rref([{0: 2, 1: 3}, {1: 3, 2: 1}])
     assert pivots == [0, 1]
     assert reduced == {0: {0: 1, 2: Fraction(-1, 2)},

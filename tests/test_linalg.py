@@ -1,10 +1,12 @@
 """Exact sparse linear algebra over the rationals."""
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from confalg import linalg
 from confalg.linalg import rref, rank, nullspace, span_basis, same_span, in_span
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -51,8 +53,8 @@ def test_nullspace_of_zero_system_is_everything():
 @given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-4, 4),
                                 max_size=6), max_size=6))
 def test_int_rows_reduce_like_fraction_rows(rows):
-    """Integral entries may stay ints; the pivot inverse never makes a
-    float."""
+    """Integral entries may stay ints; the division at the end never makes
+    a float."""
     pivots, reduced = rref(rows)
     assert (pivots, reduced) == rref([{j: Fraction(v) for j, v in row.items()}
                                       for row in rows])
@@ -182,3 +184,171 @@ def test_rref_matches_a_dense_reference(system):
         ref_null.append(tuple(vec))
     assert nullspace(rows, ncols) == ref_null
     assert span_basis(rows, ncols) == ref_rows
+
+
+# ---------- the fraction-free elimination against a Fraction oracle ----------
+
+def _ref_clean(row):
+    return {col: val for col, val in row.items() if val}
+
+
+def ref_rref(rows):
+    """The Fraction Gauss-Jordan that rref replaced, kept verbatim as an
+    oracle: every row is normalised to a leading 1 as soon as it is stored,
+    by a Fraction pivot inverse."""
+    reduced = {}  # pivot col -> row dict
+    users = {}    # non-pivot col -> set of pivot cols whose rows hold it
+    for row in rows:
+        row = _ref_clean(row)
+        for pcol in [c for c in row if c in reduced]:
+            factor = row.pop(pcol)
+            for col, val in reduced[pcol].items():
+                if col == pcol:
+                    continue
+                cur = row.get(col)
+                if cur is None:
+                    row[col] = -factor * val
+                else:
+                    cur -= factor * val
+                    if cur:
+                        row[col] = cur
+                    else:
+                        del row[col]
+        if not row:
+            continue
+        pivot = min(row)
+        lead = row[pivot]
+        if lead == -1:
+            row = {c: -v for c, v in row.items()}
+        elif lead != 1:
+            inv = Fraction(lead.denominator, lead.numerator)
+            row = {c: inv * v for c, v in row.items()}
+        for col in row:
+            if col != pivot:
+                users.setdefault(col, set()).add(pivot)
+        # back-substitute into the stored rows that hold the new pivot
+        for pcol in users.pop(pivot, ()):
+            prow = reduced[pcol]
+            factor = prow.pop(pivot)
+            for col, val in row.items():
+                if col == pivot:
+                    continue
+                cur = prow.get(col)
+                if cur is None:
+                    prow[col] = -factor * val
+                    users[col].add(pcol)
+                else:
+                    cur -= factor * val
+                    if cur:
+                        prow[col] = cur
+                    else:
+                        del prow[col]
+                        users[col].discard(pcol)
+        reduced[pivot] = row
+    return sorted(reduced), reduced
+
+
+def typed(rows):
+    """rows with the type of every entry, so that True and 1, or 3 and
+    Fraction(3), tell apart."""
+    return [sorted((col, type(val).__name__, val) for col, val in row.items())
+            for row in rows]
+
+
+def assert_like_the_oracle(rows):
+    before = typed(rows)
+    pivots, reduced = rref(rows)
+    assert typed(rows) == before
+    assert (pivots, reduced) == ref_rref(rows)
+    for row in reduced.values():
+        assert all(type(v) is int or (type(v) is Fraction
+                                      and v.denominator > 1)
+                   for v in row.values())
+    return pivots, reduced
+
+
+entries = st.one_of(
+    st.integers(-9, 9), st.booleans(),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def mixed_systems(draw):
+    """Up to 10 rows over up to 8 columns of ints, bools and Fractions with
+    denominators 1-6, empty rows among them, plus integer combinations of
+    two drawn rows, so that some rows clear to zero."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entries,
+                                         max_size=ncols), max_size=10))
+    if len(rows) >= 2:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(
+            st.integers(0, len(rows) - 1))
+        combo = {col: a * rows[i].get(col, 0) + b * rows[j].get(col, 0)
+                 for col in set(rows[i]) | set(rows[j])}
+        rows.append(combo)
+    return rows
+
+
+@given(mixed_systems(), st.randoms(use_true_random=False))
+@settings(deadline=None)
+def test_rref_matches_the_fraction_oracle(rows, rng):
+    result = assert_like_the_oracle(rows)
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert rref(shuffled) == result
+
+
+def test_hilbert_matrix_matches_the_oracle():
+    n = 8
+    rows = [{j: Fraction(1, i + j + 1) for j in range(n)} for i in range(n)]
+    pivots, reduced = assert_like_the_oracle(rows)
+    assert pivots == list(range(n))
+    assert all(reduced[p] == {p: 1} for p in pivots)
+
+
+def test_dense_integer_matrix_matches_the_oracle():
+    rng = random.Random(14)
+    rows = [{j: rng.randint(-9, 9) for j in range(14)} for _ in range(12)]
+    pivots, reduced = assert_like_the_oracle(rows)
+    assert pivots == list(range(12))
+    assert any(type(v) is Fraction for row in reduced.values()
+               for v in row.values())
+
+
+def largest_gcd_argument(monkeypatch, rows):
+    """The bit length of the largest integer rref takes a gcd of: every
+    stored lead and every row content passes through one."""
+    seen = [0]
+
+    def spy(*args):
+        seen[0] = max([seen[0]] + [abs(a).bit_length() for a in args])
+        return math.gcd(*args)
+
+    monkeypatch.setattr(linalg, 'gcd', spy)
+    assert rref(rows) == ref_rref(rows)
+    return seen[0]
+
+
+def test_dense_rows_stay_near_the_hadamard_bound(monkeypatch):
+    """Stored rows are primitive, so their entries are minors of the
+    matrix, below the Hadamard bound H; an incoming row is scaled by about
+    one lead.  Without the content divisions the integers grow to several
+    times the bits of H."""
+    rng = random.Random(14)
+    n = 20
+    rows = [{j: rng.randint(-9, 9) for j in range(n + 2)} for _ in range(n)]
+    hadamard_bits = n * math.log2(9 * math.sqrt(n))
+    assert largest_gcd_argument(monkeypatch, rows) < 2 * hadamard_bits
+
+
+def test_a_stored_row_loses_its_content(monkeypatch):
+    """Upper-triangular rows, each scaled by its own prime near 2^12 and
+    arriving bottom-up: once cleared, each holds only its pivot, so it is
+    stored as a lead of 1 and the integers never pass the input's.  Kept
+    with its content, every lead would scale each later row."""
+    primes = [4093, 4091, 4079, 4073, 4057, 4051, 4049, 4027, 4021, 4019]
+    n = len(primes)
+    rows = [{j: p * (i + j + 1) for j in range(i, n)}
+            for i, p in enumerate(primes)]
+    assert largest_gcd_argument(monkeypatch, rows[::-1]) <= 20
