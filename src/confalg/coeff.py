@@ -15,13 +15,14 @@ factorials of negative arguments are fine).
 This module builds mode brackets, checks the (right) Leibniz identity on a
 finite grid of modes, and turns polynomial cocycles into the induced mode
 2-cocycles (supported where the degree matches m + n + 1) with their own
-finite-grid check.
+finite-grid check.  Both grid checks run one kernel that reads basis mode
+brackets from a CoeffAlgebra's table and sums each cell into one dict.
 """
 
 import itertools
 
 from .scalars import Scalar, binom, combination_str, factor_str, falling
-from .superspace import AxiomReport, Combination, _add_term, sign
+from .superspace import AxiomReport, Combination, _add_term
 from .conformal import jth_products
 
 
@@ -66,6 +67,9 @@ class CoeffAlgebra:
 
     def mode_bracket_basis(self, i, m, j, n):
         """[e_i[m], e_j[n]] as a ModeExpr."""
+        out = self._brackets.get((i, m, j, n))
+        if out is not None:
+            return out
         i, j = self.space.index(i), self.space.index(j)
         key = (i, m, j, n)
         out = self._brackets.get(key)
@@ -113,40 +117,67 @@ class CoeffAlgebra:
     def check_leibniz(self, grid, fail_fast=False):
         """Right Leibniz identity on modes over a finite grid:
         [x, [y, z]] = [[x, y], z] - (-1)^{|y||z|} [[x, z], y]."""
-        return _check_mode_identity(self, self.mode_bracket, grid, fail_fast,
-                                    "mode-algebra right Leibniz identity",
-                                    "right Leibniz")
+        space = self.space
+        return _check_mode_identity(
+            self, None, lambda res: str(ModeExpr(space, res)), grid,
+            fail_fast, "mode-algebra right Leibniz identity", "right Leibniz")
 
 
-def _check_mode_identity(coeff, outer, grid, fail_fast, title, identity):
+def _check_mode_identity(coeff, outer, render, grid, fail_fast, title,
+                         identity):
     """outer(x, [y, z]) = outer([x, y], z) - (-1)^{|y||z|} outer([x, z], y)
-    for basis modes x, y, z over a finite grid, the inner brackets read
-    from the mode-bracket table."""
+    for basis modes x, y, z over a finite grid.
+
+    outer(i, m, j, n) gives the terms {key: coefficient} of the outer
+    product of e_i[m] and e_j[n]; None means the mode bracket itself.  The
+    brackets are read from coeff's table by int key (a miss computes and
+    stores one through mode_bracket_basis), the three terms of a cell are
+    summed into one dict, and render(terms) turns a nonzero sum into the
+    residual string.  A cell holding a dropped mode (a killed vector at a
+    mode other than -1) makes every term 0 and passes.
+    """
     space = coeff.space
-    bracket = coeff.mode_bracket_basis
-    grid = list(grid)
-    dims = [range(space.dim)] * 3
-    modes = {(b, mode): ModeExpr.mode(space, b, mode)
-             for b in dims[0] for mode in grid}
+    names, parities = space.names, space.parities
+    killed = [space.is_killed(b) for b in range(space.dim)]
+    table, basis = coeff._brackets, coeff.mode_bracket_basis
+
+    def bracket(i, m, j, n):
+        out = table.get((i, m, j, n))
+        return (basis(i, m, j, n) if out is None else out).terms
+
+    if outer is None:
+        outer = bracket
 
     def check(cell):
         i, j, k, m, n, p = cell
-        x, y, z = modes[i, m], modes[j, n], modes[k, p]
-        if x.is_zero() or y.is_zero() or z.is_zero():
-            return  # a dropped mode makes every term 0
-        res = (outer(x, bracket(j, n, k, p))
-               - outer(bracket(i, m, j, n), z))
-        tail = outer(bracket(i, m, k, p), y)
-        if sign(space.parity(j), space.parity(k)) == 1:
-            res = res + tail
-        else:
-            res = res - tail
-        if res:
-            yield (identity, ["%s[%d]" % (space.names[b], mode)
-                              for b, mode in ((i, m), (j, n), (k, p))],
-                   str(res))
-    return AxiomReport(title).run(itertools.product(*dims, grid, grid, grid),
-                                  check, fail_fast)
+        if (killed[i] and m != -1 or killed[j] and n != -1
+                or killed[k] and p != -1):
+            return ()
+        res = {}
+        for (a, q), c in bracket(j, n, k, p).items():
+            for key, b in outer(i, m, a, q).items():
+                _add_term(res, key, c * b)
+        for (a, q), c in bracket(i, m, j, n).items():
+            c = -c
+            for key, b in outer(a, q, k, p).items():
+                _add_term(res, key, c * b)
+        odd = parities[j] and parities[k]
+        for (a, q), c in bracket(i, m, k, p).items():
+            if odd:
+                c = -c
+            for key, b in outer(a, q, j, n).items():
+                _add_term(res, key, c * b)
+        if not res:
+            return ()
+        return ((identity, ["%s[%d]" % (names[b], mode)
+                            for b, mode in ((i, m), (j, n), (k, p))],
+                 render(res)),)
+
+    dims = range(space.dim)
+    grid = list(grid)
+    return AxiomReport(title).run(
+        itertools.product(dims, dims, dims, grid, grid, grid), check,
+        fail_fast)
 
 
 def coeff_bracket(bracket, i, m, j, n):
@@ -225,6 +256,18 @@ def check_phi_cocycle(coeff, phi, grid, fail_fast=False):
     phi(x, [y, z]) = phi([x, y], z) - (-1)^{|y||z|} phi([x, z], y)."""
     if not isinstance(coeff, CoeffAlgebra):
         coeff = CoeffAlgebra(coeff)
-    return _check_mode_identity(coeff, phi.on_modes, grid, fail_fast,
-                                "mode 2-cocycle identity",
+    entries = phi.ansatz.entries
+    zero = {}  # no terms: phi is 0 there
+
+    def outer(i, m, j, n):
+        # phi(e_i[m], e_j[n]) = falling(m, t) alpha_t(e_i, e_j), t = m + n + 1
+        t = m + n + 1
+        alpha = entries.get((t, i, j)) if t >= 0 else None
+        if alpha is None:
+            return zero
+        factor = falling(m, t)
+        return {None: alpha * factor} if factor else zero
+
+    return _check_mode_identity(coeff, outer, lambda res: str(res[None]),
+                                grid, fail_fast, "mode 2-cocycle identity",
                                 "2-cocycle identity")

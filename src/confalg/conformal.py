@@ -119,13 +119,18 @@ class VPoly(Combination):
             t = key[axis]
             base = list(key)
             base[axis] = 0
+            k, bd, bl, bm, bn = base
             if t not in powers:
                 powers[t] = _linear_power(replacement, t)
-            for expo, f in powers[t].items():
-                _add_term(terms, (base[0],) + tuple(
-                    b + e for b, e in zip(base[1:], expo)),
-                    c if f == 1 else c * f)
-        return VPoly(self.space, terms)
+            for (ed, el, em, en), f in powers[t].items():
+                _add_term(terms, (k, bd + ed, bl + el, bm + em, bn + en),
+                          c if f == 1 else c * f)
+        # the coefficients are products of clean ones: only what a killed
+        # vector annihilates has to go
+        if self.space.killed:
+            terms = {key: c for key, c in terms.items()
+                     if not self._drops(key)}
+        return self._trusted(terms)
 
     # ---------- printing ----------
 

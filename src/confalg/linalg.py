@@ -13,6 +13,8 @@ arrive in.
 from fractions import Fraction
 from math import gcd, lcm
 
+_INT = frozenset([int])  # type(True) is bool, so a bool takes the slow path
+
 
 def rref(rows):
     """Reduce a collection of sparse rows to RREF.
@@ -35,11 +37,14 @@ def rref(rows):
     reduced = {}  # pivot col -> primitive int row, lead > 0
     users = {}    # non-pivot col -> set of pivot cols whose rows hold it
     for row in rows:
-        row = {col: val for col, val in row.items() if val}
-        if not all(type(val) is int for val in row.values()):
-            den = lcm(*[val.denominator for val in row.values()])
-            row = {col: val.numerator * (den // val.denominator)
-                   for col, val in row.items()}
+        if 0 in row.values() or not _INT.issuperset(map(type, row.values())):
+            row = {col: val for col, val in row.items() if val}
+            if not all(type(val) is int for val in row.values()):
+                den = lcm(*[val.denominator for val in row.values()])
+                row = {col: val.numerator * (den // val.denominator)
+                       for col, val in row.items()}
+        else:
+            row = dict(row)  # nonzero ints already: a copy to work on
         for pcol in [c for c in row if c in reduced]:
             prow = reduced[pcol]
             factor = row.pop(pcol)
