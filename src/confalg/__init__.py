@@ -37,9 +37,8 @@ from .extensions import (CocycleAnsatz, SolutionSpace, PreconditionError,
                          solve_leibniz_central_ext_gd,
                          extend_bracket, degree_bound_experiment,
                          DegreeBoundResult)
-from .coeff import (ModeExpr, CoeffAlgebra, coeff_bracket,
-                    check_coeff_leibniz, PhiCocycle, build_phi_cocycles,
-                    check_phi_cocycle)
+from .coeff import (ModeExpr, CoeffAlgebra, check_coeff_leibniz,
+                    PhiCocycle, build_phi_cocycles, check_phi_cocycle)
 from .dsl import AlgebraFile, DslError, parse, parse_file
 
 __version__ = "0.1.0"
@@ -68,7 +67,7 @@ __all__ = [
     "check_alpha_system", "solve_central_ext_anl",
     "solve_central_ext_assoc_novikov", "solve_leibniz_central_ext_gd",
     "extend_bracket", "degree_bound_experiment", "DegreeBoundResult",
-    "ModeExpr", "CoeffAlgebra", "coeff_bracket", "check_coeff_leibniz",
+    "ModeExpr", "CoeffAlgebra", "check_coeff_leibniz",
     "PhiCocycle", "build_phi_cocycles", "check_phi_cocycle",
     "AlgebraFile", "DslError", "parse", "parse_file",
 ]

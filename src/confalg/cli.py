@@ -519,6 +519,9 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -535,15 +538,11 @@ def main(argv=None):
             skip = True
         else:
             glued.append(arg)
-    parser = _build_parser()
-    args = parser.parse_args(glued)
+    args = _PARSER.parse_args(glued)
     out = Output(args.format)
     try:
         passed = args.fn(args, out)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ScalarError, ValueError) as exc:
+    except (UsageError, ScalarError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     out.flush(args.command, passed)

@@ -180,11 +180,6 @@ def _check_mode_identity(coeff, outer, render, grid, fail_fast, title,
         fail_fast)
 
 
-def coeff_bracket(bracket, i, m, j, n):
-    """One mode bracket [e_i[m], e_j[n]] straight from a conformal bracket."""
-    return CoeffAlgebra(bracket).mode_bracket_basis(i, m, j, n)
-
-
 def check_coeff_leibniz(bracket_or_coeff, grid, fail_fast=False):
     """Right Leibniz identity for the mode algebra on a grid of modes."""
     coeff = bracket_or_coeff
@@ -211,19 +206,6 @@ class PhiCocycle:
         if t < 0:
             return Scalar.zero(self.ansatz.space.params)
         return self.ansatz.alpha(t, i, j) * falling(m, t)
-
-    def on_modes(self, u, v):
-        """Bilinear extension to ModeExprs (or (index, mode) pairs)."""
-        space = self.space
-        if isinstance(u, tuple):
-            u = ModeExpr.mode(space, *u)
-        if isinstance(v, tuple):
-            v = ModeExpr.mode(space, *v)
-        total = Scalar.zero(self.ansatz.space.params)
-        for (i, m), ci in u.terms.items():
-            for (j, n), cj in v.terms.items():
-                total = total + ci * cj * self.value(i, m, j, n)
-        return total
 
     def __str__(self):
         if self.ansatz.is_zero():

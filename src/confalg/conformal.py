@@ -200,10 +200,6 @@ class LambdaBracket:
         vp = self.entries.get((self.space.index(i), self.space.index(j)))
         return vp if vp is not None else VPoly.zero(self.space)
 
-    def max_lambda_degree(self):
-        return max((vp.degree('l') for vp in self.entries.values()),
-                   default=-1)
-
     def entries_str(self):
         lines = []
         for (i, j) in sorted(self.entries):

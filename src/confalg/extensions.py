@@ -558,7 +558,7 @@ def extend_bracket(bracket, ansatz, central_name=None):
 class DegreeBoundResult:
     def __init__(self, solution_high, solution_low, vanishing, agrees):
         self.solution_high = solution_high
-        self.solution_low = solution_low
+        self.solution_low = solution_low  # high solutions zero above low
         self.vanishing = vanishing  # {degree: True if forced to zero}
         self.agrees = agrees        # high solution == embedded low solution
 
@@ -578,19 +578,19 @@ class DegreeBoundResult:
 def degree_bound_experiment(bracket, high_degree=5, low_degree=3):
     """Solve the direct cocycle system with a high-degree ansatz and compare
     with the low-degree one: which extra degrees are forced to vanish, and
-    do the two solution spaces coincide?"""
+    do the two solution spaces coincide?
+
+    One solve serves both: each row of the direct system sums separate
+    contributions of each degree, so the low-degree cocycles are exactly
+    the high-degree ones that vanish above low_degree, and the two spaces
+    coincide exactly when every extra degree vanishes."""
     if high_degree < low_degree:
         raise ValueError("high_degree %d is below low_degree %d"
                          % (high_degree, low_degree))
     sol_high = solve_cocycles_direct(bracket, range(high_degree + 1))
-    sol_low = solve_cocycles_direct(bracket, range(low_degree + 1))
-    high_basis = sol_high.reduced_basis()
-    vanishing = {}
-    for t in range(low_degree + 1, high_degree + 1):
-        positions = [i for i, (tt, _, _) in enumerate(sol_high.unknowns)
-                     if tt == t]
-        vanishing[t] = all(vec[i] == 0
-                           for vec in high_basis for i in positions)
-    agrees = (sol_low.embed(range(high_degree + 1)).reduced_basis()
-              == high_basis)
-    return DegreeBoundResult(sol_high, sol_low, vanishing, agrees)
+    held = {t for vec in sol_high.basis
+            for (t, _, _), val in zip(sol_high.unknowns, vec) if val}
+    vanishing = {t: t not in held
+                 for t in range(low_degree + 1, high_degree + 1)}
+    return DegreeBoundResult(sol_high, sol_high.up_to(low_degree),
+                             vanishing, all(vanishing.values()))

@@ -37,14 +37,15 @@ def rref(rows):
     reduced = {}  # pivot col -> primitive int row, lead > 0
     users = {}    # non-pivot col -> set of pivot cols whose rows hold it
     for row in rows:
-        if 0 in row.values() or not _INT.issuperset(map(type, row.values())):
+        ints = _INT.issuperset(map(type, row.values()))
+        if ints and 0 not in row.values():
+            row = dict(row)  # nonzero ints already: a copy to work on
+        else:
             row = {col: val for col, val in row.items() if val}
-            if not all(type(val) is int for val in row.values()):
+            if not ints:
                 den = lcm(*[val.denominator for val in row.values()])
                 row = {col: val.numerator * (den // val.denominator)
                        for col, val in row.items()}
-        else:
-            row = dict(row)  # nonzero ints already: a copy to work on
         for pcol in [c for c in row if c in reduced]:
             prow = reduced[pcol]
             factor = row.pop(pcol)

@@ -169,7 +169,6 @@ class StarMode:
     DOUBLE = 'double-circ'
     SYMMETRIZED = 'symmetrized'
     ZERO = 'zero'
-    EXPLICIT = 'explicit'
 
 
 def zero_map(space, name=None):

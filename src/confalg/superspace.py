@@ -70,9 +70,6 @@ class SuperSpace:
 
     # ---------- vectors ----------
 
-    def zero_vec(self):
-        return {}
-
     def basis_vec(self, i, coeff=1):
         c = Scalar.coerce(coeff, self.params)
         return {self.index(i): c} if c else {}
@@ -101,16 +98,6 @@ class SuperSpace:
 
     def vec_eq(self, u, v):
         return self.vec_is_zero(self.sub(u, v))
-
-    def vec_parity(self, vec):
-        """Parity of a homogeneous vector (None for 0, ValueError if
-        mixed)."""
-        parities = {self.parity(k) for k, c in vec.items() if c}
-        if not parities:
-            return None
-        if len(parities) != 1:
-            raise ValueError("vector is not homogeneous")
-        return parities.pop()
 
     def vec_str(self, vec):
         return combination_str((c, self.names[k])

@@ -12,6 +12,7 @@ from fractions import Fraction
 from importlib import resources
 
 from confalg import (SuperSpace, GradedBilinearMap, LinearMap, Scalar,
+                     LambdaBracket, VPoly,
                      QuadraticData, StarMode, star_from_mode, zero_map,
                      build_quadratic_bracket, build_current,
                      classify_brackets, build_assoc_novikov_from_averaging)
@@ -144,6 +145,27 @@ def mutate_gbm(rng, gbm):
         rng, nonzero=True)
     out.set_entry(i, j, vec)
     return out
+
+
+def rand_lambda_bracket(rng, space, degree, entries):
+    """A random lambda-bracket (no identity asked of it) with up to
+    `entries` nonzero entries, each a sum of one to three terms
+    c d^i l^j e_k with i + j <= degree and small rational c."""
+    br = LambdaBracket(space)
+    for _ in range(entries):
+        i, j = rng.randrange(space.dim), rng.randrange(space.dim)
+        want = (space.parity(i) + space.parity(j)) % 2
+        ks = [k for k in range(space.dim) if space.parity(k) == want]
+        if not ks:
+            continue
+        vp = br.entry(i, j)
+        for _ in range(rng.randint(1, 3)):
+            dd = rng.randint(0, degree)
+            vp = vp + VPoly.monomial(space, rng.choice(ks), dd=dd,
+                                     dl=rng.randint(0, degree - dd),
+                                     coeff=rand_fraction(rng, nonzero=True))
+        br.set_entry(i, j, vp)
+    return br
 
 
 # ---------- assoc-Novikov / Novikov circ pools ----------

@@ -1,11 +1,17 @@
 """Command-line interface: exit codes, output formats, option handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from confalg import parse_file, solve_cocycles_direct
 from confalg.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def test_examples_all_pass(capsys):
@@ -291,3 +297,34 @@ def test_coeff_case_needs_phi(capsys):
     assert captured.out == ""
     assert main(["coeff", "r00", "--phi", "from-central-ext"]) == 2
     assert "--phi from-central-ext needs --case" in capsys.readouterr().err
+
+
+def _fresh_run(argv):
+    """(exit code, stdout, stderr) of `python -m confalg.cli argv` in a new
+    process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "confalg.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("first, second", [
+    (["verify-conformal", "--kind", "lie", "rab", "--at", "a=1,b=-2",
+      "--fail-fast", "--format", "machine"],
+     ["verify-conformal", "--kind", "lie", "rab"]),
+    (["coeff", "virasoro", "--grid", "-1..1", "--verify", "--fail-fast"],
+     ["coeff", "virasoro", "--grid", "-1..1"]),
+    (["central-ext", "gd_final", "--case", "gd", "--at", "a=2", "--degree",
+      "2", "--format", "machine"],
+     ["central-ext", "gd_final", "--case", "gd"]),
+])
+def test_one_parser_serves_every_call(first, second, capsys):
+    """The parser is built once per process: no option of one call may
+    reach the next, so each call prints what a fresh process prints."""
+    for argv in (first, second):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_run(argv)

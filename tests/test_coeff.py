@@ -6,9 +6,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from confalg import (SuperSpace, GradedBilinearMap, LambdaBracket, VPoly,
-                     Scalar, ModeExpr, CoeffAlgebra, coeff_bracket,
-                     check_coeff_leibniz, PhiCocycle, build_phi_cocycles,
-                     check_phi_cocycle, CocycleAnsatz, build_current,
+                     Scalar, ModeExpr, CoeffAlgebra, check_coeff_leibniz,
+                     PhiCocycle, build_phi_cocycles, check_phi_cocycle,
+                     CocycleAnsatz, build_current,
                      solve_central_ext_assoc_novikov, extend_bracket,
                      check_lie_superalgebra)
 
@@ -81,8 +81,9 @@ def test_family_mode_table():
 
 def test_single_mode_bracket_helper():
     br = gens.rab_bracket()
-    assert str(coeff_bracket(br, "L", 2, "W", -1)) == "3 L[0] + a L[1]"
-    assert str(coeff_bracket(br, "W", 3, "W", 0)) == "b L[3] + 3 W[2]"
+    ca = CoeffAlgebra(br)
+    assert str(ca.mode_bracket_basis("L", 2, "W", -1)) == "3 L[0] + a L[1]"
+    assert str(ca.mode_bracket_basis("W", 3, "W", 0)) == "b L[3] + 3 W[2]"
 
 
 def test_mode_bracket_is_bilinear():
@@ -238,7 +239,8 @@ def test_memoised_mode_brackets_match_fresh_ones(br, anz, fail_fast):
                                   range(SPACE.dim), grid))
     ca = CoeffAlgebra(br)
     for key in keys:
-        stored, fresh = ca.mode_bracket_basis(*key), coeff_bracket(br, *key)
+        stored = ca.mode_bracket_basis(*key)
+        fresh = CoeffAlgebra(br).mode_bracket_basis(*key)
         assert ca.mode_bracket_basis(*key) is stored
         assert stored == fresh
         assert list(stored.terms.items()) == list(fresh.terms.items())

@@ -52,8 +52,6 @@ CASES = [
     ("falling(3, -2)", ValueError),
     ("binom(3, -1)", ValueError),
     ("binom(3, 1.5)", ValueError),
-    ("SuperSpace([('x', 0), ('y', 1)]).vec_parity({0: Scalar.one(), "
-     "1: Scalar.one()})", ValueError),
 ]
 
 

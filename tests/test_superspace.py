@@ -50,7 +50,6 @@ def test_vector_arithmetic():
     assert sp.vec_str(v) == "L + 2 W"
     assert sp.vec_is_zero(sp.sub(v, v))
     assert sp.vec_eq(v, {0: 1, 1: 2})
-    assert sp.vec_parity(v) == 0
 
 
 def test_grading_enforced_on_set_entry():
