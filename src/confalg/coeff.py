@@ -9,8 +9,8 @@ elements) keep only the mode e[-1].  The mode bracket is
 with a_(t) b the t-th product (t! times the l^t coefficient, so the two
 factorials cancel into the falling factorial of m against the plain
 coefficient), and (d^k e)[p] contributing (-1)^k p (p-1) ... (p-k+1) e[p-k].
-Everything is exact; mode indices may be negative (binomials and falling
-factorials of negative arguments are fine).
+Everything is exact; mode indices may be negative (falling factorials of
+negative arguments are fine).
 
 This module builds mode brackets, checks the (right) Leibniz identity on a
 finite grid of modes, and turns polynomial cocycles into the induced mode
@@ -21,9 +21,8 @@ brackets from a CoeffAlgebra's table and sums each cell into one dict.
 
 import itertools
 
-from .scalars import Scalar, binom, combination_str, factor_str, falling
+from .scalars import Scalar, combination_str, factor_str, falling
 from .superspace import AxiomReport, Combination, _add_term
-from .conformal import jth_products
 
 
 class ModeExpr(Combination):
@@ -51,16 +50,14 @@ class CoeffAlgebra:
     def __init__(self, bracket):
         self.bracket = bracket
         self.space = bracket.space
-        # cache the t-th products as lists of (basis index, d power,
-        # coefficient)
+        # each entry's plain l^t coefficients, by t, as lists of (basis
+        # index, d power, coefficient)
         self._products = {}
-        for i, j in itertools.product(range(self.space.dim), repeat=2):
+        for (i, j), vp in bracket.entries.items():
             table = {}
-            for t, vp in jth_products(bracket, i, j).items():
-                table[t] = [(k, dd, c)
-                            for (k, dd, dl, dm, dn), c in vp.terms.items()]
-            if table:
-                self._products[(i, j)] = table
+            for (k, dd, t, _), c in vp.terms.items():
+                table.setdefault(t, []).append((k, dd, c))
+            self._products[(i, j)] = table
         # (i, m, j, n) -> [e_i[m], e_j[n]]; the values are shared, so no
         # caller may change their terms
         self._brackets = {}
@@ -77,7 +74,7 @@ class CoeffAlgebra:
             return out
         terms = {}
         for t, entries in self._products.get((i, j), {}).items():
-            factor = binom(m, t)
+            factor = falling(m, t)
             if factor == 0:
                 continue
             for (k, dd, c) in entries:
@@ -201,11 +198,22 @@ class PhiCocycle:
         self.ansatz = ansatz
         self.space = ansatz.space
 
-    def value(self, i, m, j, n):
+    def terms(self, i, m, j, n):
+        """phi(e_i[m], e_j[n]) for basis indices i, j as terms {None:
+        value}, or {} where it is 0: falling(m, t) alpha_t(e_i, e_j) with
+        t = m + n + 1 (no entry has t < 0)."""
         t = m + n + 1
-        if t < 0:
-            return Scalar.zero(self.ansatz.space.params)
-        return self.ansatz.alpha(t, i, j) * falling(m, t)
+        alpha = self.ansatz.entries.get((t, i, j))
+        if alpha is None:
+            return {}
+        factor = falling(m, t)
+        return {None: alpha * factor} if factor else {}
+
+    def value(self, i, m, j, n):
+        """phi(e_i[m], e_j[n]) for basis names or indices i, j."""
+        index = self.space.index
+        return self.terms(index(i), m, index(j), n).get(
+            None, Scalar.zero(self.space.params))
 
     def __str__(self):
         if self.ansatz.is_zero():
@@ -238,18 +246,6 @@ def check_phi_cocycle(coeff, phi, grid, fail_fast=False):
     phi(x, [y, z]) = phi([x, y], z) - (-1)^{|y||z|} phi([x, z], y)."""
     if not isinstance(coeff, CoeffAlgebra):
         coeff = CoeffAlgebra(coeff)
-    entries = phi.ansatz.entries
-    zero = {}  # no terms: phi is 0 there
-
-    def outer(i, m, j, n):
-        # phi(e_i[m], e_j[n]) = falling(m, t) alpha_t(e_i, e_j), t = m + n + 1
-        t = m + n + 1
-        alpha = entries.get((t, i, j)) if t >= 0 else None
-        if alpha is None:
-            return zero
-        factor = falling(m, t)
-        return {None: alpha * factor} if factor else zero
-
-    return _check_mode_identity(coeff, outer, lambda res: str(res[None]),
+    return _check_mode_identity(coeff, phi.terms, lambda res: str(res[None]),
                                 grid, fail_fast, "mode 2-cocycle identity",
                                 "2-cocycle identity")

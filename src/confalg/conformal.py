@@ -2,25 +2,24 @@
 
 Elements live in the free module Q[d] (x) V over a SuperSpace V, where d is
 the translation generator; bracket values additionally carry the attachment
-variables l (lambda), m (mu) and a transient n (nu).  A VPoly is a sparse sum
-of terms
+variables l (lambda) and m (mu).  A VPoly is a sparse sum of terms
 
-    scalar * d^dd l^dl m^dm n^dn * e_k
+    scalar * d^dd l^dl m^dm * e_k
 
-stored as {(k, dd, dl, dm, dn): coefficient}.  A LambdaBracket stores the
+stored as {(k, dd, dl, dm): coefficient}.  A LambdaBracket stores the
 products [e_i _l e_j] as VPolys in d and l only; apply_bracket extends them
 to the whole module by the conformal sesquilinearity rules
 
     [d a _v b] = -v [a _v b],      [a _v d b] = (d + v) [a _v b]
 
-with v the variable being attached.  Nested brackets attach a fresh variable
-and then substitute (n -> l + m, n -> -m - d, ...); substitution is plain
-polynomial substitution since the module is free.
+with v the variable or linear form being attached.  Nested brackets attach
+at linear forms such as v = l + m or v = -m - d directly: the module is
+free, so v^a (d + v)^b expands as a plain polynomial in d, l and m.
 
 Basis vectors listed in space.killed are annihilated by d (used for central
 elements): any term d^k e with k >= 1 on a killed e is dropped during
-normalization, which is exactly why substituting n -> -m - d into a killed
-vector's coefficient lands on the value at -m.
+normalization, which is exactly why attaching at v = -m - d lands a killed
+vector's coefficient on its value at -m.
 """
 
 import itertools
@@ -29,9 +28,9 @@ from .scalars import combination_str, graded_lex, monomial_str
 from .superspace import (AxiomReport, Combination, X, Y, Z, check_system,
                          _add_term, _op, _substituted, _tabulate)
 
-# axis position of each variable inside a term key (k, dd, dl, dm, dn)
-_AXIS = {'d': 1, 'l': 2, 'm': 3, 'n': 4}
-_VARS = ('d', 'l', 'm', 'n')
+# axis position of each variable inside a term key (k, dd, dl, dm)
+_AXIS = {'d': 1, 'l': 2, 'm': 3}
+_VARS = ('d', 'l', 'm')
 
 
 class ConformalError(Exception):
@@ -42,24 +41,24 @@ class VariableCaptureError(ConformalError):
     """Attaching a bracket with a variable that already occurs in an input."""
 
 
-def _linear_power(linear, t):
-    """(sum of c * var over linear's items)^t as {(dd, dl, dm, dn): rational},
-    linear mapping variable names to rational coefficients."""
-    out = {(0, 0, 0, 0): 1}
+def _linear_power(linear, t, poly):
+    """poly times (sum of c * var over linear's items)^t, polynomials as
+    {(dd, dl, dm): rational} and linear mapping variable names to rational
+    coefficients."""
     for _ in range(t):
         step = {}
-        for expo, c in out.items():
+        for expo, c in poly.items():
             for var, cv in linear.items():
                 e = list(expo)
                 e[_AXIS[var] - 1] += 1
                 e = tuple(e)
                 step[e] = step.get(e, 0) + c * cv
-        out = {e: c for e, c in step.items() if c}
-    return out
+        poly = {e: c for e, c in step.items() if c}
+    return poly
 
 
 class VPoly(Combination):
-    """A sparse element of Q[d, l, m, n] (x) V."""
+    """A sparse element of Q[d, l, m] (x) V."""
 
     __slots__ = ()
 
@@ -73,19 +72,19 @@ class VPoly(Combination):
         return cls(space, {})
 
     @classmethod
-    def monomial(cls, space, k, dd=0, dl=0, dm=0, dn=0, coeff=1):
-        return cls(space, {(space.index(k), dd, dl, dm, dn): coeff})
+    def monomial(cls, space, k, dd=0, dl=0, dm=0, coeff=1):
+        return cls(space, {(space.index(k), dd, dl, dm): coeff})
 
     @classmethod
     def vector(cls, space, vec):
         """Embed a classical vector {k: coefficient} (names or indices)."""
-        return cls(space, {(space.index(k), 0, 0, 0, 0): c
+        return cls(space, {(space.index(k), 0, 0, 0): c
                            for k, c in vec.items()})
 
-    def times_monomial(self, dd=0, dl=0, dm=0, dn=0):
+    def times_monomial(self, dd=0, dl=0, dm=0):
         return VPoly(self.space,
-                     {(k, a + dd, b + dl, c + dm, e + dn): s
-                      for (k, a, b, c, e), s in self.terms.items()})
+                     {(k, a + dd, b + dl, c + dm): s
+                      for (k, a, b, c), s in self.terms.items()})
 
     # ---------- structure ----------
 
@@ -108,30 +107,6 @@ class VPoly(Combination):
         axis = _AXIS[var]
         return any(key[axis] > 0 for key in self.terms)
 
-    def substitute(self, var, replacement):
-        """Substitute a linear form for a variable: replacement maps variable
-        names ('d','l','m','n') to rational coefficients, e.g. n -> l + m is
-        substitute('n', {'l': 1, 'm': 1})."""
-        axis = _AXIS[var]
-        powers = {}
-        terms = {}
-        for key, c in self.terms.items():
-            t = key[axis]
-            base = list(key)
-            base[axis] = 0
-            k, bd, bl, bm, bn = base
-            if t not in powers:
-                powers[t] = _linear_power(replacement, t)
-            for (ed, el, em, en), f in powers[t].items():
-                _add_term(terms, (k, bd + ed, bl + el, bm + em, bn + en),
-                          c if f == 1 else c * f)
-        # the coefficients are products of clean ones: only what a killed
-        # vector annihilates has to go
-        if self.space.killed:
-            terms = {key: c for key, c in terms.items()
-                     if not self._drops(key)}
-        return self._trusted(terms)
-
     # ---------- printing ----------
 
     def __str__(self):
@@ -144,7 +119,7 @@ class VPoly(Combination):
 
 
 def _coeff_factor(c):
-    """A coefficient before d, l, m, n powers: in parentheses when it is a
+    """A coefficient before d, l, m powers: in parentheses when it is a
     sum or a product, as in (a + 1) d or (2 a) d."""
     text = str(c)
     composite = "+" in text[1:] or "-" in text[1:] or " " in text
@@ -152,7 +127,7 @@ def _coeff_factor(c):
 
 
 def _basis_coeff_str(poly):
-    """The coefficient of one basis vector, a polynomial {(dd, dl, dm, dn):
+    """The coefficient of one basis vector, a polynomial {(dd, dl, dm):
     coefficient}, in parentheses unless it is one plain factor."""
     text = combination_str(((poly[e], monomial_str(_VARS, e))
                             for e in sorted(poly, key=graded_lex)),
@@ -182,11 +157,11 @@ class LambdaBracket:
         i, j = self.space.index(i), self.space.index(j)
         if not isinstance(vp, VPoly):
             vp = VPoly.vector(self.space, vp)
-        if vp.uses('m') or vp.uses('n'):
+        if vp.uses('m'):
             raise ValueError("bracket entries are polynomials in d and l "
                              "only")
         want = (self.space.parity(i) + self.space.parity(j)) % 2
-        for (k, dd, dl, dm, dn) in vp.terms:
+        for (k, dd, dl, dm) in vp.terms:
             if self.space.parity(k) != want:
                 raise ConformalError(
                     "grading violated in bracket entry (%s, %s)"
@@ -219,46 +194,51 @@ class LambdaBracket:
 
 
 def apply_bracket(bracket, x, y, attach):
-    """[x _attach y] for x, y in the free module (VPolys).
+    """[x _v y] for x, y in the free module (VPolys or vectors).
 
-    attach is 'l', 'm' or 'n': the variable this bracket application binds.
-    The d-powers of x and y are consumed by the sesquilinearity rules; any
-    l/m/n powers they carry are passive coefficients and multiply through.
-    Raises VariableCaptureError if the attachment variable already occurs in
-    an input.
+    attach is v: a variable name 'l' or 'm', or a linear form {variable:
+    rational} over d, l and m, e.g. {'l': 1, 'm': 1} for v = l + m.  By the
+    sesquilinearity rules a term d^ddx e_kx of x and a term d^ddy e_ky of y
+    give (-v)^ddx (d + v)^ddy [e_kx _v e_ky]; any l/m powers they carry are
+    passive coefficients and multiply through.  The terms are gathered by
+    their powers of v and of d + v first, so that each distinct pair of
+    powers is expanded once.  A name equals the form {name: 1}, but raises
+    VariableCaptureError if it already occurs in an input; a form may
+    share variables with the inputs.
     """
     space = bracket.space
     if isinstance(x, dict):
         x = VPoly.vector(space, x)
     if isinstance(y, dict):
         y = VPoly.vector(space, y)
-    if x.uses(attach) or y.uses(attach):
-        raise VariableCaptureError(
-            "attachment variable %r already occurs in an argument" % attach)
-    att = _AXIS[attach] - 1  # position in a (dd, dl, dm, dn) exponent
-    powers = {}
-    terms = {}
-    for (kx, ddx, dlx, dmx, dnx), sx in x.terms.items():
-        for (ky, ddy, dly, dmy, dny), sy in y.terms.items():
+    if isinstance(attach, str):
+        if x.uses(attach) or y.uses(attach):
+            raise VariableCaptureError(
+                "attachment variable %r already occurs in an argument"
+                % attach)
+        attach = {attach: 1}
+    # (k, d-power, passive l, passive m, power of v, power of d + v)
+    gathered = {}
+    for (kx, ddx, dlx, dmx), sx in x.terms.items():
+        for (ky, ddy, dly, dmy), sy in y.terms.items():
             entry = bracket.entries.get((kx, ky))
             if entry is None:
                 continue
-            # (-v)^ddx (d + v)^ddy [e_kx _v e_ky] times the passive powers,
-            # v the attachment variable
             s = sx * sy if ddx % 2 == 0 else -(sx * sy)
-            shift = [0, dlx + dly, dmx + dmy, dnx + dny]
-            shift[att] += ddx
-            if ddy not in powers:
-                powers[ddy] = _linear_power({'d': 1, attach: 1}, ddy)
-            for (k, dd, dl, _, _), c in entry.terms.items():
-                base = list(shift)
-                base[0] += dd
-                base[att] += dl
-                bd, bl, bm, bn = base
-                cs = c * s
-                for (ed, el, em, en), f in powers[ddy].items():
-                    _add_term(terms, (k, bd + ed, bl + el, bm + em, bn + en),
-                              cs if f == 1 else cs * f)
+            dl, dm = dlx + dly, dmx + dmy
+            for (k, dd, el, _), c in entry.terms.items():
+                _add_term(gathered, (k, dd, dl, dm, ddx + el, ddy), c * s)
+    d_plus = {**attach, 'd': attach.get('d', 0) + 1}  # d + v
+    powers = {}
+    terms = {}
+    for (k, dd, dl, dm, pv, pdv), c in gathered.items():
+        poly = powers.get((pv, pdv))
+        if poly is None:
+            poly = powers[pv, pdv] = _linear_power(
+                d_plus, pdv, _linear_power(attach, pv, {(0, 0, 0): 1}))
+        for (ed, el, em), f in poly.items():
+            _add_term(terms, (k, dd + ed, dl + el, dm + em),
+                      c if f == 1 else c * f)
     if x.space is not space or y.space is not space:
         return VPoly(space, terms)
     # the coefficients are products of clean ones on space: only what a
@@ -271,9 +251,8 @@ def apply_bracket(bracket, x, y, attach):
 # ---------- axiom checks ----------
 
 # The conformal identities are equations over the ops of superspace's
-# equation language, each op [x _v y] attached at v: a variable, or a linear
-# form reached by attaching n and substituting n -> v.
-_FORMS = {'l': 'l', 'm': 'm', 'l+m': {'l': 1, 'm': 1},
+# equation language, each op [x _v y] attached at the linear form v.
+_FORMS = {'l': {'l': 1}, 'm': {'m': 1}, 'l+m': {'l': 1, 'm': 1},
           '-m-d': {'m': -1, 'd': -1}, '-l-d': {'l': -1, 'd': -1}}
 
 BL, BM, BLM, BMD, BLD = map(_op, ('l', 'm', 'l+m', '-m-d', '-l-d'))
@@ -296,9 +275,7 @@ def _ops(bracket):
     """The ops of _FORMS on bracket, functions that carry its space."""
     def attached_at(form):
         def op(x, y):
-            if isinstance(form, str):
-                return apply_bracket(bracket, x, y, form)
-            return apply_bracket(bracket, x, y, 'n').substitute('n', form)
+            return apply_bracket(bracket, x, y, form)
         op.space = bracket.space
         return op
     return {v: attached_at(form) for v, form in _FORMS.items()}

@@ -348,7 +348,7 @@ class _ExprParser:
         if any(k is None for k, _, _ in val.terms):
             self.p.error("entry must be a linear combination of basis vectors")
         if self.allow_vars:
-            return VPoly(self.space, {(k, dd, dl, 0, 0): c
+            return VPoly(self.space, {(k, dd, dl, 0): c
                                       for (k, dd, dl), c in val.terms.items()})
         return {k: c for (k, _, _), c in val.terms.items()}
 

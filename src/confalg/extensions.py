@@ -106,7 +106,13 @@ class CocycleAnsatz:
 
 
 def unknown_order(space, degrees):
-    """The shared unknown order: (t, p, q) lexicographic over even pairs."""
+    """The shared unknown order: (t, p, q) lexicographic over even pairs.
+    The degrees must be distinct integers >= 0."""
+    degrees = list(degrees)
+    if (len(set(degrees)) < len(degrees)
+            or any(not isinstance(t, int) or t < 0 for t in degrees)):
+        raise ValueError("ansatz degrees are distinct integers >= 0, got %s"
+                         % degrees)
     return [(t, p, q)
             for t in degrees
             for p in range(space.dim)
@@ -195,7 +201,7 @@ def _entry_table(bracket, coeff):
     """Each bracket entry as a list of (v, d-power, l-power, coeff(entry
     coefficient)), keyed by its basis pair (i, j); missing pairs are zero."""
     return {pair: [(v, dd, dl, coeff(s))
-                   for (v, dd, dl, _, _), s in vp.terms.items()]
+                   for (v, dd, dl, _), s in vp.terms.items()]
             for pair, vp in bracket.entries.items()}
 
 
@@ -584,6 +590,8 @@ def degree_bound_experiment(bracket, high_degree=5, low_degree=3):
     contributions of each degree, so the low-degree cocycles are exactly
     the high-degree ones that vanish above low_degree, and the two spaces
     coincide exactly when every extra degree vanishes."""
+    if low_degree < 0:
+        raise ValueError("low_degree %d is below 0" % low_degree)
     if high_degree < low_degree:
         raise ValueError("high_degree %d is below low_degree %d"
                          % (high_degree, low_degree))

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,6 @@ from confalg import (SuperSpace, GradedBilinearMap, LambdaBracket, VPoly,
                      check_leibniz_superalgebra, build_quadratic_bracket)
 
 import gens
-from test_combination import SPACE, vpolys
 
 
 def virasoro():
@@ -138,40 +136,6 @@ def test_apply_bracket_sesquilinearity_by_hand():
                         VPoly.vector(sp, y), attach="l")
     rhs = apply_bracket(br, x, y, attach="l").times_monomial(dl=1).scale(-1)
     assert lhs == rhs
-
-
-def ref_substitute(vp, var, replacement):
-    """VPoly.substitute built term by term through the validating
-    constructor."""
-    axis = {'d': 1, 'l': 2, 'm': 3, 'n': 4}[var]
-    out = VPoly.zero(vp.space)
-    for key, c in vp.terms.items():
-        rest = list(key)
-        rest[axis] = 0
-        power = VPoly(vp.space, {tuple(rest): c})
-        for _ in range(key[axis]):
-            power = sum((power.times_monomial(**{"d" + v: 1}).scale(cv)
-                         for v, cv in replacement.items()),
-                        VPoly.zero(vp.space))
-        out = out + power
-    return out
-
-
-@given(vpolys(max_dl=2, max_dm=2), st.sampled_from(['l', 'm']),
-       st.dictionaries(st.sampled_from(['d', 'l', 'm', 'n']),
-                       st.sampled_from([1, -2, Fraction(1, 2),
-                                        Fraction(-3, 2)]),
-                       min_size=1, max_size=3))
-@settings(deadline=None)
-def test_substitute_matches_the_validating_constructor(vp, var, form):
-    """substitute keeps no zero and drops every d-power of the killed
-    vector c that a d in the linear form brings in (SPACE has a parameter)."""
-    form = {v: c for v, c in form.items() if v != var}
-    out = vp.substitute(var, form)
-    expected = ref_substitute(vp, var, form)
-    assert out == expected and str(out) == str(expected)
-    assert out.terms == VPoly(SPACE, out.terms).terms
-    assert all(c for c in out.terms.values())
 
 
 def test_current_of_a_right_leibniz_bracket():

@@ -10,7 +10,7 @@ from confalg import (CocycleAnsatz, GradedBilinearMap, LambdaBracket,
                      QuadraticData, Scalar, ScalarError, SuperSpace, VPoly,
                      binom, build_quadratic_bracket, classify_brackets,
                      degree_bound_experiment, falling, solve_cocycles_direct,
-                     solve_leibniz_central_ext_gd, zero_map)
+                     solve_leibniz_central_ext_gd, unknown_order, zero_map)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -49,6 +49,15 @@ CASES = [
      ValueError),
     ("solve_cocycles_direct(LambdaBracket(SuperSpace([('e', 0)])), [0, 1])"
      ".embed([0])", ValueError),
+    ("degree_bound_experiment(LambdaBracket(SuperSpace([('e', 0)])), 2, -1)",
+     ValueError),
+    ("solve_cocycles_direct(LambdaBracket(SuperSpace([('e', 0)])), "
+     "[1, 1, 3, 3])", ValueError),
+    ("solve_cocycles_direct(LambdaBracket(SuperSpace([('e', 0)])), [-1, 1])",
+     ValueError),
+    ("solve_cocycles_direct(LambdaBracket(SuperSpace([('e', 0)])), [0, 1])"
+     ".embed([0, 1, 1])", ValueError),
+    ("unknown_order(SuperSpace([('e', 0)]), [0, 1.0])", ValueError),
     ("falling(3, -2)", ValueError),
     ("binom(3, -1)", ValueError),
     ("binom(3, 1.5)", ValueError),

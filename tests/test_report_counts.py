@@ -253,7 +253,7 @@ def noncentral_killed():
     dropped mode, but the basis bracket [c[m], L[n]] is not 0."""
     sp = SuperSpace([("L", 0), ("c", 0)], killed=("c",))
     br = LambdaBracket(sp)
-    br.set_entry("L", "L", VPoly(sp, {(0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0): 2}))
+    br.set_entry("L", "L", VPoly(sp, {(0, 1, 0, 0): 1, (0, 0, 1, 0): 2}))
     br.set_entry("c", "L", VPoly.monomial(sp, "L"))
     br.set_entry("L", "c", VPoly.monomial(sp, "c", dl=1))
     return br
