@@ -19,7 +19,7 @@ from .conformal import (VPoly, LambdaBracket, ConformalError,
                         VariableCaptureError, apply_bracket,
                         check_conformal_sesquilinearity, check_conformal_skew,
                         check_conformal_leibniz, check_conformal_jacobi,
-                        to_left_conformal, jth_products, build_current)
+                        to_left_conformal, build_current)
 from .quadratic import (QuadraticData, StarMode, star_from_mode, zero_map,
                         build_quadratic_bracket,
                         check_structure_equations_t, check_anl,
@@ -54,7 +54,7 @@ __all__ = [
     "apply_bracket",
     "check_conformal_sesquilinearity", "check_conformal_skew",
     "check_conformal_leibniz", "check_conformal_jacobi",
-    "to_left_conformal", "jth_products", "build_current",
+    "to_left_conformal", "build_current",
     "QuadraticData", "StarMode", "star_from_mode", "zero_map",
     "build_quadratic_bracket",
     "check_structure_equations_t", "check_anl", "check_associative_novikov",

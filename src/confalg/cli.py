@@ -129,10 +129,7 @@ class Output:
             "name": rep.name,
             "passed": rep.passed,
             "checked": rep.checked,
-            "failures": [{"identity": f["identity"],
-                          "at": list(f["at"]),
-                          "residual": f["residual"]}
-                         for f in rep.failures],
+            "failures": rep.failures,
         })
 
     def flush(self, command, passed):

@@ -64,9 +64,6 @@ class CoeffAlgebra:
 
     def mode_bracket_basis(self, i, m, j, n):
         """[e_i[m], e_j[n]] as a ModeExpr."""
-        out = self._brackets.get((i, m, j, n))
-        if out is not None:
-            return out
         i, j = self.space.index(i), self.space.index(j)
         key = (i, m, j, n)
         out = self._brackets.get(key)

@@ -88,21 +88,6 @@ class VPoly(Combination):
 
     # ---------- structure ----------
 
-    def degree(self, var):
-        axis = _AXIS[var]
-        return max((key[axis] for key in self.terms), default=-1)
-
-    def coefficient(self, var, power):
-        """The coefficient of var^power (the variable is consumed)."""
-        axis = _AXIS[var]
-        terms = {}
-        for key, c in self.terms.items():
-            if key[axis] == power:
-                new = list(key)
-                new[axis] = 0
-                terms[tuple(new)] = c
-        return VPoly(self.space, terms)
-
     def uses(self, var):
         axis = _AXIS[var]
         return any(key[axis] > 0 for key in self.terms)
@@ -342,23 +327,6 @@ def to_left_conformal(bracket):
     return _tabulate(LambdaBracket(bracket.space, name=(
         bracket.name or "bracket") + "_left"),
         [(-1, (('x', 'y'),), BLD(Y, X))], _ops(bracket))
-
-
-def jth_products(bracket, i, j):
-    """The j-th products a_(n) b = n! (coefficient of l^n in [a _l b]).
-
-    Returns {n: VPoly free of l} for the n with nonzero product.
-    """
-    vp = bracket.entry(i, j)
-    out = {}
-    fact = 1
-    for n in range(vp.degree('l') + 1):
-        if n > 0:
-            fact *= n
-        coeff = vp.coefficient('l', n).scale(fact)
-        if not coeff.is_zero():
-            out[n] = coeff
-    return out
 
 
 def build_current(classical_bracket):

@@ -84,8 +84,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self, offset=0):
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]

@@ -532,14 +532,15 @@ def solve_leibniz_central_ext_gd(circ, bracket=None, case='gd',
 
 # ---------- building the extended bracket ----------
 
-def extend_bracket(bracket, ansatz, central_name=None):
+def extend_bracket(bracket, ansatz):
     """The extension of a bracket by one even central element killed by d:
-    entries gain sum_t alpha_t(e_i, e_j) l^t (central element)."""
+    entries gain sum_t alpha_t(e_i, e_j) l^t (central element).  The
+    central element is named c, primed (c', c'', ...) until the name is
+    free in the bracket's space."""
     space = bracket.space
-    if central_name is None:
-        central_name = 'c'
-        while central_name in space.names:
-            central_name += "'"
+    central_name = 'c'
+    while central_name in space.names:
+        central_name += "'"
     new_space = SuperSpace(list(zip(space.names, space.parities))
                            + [(central_name, 0)],
                            params=space.params,
@@ -567,18 +568,6 @@ class DegreeBoundResult:
         self.solution_low = solution_low  # high solutions zero above low
         self.vanishing = vanishing  # {degree: True if forced to zero}
         self.agrees = agrees        # high solution == embedded low solution
-
-    def __str__(self):
-        lines = ["degree-bound experiment: ansatz degree %d vs %d"
-                 % (max(self.solution_high.degrees),
-                    max(self.solution_low.degrees))]
-        for t in sorted(self.vanishing):
-            lines.append("  alpha_%d components %s" %
-                         (t, "vanish on every solution" if self.vanishing[t]
-                          else "do NOT all vanish"))
-        lines.append("  solution spaces %s" %
-                     ("agree" if self.agrees else "DIFFER"))
-        return "\n".join(lines)
 
 
 def degree_bound_experiment(bracket, high_degree=5, low_degree=3):
