@@ -94,12 +94,7 @@ def _parse_at(at):
 def _algebra(args):
     af = _load(args.file)
     assignments = _parse_at(getattr(args, "at", None))
-    if assignments:
-        try:
-            af = af.substitute(assignments)
-        except DslError as exc:
-            raise UsageError(str(exc))
-    return af
+    return af.substitute(assignments) if assignments else af
 
 
 def _require_no_params(af, command):

@@ -174,12 +174,9 @@ def _check_mode_identity(coeff, outer, render, grid, fail_fast, title,
         fail_fast)
 
 
-def check_coeff_leibniz(bracket_or_coeff, grid, fail_fast=False):
-    """Right Leibniz identity for the mode algebra on a grid of modes."""
-    coeff = bracket_or_coeff
-    if not isinstance(coeff, CoeffAlgebra):
-        coeff = CoeffAlgebra(coeff)
-    return coeff.check_leibniz(grid, fail_fast=fail_fast)
+def check_coeff_leibniz(bracket, grid, fail_fast=False):
+    """Right Leibniz identity for the mode algebra of bracket on a grid."""
+    return CoeffAlgebra(bracket).check_leibniz(grid, fail_fast=fail_fast)
 
 
 # ---------- mode 2-cocycles from polynomial cocycles ----------
@@ -239,10 +236,8 @@ def build_phi_cocycles(source):
 
 
 def check_phi_cocycle(coeff, phi, grid, fail_fast=False):
-    """The 2-cocycle identity for the mode algebra on a grid:
+    """The 2-cocycle identity for the CoeffAlgebra coeff on a grid:
     phi(x, [y, z]) = phi([x, y], z) - (-1)^{|y||z|} phi([x, z], y)."""
-    if not isinstance(coeff, CoeffAlgebra):
-        coeff = CoeffAlgebra(coeff)
     return _check_mode_identity(coeff, phi.terms, lambda res: str(res[None]),
                                 grid, fail_fast, "mode 2-cocycle identity",
                                 "2-cocycle identity")

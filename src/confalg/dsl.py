@@ -444,22 +444,27 @@ def parse(text):
 
     ops = {}
     star_directive = None
+    star_op = None  # the op-name token of 2*<op> or symmetrized(<op>)
     brackets = {}
     lambda_bracket = None
     linear_maps = {}
+    # declaration -> (its components, name prompt, table type, names per key)
+    named = {'op': (ops, "an op name", GradedBilinearMap, 2),
+             'bracket': (brackets, "a bracket name", GradedBilinearMap, 2),
+             'linear-map': (linear_maps, "a map name", LinearMap, 1)}
 
     while p.peek()[0] != 'eof':
         tag, text_, line = p.next()
         if tag != 'ident':
             raise DslError("line %d: unexpected %r" % (line, text_))
-        if text_ == 'op':
-            oname = p.expect('ident', "an op name")[1]
-            if oname == 'star':
+        if text_ in named:
+            found, prompt, table, arity = named[text_]
+            cname = p.expect('ident', prompt)[1]
+            if text_ == 'op' and cname == 'star':
                 p.error("define star with the 'star = ...' directive")
-            if oname in ops:
-                p.error("duplicate op %r" % oname)
-            ops[oname] = _read_block(
-                p, GradedBilinearMap(space, name=oname), 2)
+            if cname in found:
+                p.error("duplicate %s %r" % (text_, cname))
+            found[cname] = _read_block(p, table(space, name=cname), arity)
         elif text_ == 'star':
             if star_directive is not None:
                 p.error("duplicate star directive")
@@ -468,14 +473,14 @@ def parse(text):
             if tag2 == 'int' and text2 == '2':
                 p.next()
                 p.expect('*')
-                base = p.expect('ident', "an op name")[1]
-                star_directive = ('double', base)
+                star_op = p.expect('ident', "an op name")
+                star_directive = ('double', star_op[1])
             elif tag2 == 'ident' and text2 == 'symmetrized':
                 p.next()
                 p.expect('(')
-                base = p.expect('ident', "an op name")[1]
+                star_op = p.expect('ident', "an op name")
                 p.expect(')')
-                star_directive = ('symmetrized', base)
+                star_directive = ('symmetrized', star_op[1])
             elif tag2 == 'ident' and text2 == 'zero':
                 p.next()
                 star_directive = ('zero',)
@@ -486,31 +491,17 @@ def parse(text):
             else:
                 p.error("expected 2*<op>, symmetrized(<op>), zero or "
                         "explicit {...}")
-        elif text_ == 'bracket':
-            bname = p.expect('ident', "a bracket name")[1]
-            if bname in brackets:
-                p.error("duplicate bracket %r" % bname)
-            brackets[bname] = _read_block(
-                p, GradedBilinearMap(space, name=bname), 2)
         elif text_ == 'lambda-bracket':
             if lambda_bracket is not None:
                 p.error("duplicate lambda-bracket")
             lambda_bracket = _read_block(
                 p, LambdaBracket(space, name='lambda'), 2)
-        elif text_ == 'linear-map':
-            mname = p.expect('ident', "a map name")[1]
-            if mname in linear_maps:
-                p.error("duplicate linear-map %r" % mname)
-            linear_maps[mname] = _read_block(
-                p, LinearMap(space, name=mname), 1)
         else:
             raise DslError("line %d: unknown declaration %r" % (line, text_))
 
-    if star_directive is not None and star_directive[0] in ('double',
-                                                            'symmetrized'):
-        if star_directive[1] not in ops:
-            raise DslError("star directive refers to undeclared op %r"
-                           % star_directive[1])
+    if star_op is not None and star_op[1] not in ops:
+        p.error("star directive refers to undeclared op %r" % star_op[1],
+                line=star_op[2])
 
     return AlgebraFile(name, space, ops, star_directive, brackets,
                        lambda_bracket, linear_maps)

@@ -113,21 +113,22 @@ def unknown_order(space, degrees):
             or any(not isinstance(t, int) or t < 0 for t in degrees)):
         raise ValueError("ansatz degrees are distinct integers >= 0, got %s"
                          % degrees)
+    par = space.parities
     return [(t, p, q)
             for t in degrees
             for p in range(space.dim)
             for q in range(space.dim)
-            if (space.parity(p) + space.parity(q)) % 2 == 0]
+            if par[p] == par[q]]
 
 
 class SolutionSpace:
     """A space of cocycles: basis vectors over a fixed unknown order."""
 
-    def __init__(self, space, degrees, unknowns, basis, route,
-                 preconditions=None, warnings=()):
+    def __init__(self, space, degrees, basis, route, preconditions=None,
+                 warnings=()):
         self.space = space
         self.degrees = tuple(degrees)
-        self.unknowns = list(unknowns)
+        self.unknowns = unknown_order(space, self.degrees)
         self.basis = [tuple(vec) for vec in basis]
         self.route = route
         self.preconditions = preconditions
@@ -154,8 +155,8 @@ class SolutionSpace:
             for u, val in zip(self.unknowns, vec):
                 new[pos[u]] = val
             basis.append(tuple(new))
-        return SolutionSpace(self.space, degrees, unknowns, basis,
-                             self.route, self.preconditions, self.warnings)
+        return SolutionSpace(self.space, degrees, basis, self.route,
+                             self.preconditions, self.warnings)
 
     def up_to(self, top):
         """The subspace of cocycles that vanish in every degree above top,
@@ -169,8 +170,8 @@ class SolutionSpace:
                   for n in keep]
                  for combo in linalg.nullspace(rows, self.dimension)]
         return SolutionSpace(self.space, [t for t in self.degrees if t <= top],
-                             [self.unknowns[n] for n in keep], basis,
-                             self.route, self.preconditions, self.warnings)
+                             basis, self.route, self.preconditions,
+                             self.warnings)
 
     def ansatz(self, vec):
         """Turn a basis index or a coefficient vector into a CocycleAnsatz."""
@@ -210,8 +211,8 @@ def _cocycle_contributions(entries, parity, triple, degrees):
     cocycle-equation residual LHS - RHS at a triple, where value is the
     table coefficient times an integer and multiplies alpha_t(e_p, e_q).
 
-    The unknown keys are NOT parity-filtered here; callers drop keys whose
-    pair has odd parity sum (those alphas vanish identically).
+    Keys on pairs of odd parity sum are yielded too: their alpha is zero,
+    as no ansatz and no unknown_order holds such a pair.
     """
     ia, ib, ic = triple
     sigma = sign(parity(ib), parity(ic))
@@ -267,7 +268,7 @@ def solve_cocycles_direct(bracket, degrees=(0, 1, 2, 3)):
     degrees = list(degrees)
     unknowns, rows = assemble_cocycle_rows(bracket, degrees)
     basis = linalg.nullspace(rows, len(unknowns))
-    return SolutionSpace(bracket.space, degrees, unknowns, basis, "direct")
+    return SolutionSpace(bracket.space, degrees, basis, "direct")
 
 
 def check_cocycle_direct(bracket, ansatz, fail_fast=False):
@@ -282,8 +283,6 @@ def check_cocycle_direct(bracket, ansatz, fail_fast=False):
         acc = {}
         for (t, p, q), ldeg, mdeg, value in \
                 _cocycle_contributions(entries, space.parity, triple, degrees):
-            if (space.parity(p) + space.parity(q)) % 2 != 0:
-                continue
             val = ansatz.alpha(t, p, q)
             if not val:
                 continue
@@ -431,8 +430,6 @@ def check_alpha_system(system, ops, ansatz, fail_fast=False):
             v1, v2 = f1(triple), f2(triple)
             for p, c1 in v1.items():
                 for q, c2 in v2.items():
-                    if (space.parity(p) + space.parity(q)) % 2:
-                        continue
                     total = total + c1 * c2 * ansatz.alpha(t, p, q) * s
         if total:
             yield name, [space.names[i] for i in triple], str(total)
@@ -506,9 +503,8 @@ def solve_structured(case, circ, bracket=None, fail_fast=False):
                 if span_warning and not _circ_spans_space(circ) else [])
     unknowns, rows = _alpha_rows(system, ops, circ.space, degrees)
     basis = linalg.nullspace(rows, len(unknowns))
-    return SolutionSpace(circ.space, degrees, unknowns, basis,
-                         "structured-" + case, preconditions=report,
-                         warnings=warnings)
+    return SolutionSpace(circ.space, degrees, basis, "structured-" + case,
+                         preconditions=report, warnings=warnings)
 
 
 def solve_central_ext_anl(circ, bracket, fail_fast=False):
@@ -545,19 +541,13 @@ def extend_bracket(bracket, ansatz):
                            + [(central_name, 0)],
                            params=space.params,
                            killed=set(space.killed) | {central_name})
-    out = LambdaBracket(new_space, name=(bracket.name or 'bracket') + '_ext')
     cidx = new_space.index(central_name)
-    for i, j in itertools.product(range(space.dim), repeat=2):
-        vp = VPoly(new_space, dict(bracket.entry(i, j).terms))
-        for t in range(ansatz.max_degree() + 1):
-            if (space.parity(i) + space.parity(j)) % 2:
-                continue
-            val = ansatz.alpha(t, i, j)
-            if val:
-                vp = vp + VPoly.monomial(new_space, cidx, dl=t, coeff=val)
-        if not vp.is_zero():
-            out.set_entry(i, j, vp)
-    return out
+    terms = {pair: dict(vp.terms) for pair, vp in bracket.entries.items()}
+    for (t, i, j), val in sorted(ansatz.entries.items()):
+        terms.setdefault((i, j), {})[(cidx, 0, t, 0)] = val
+    return LambdaBracket(new_space, {pair: VPoly(new_space, terms[pair])
+                                     for pair in sorted(terms)},
+                         name=(bracket.name or 'bracket') + '_ext')
 
 
 # ---------- degree-bound experiment ----------

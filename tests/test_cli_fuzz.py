@@ -6,13 +6,14 @@ file and runs four commands on the result with --format machine.  Every
 run must end in exit 0, 1 or 2: a usage error prints only an `error: `
 line on stderr, a verdict prints JSON whose `passed` matches the exit
 code.  A mutated file that still parses must round-trip through
-canonical_text.
+canonical_text; one that does not gives a parse error naming its line.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from importlib import resources
 
@@ -71,7 +72,8 @@ def test_mutated_corpus_files_give_a_verdict_or_a_usage_error(name, steps):
                 assert json.loads(out)["passed"] == (code == 0), argv
     try:
         af = parse(text)
-    except DslError:
+    except DslError as exc:
+        assert re.match(r"line \d+: ", str(exc)), str(exc)
         return
     again = parse(af.canonical_text())
     assert again == af

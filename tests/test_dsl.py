@@ -211,8 +211,14 @@ def test_zero_entries_are_empty():
 def test_error_star_misuse():
     with pytest.raises(DslError, match="'star = ...' directive"):
         parse("algebra x\nbasis e even\nop star { e e -> e; }\n")
-    with pytest.raises(DslError, match="undeclared op 'circ'"):
+    with pytest.raises(DslError) as exc:
         parse("algebra x\nbasis e even\nstar = 2*circ\n")
+    assert str(exc.value) == ("line 3: star directive refers to undeclared "
+                              "op 'circ'")
+    with pytest.raises(DslError) as exc:
+        parse("algebra x\nbasis e even\nstar = symmetrized(\ncir)\n")
+    assert str(exc.value) == ("line 4: star directive refers to undeclared "
+                              "op 'cir'")
     with pytest.raises(DslError, match="duplicate star directive"):
         parse("algebra x\nbasis e even\nop circ { e e -> e; }\n"
               "star = zero\nstar = zero\n")

@@ -143,6 +143,36 @@ def test_extending_by_a_non_cocycle_breaks_leibniz():
     assert not check_conformal_leibniz(extend_bracket(built, bad)).passed
 
 
+def cocycle_and_extension_verdicts(seed):
+    """For a passing quadratic bracket (odd generators included): each basis
+    cocycle of degrees 0..2, a random ansatz with entries in -2..2 and a
+    basis cocycle plus that ansatz, the pair (check_cocycle_direct verdict,
+    conformal Leibniz verdict of the extended bracket).  The second goes
+    through apply_bracket and the evaluator, and shares no code with the
+    cocycle rows."""
+    rng = random.Random(seed)
+    data = gens.passing_quadratic_instance(rng)
+    br = build_quadratic_bracket(data.circ, data.star, data.bracket)
+    sol = solve_cocycles_direct(br, (0, 1, 2))
+    noise = sol.ansatz([rng.randint(-2, 2) for _ in sol.unknowns])
+    drawn = sol.ansatzes() + [noise] + [b + noise for b in sol.ansatzes()[:1]]
+    return [(check_cocycle_direct(br, anz).passed,
+             check_conformal_leibniz(extend_bracket(br, anz)).passed)
+            for anz in drawn]
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(deadline=None)
+def test_an_ansatz_is_a_cocycle_iff_its_extension_is_leibniz(seed):
+    for direct, extended in cocycle_and_extension_verdicts(seed):
+        assert direct == extended
+
+
+def test_the_extension_oracle_meets_non_cocycles():
+    assert not all(direct for seed in range(5)
+                   for direct, _ in cocycle_and_extension_verdicts(seed))
+
+
 def test_gd_route_requires_novikov_input():
     with pytest.raises(PreconditionError):
         solve_leibniz_central_ext_gd(gens.example_circ())
