@@ -145,9 +145,10 @@ class LambdaBracket:
         if vp.uses('m'):
             raise ValueError("bracket entries are polynomials in d and l "
                              "only")
-        want = (self.space.parity(i) + self.space.parity(j)) % 2
+        par = self.space.parities
+        want = (par[i] + par[j]) % 2
         for (k, dd, dl, dm) in vp.terms:
-            if self.space.parity(k) != want:
+            if par[k] != want:
                 raise ConformalError(
                     "grading violated in bracket entry (%s, %s)"
                     % (self.space.names[i], self.space.names[j]))

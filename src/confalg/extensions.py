@@ -12,7 +12,16 @@ becomes one exact linear system per monomial l^i m^j per basis triple; this
 module solves it two independent ways:
 
 * the **direct route** expands the cocycle equation term by term straight
-  from the stored lambda-bracket (any entries, any ansatz degree), and
+  from the stored lambda-bracket (any entries, any ansatz degree).  Each
+  of its three terms depends on one bracket pair only, so its expansion
+  (signs, binomials, monomials and unknowns) is tabulated once per pair,
+  not once per basis triple: the LHS alpha_l(a, [b _m c]) keyed by
+  (b, c), the first RHS term alpha_{l+m}([a _l b], c) keyed by (a, b),
+  and the second, alpha_{-m}([a _l c], b), keyed by (a, c) with one list
+  per Koszul sign.  The RHS tables are built per outer index (a, or a and
+  b) and dropped when it moves on, which keeps peak memory flat.
+  assemble_cocycle_rows reads them with a column per unknown,
+  check_cocycle_direct with the ansatz's values; and
 * the **structured route** instantiates the per-degree equation systems known
   in closed form for the quadratic cases (the associative-Novikov-Leibniz
   case, the bracket-free associative-Novikov case, the symmetrized
@@ -32,7 +41,7 @@ from . import linalg
 from .scalars import (Scalar, as_rational, combination_str, graded_lex,
                       monomial_str, require_rational)
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, check_system,
-                         sign, _memoised)
+                         _memoised)
 from .conformal import LambdaBracket, VPoly
 from .quadratic import (C, S, SYSTEMS, StarMode, build_quadratic_bracket,
                         star_from_mode, zero_map)
@@ -64,7 +73,7 @@ class CocycleAnsatz:
             raise ValueError("cocycle degrees are integers >= 0, got %r"
                              % (t,))
         p, q = self.space.index(p), self.space.index(q)
-        if (self.space.parity(p) + self.space.parity(q)) % 2:
+        if (self.space.parities[p] + self.space.parities[q]) % 2:
             raise ValueError("cocycle entries vanish on odd-parity pairs")
         value = Scalar.coerce(value, self.space.params)
         if not value:
@@ -206,60 +215,106 @@ def _entry_table(bracket, coeff):
             for pair, vp in bracket.entries.items()}
 
 
-def _cocycle_contributions(entries, parity, triple, degrees):
-    """Yield (unknown key (t, p, q), l-degree, m-degree, value) for the
-    cocycle-equation residual LHS - RHS at a triple, where value is the
-    table coefficient times an integer and multiplies alpha_t(e_p, e_q).
+def _cocycle_terms(bracket, coeff, tables):
+    """Yield each basis triple (a, b, c), in product order, with the terms
+    of the cocycle residual LHS - RHS at it.
 
-    Keys on pairs of odd parity sum are yielded too: their alpha is zero,
-    as no ansatz and no unknown_order holds such a pair.
+    tables maps each ansatz degree t, in order, to tab, where tab[p][q]
+    stands for alpha_t(e_p, e_q) and is None where it is absent.
+    The terms come as three (terms, k) parts.  Each term is (line,
+    (l-degree, m-degree), value): value is coeff(entry coefficient) times
+    an integer and multiplies line[k], which is tab[k][v] for the LHS and
+    tab[v][k] for the RHS terms, v the term's basis vector.
+
+    * LHS alpha_l(a, [b _m c]): the table of pair (b, c), k = a.
+    * -RHS1 = -alpha_{l+m}([a _l b], c): the table of pair (a, b), k = c;
+      it holds the binomial expansion of (l + m)^(dd + t), its terms of
+      equal unknown and monomial summed, in order of first appearance.
+    * +sigma RHS2 = +sigma alpha_{-m}([a _l c], b): the table of pair
+      (a, c) for the Koszul sign sigma of (b, c), k = b.
+
+    The LHS tables are built up front.  The RHS ones are built lazily per
+    outer index, RHS2 for each a and RHS1 for each (a, b), and dropped when
+    the index moves on, so peak memory stays flat.
     """
-    ia, ib, ic = triple
-    sigma = sign(parity(ib), parity(ic))
-    # LHS: alpha_l(a, [b _m c])
-    for v, dd, dl, s in entries.get((ib, ic), ()):
-        for t in degrees:
-            yield (t, ia, v), dd + t, dl, s
-    # -RHS1: -alpha_{l+m}([a _l b], c)
-    for v, dd, dl, s in entries.get((ia, ib), ()):
-        neg_base = 1 if dd & 1 else -1  # -(-1)^dd
-        for t in degrees:
-            n = dd + t
-            for r in range(n + 1):
-                yield (t, v, ic), dl + r, n - r, s * (neg_base * comb(n, r))
-    # +sigma RHS2: +sigma alpha_{-m}([a _l c], b)
-    for v, dd, dl, s in entries.get((ia, ic), ()):
-        for t in degrees:
-            yield (t, v, ib), dl, dd + t, s * (-sigma if t & 1 else sigma)
+    dim = bracket.space.dim
+    par = bracket.space.parities
+    entries = _entry_table(bracket, coeff)
+    columns = {t: list(zip(*tab)) for t, tab in tables.items()}
+    lhs = {pair: [(columns[t][v], (dd + t, dl), s)
+                  for v, dd, dl, s in terms for t in tables]
+           for pair, terms in entries.items()}
+
+    def rhs1(terms):
+        out = {}
+        for v, dd, dl, s in terms:
+            neg_base = 1 if dd & 1 else -1  # -(-1)^dd
+            for t in tables:
+                n = dd + t
+                for r in range(n + 1):
+                    key = (t, v, dl + r, n - r)
+                    value = s * (neg_base * comb(n, r))
+                    prev = out.get(key)
+                    out[key] = value if prev is None else prev + value
+        return [(tables[t][v], (ldeg, mdeg), value)
+                for (t, v, ldeg, mdeg), value in out.items()]
+
+    def rhs2(terms):
+        # one list per Koszul sign: sigma = +1 at index 0, -1 at index 1
+        return tuple([(tab[v], (dl, dd + t), s * (-sigma if t & 1 else sigma))
+                      for v, dd, dl, s in terms for t, tab in tables.items()]
+                     for sigma in (1, -1))
+
+    for ia in range(dim):
+        rhs2_a = [rhs2(entries.get((ia, ic), ())) for ic in range(dim)]
+        for ib in range(dim):
+            rhs1_ab = rhs1(entries.get((ia, ib), ()))
+            for ic in range(dim):
+                yield (ia, ib, ic), ((lhs.get((ib, ic), ()), ia),
+                                     (rhs1_ab, ic),
+                                     (rhs2_a[ic][par[ib] & par[ic]], ib))
 
 
 def assemble_cocycle_rows(bracket, degrees):
     """All monomial rows of the cocycle system, over unknown_order(space,
-    degrees).  Bracket entries must be parameter-free."""
+    degrees): per basis triple in product order, one row per monomial
+    l^i m^j in order of first appearance.  Bracket entries must be
+    parameter-free.
+
+    The triple loop only reads and sums the per-pair tables of
+    _cocycle_terms (the LHS keyed by (b, c), the first RHS term by (a, b),
+    the second by (a, c)), with the column table col[t][p][q] (None on odd
+    pairs) naming each unknown.  The RHS tables are built per outer index
+    and dropped after it, which keeps peak memory flat.
+    check_cocycle_direct reads the same tables."""
     require_rational((c for vp in bracket.entries.values()
                       for c in vp.terms.values()), "the bracket")
     space = bracket.space
     unknowns = unknown_order(space, degrees)
-    index = {u: i for i, u in enumerate(unknowns)}
-    entries = _entry_table(bracket, as_rational)
+    col = {t: [[None] * space.dim for _ in range(space.dim)]
+           for t in degrees}
+    for u, (t, p, q) in enumerate(unknowns):
+        col[t][p][q] = u
     rows = []
-    for triple in itertools.product(range(space.dim), repeat=3):
+    for _, parts in _cocycle_terms(bracket, as_rational, col):
         acc = {}
-        for key, ldeg, mdeg, value in \
-                _cocycle_contributions(entries, space.parity, triple, degrees):
-            u = index.get(key)
-            if u is None:
-                continue
-            mono = acc.get((ldeg, mdeg))
-            if mono is None:
-                acc[(ldeg, mdeg)] = {u: value}
-            else:
-                prev = mono.get(u)
-                mono[u] = value if prev is None else prev + value
-        for mono in acc.values():
-            row = {u: c for u, c in mono.items() if c}
-            if row:
-                rows.append(row)
+        for terms, k in parts:
+            for line, mono, value in terms:
+                u = line[k]
+                if u is None:
+                    continue
+                row = acc.get(mono)
+                if row is None:
+                    acc[mono] = {u: value}
+                else:
+                    prev = row.get(u)
+                    row[u] = value if prev is None else prev + value
+        for row in acc.values():
+            if not all(row.values()):
+                row = {u: c for u, c in row.items() if c}
+                if not row:
+                    continue
+            rows.append(row)
     return unknowns, rows
 
 
@@ -272,29 +327,33 @@ def solve_cocycles_direct(bracket, degrees=(0, 1, 2, 3)):
 
 
 def check_cocycle_direct(bracket, ansatz, fail_fast=False):
-    """Check a given ansatz against the cocycle equation, symbolically (parameters in the
-    bracket or the ansatz flow through)."""
+    """Check a given ansatz against the cocycle equation, symbolically
+    (parameters in the bracket or the ansatz flow through).  It reads the
+    same per-pair tables as assemble_cocycle_rows, with the ansatz's
+    entries in place of the column table."""
     space = bracket.space
     degrees = list(range(ansatz.max_degree() + 1)) or [0]
+    values = {t: [[ansatz.entries.get((t, p, q)) for q in range(space.dim)]
+                  for p in range(space.dim)]
+              for t in degrees}
 
-    entries = _entry_table(bracket, lambda s: s)
-
-    def check(triple):
+    def check(cell):
+        triple, parts = cell
         acc = {}
-        for (t, p, q), ldeg, mdeg, value in \
-                _cocycle_contributions(entries, space.parity, triple, degrees):
-            val = ansatz.alpha(t, p, q)
-            if not val:
-                continue
-            add = value * val
-            prev = acc.get((ldeg, mdeg))
-            acc[(ldeg, mdeg)] = add if prev is None else prev + add
+        for terms, k in parts:
+            for line, mono, value in terms:
+                val = line[k]
+                if val is None:
+                    continue
+                add = value * val
+                prev = acc.get(mono)
+                acc[mono] = add if prev is None else prev + add
         if any(acc.values()):
             yield ("cocycle equation", [space.names[i] for i in triple],
                    combination_str((acc[e], monomial_str('lm', e))
                                    for e in sorted(acc, key=graded_lex)))
     return AxiomReport("cocycle functional equation").run(
-        itertools.product(range(space.dim), repeat=3), check, fail_fast)
+        _cocycle_terms(bracket, lambda s: s, values), check, fail_fast)
 
 
 # ---------- the structured route: per-degree closed systems ----------

@@ -402,9 +402,10 @@ def classify_brackets(circ):
     space = circ.space
     require_rational((c for vec in circ.table.values() for c in vec.values()),
                      "circ")
+    par = space.parities
     triples = [(i, j, k)
                for i, j, k in itertools.product(range(space.dim), repeat=3)
-               if (space.parity(i) + space.parity(j)) % 2 == space.parity(k)]
+               if (par[i] + par[j]) % 2 == par[k]]
     unknowns = {}   # (i, j) -> [(k, u)]: the unknown coordinates of [e_i, e_j]
     for u, (i, j, k) in enumerate(triples):
         unknowns.setdefault((i, j), []).append((k, u))

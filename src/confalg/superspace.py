@@ -206,7 +206,7 @@ def _set_graded(space, table, key, vec, want, violation):
         c = Scalar.coerce(c, space.params)
         if not c:
             continue
-        if space.parity(k) != want:
+        if space.parities[k] != want:
             raise ScalarError(violation(k))
         clean[k] = c
     if clean:
@@ -247,11 +247,11 @@ class GradedBilinearMap:
     def set_entry(self, i, j, vec):
         space = self.space
         i, j = space.index(i), space.index(j)
-        want = (space.parity(i) + space.parity(j)) % 2
+        want = (space.parities[i] + space.parities[j]) % 2
         _set_graded(space, self.table, (i, j), vec, want, lambda k: (
             "grading violated: (%s, %s) -> %s has parity %d, expected %d"
             % (space.names[i], space.names[j], space.names[k],
-               space.parity(k), want)))
+               space.parities[k], want)))
 
     def entry(self, i, j):
         return dict(self.table.get((self.space.index(i),
@@ -587,7 +587,7 @@ class LinearMap:
     def set_entry(self, i, vec):
         space = self.space
         i = space.index(i)
-        _set_graded(space, self.table, i, vec, space.parity(i), lambda k: (
+        _set_graded(space, self.table, i, vec, space.parities[i], lambda k: (
             "linear map is not even: %s -> %s" % (space.names[i],
                                                    space.names[k])))
 
