@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output formats, option handling."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -328,3 +330,30 @@ def test_one_parser_serves_every_call(first, second, capsys):
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == _fresh_run(argv)
+
+
+def test_central_ext_is_pinned_away_from_the_default_degree(capsys):
+    """central-ext on every corpus file and case at degrees below, at the
+    edge of and above the structured degrees: the truncation of the
+    structured space and the comparison on the direct route's degrees."""
+    at = {"rab": ["--at", "a=1,b=-2"], "gd_final": ["--at", "a=2"]}
+    names = sorted(f.name[:-4] for f in
+                   resources.files("confalg").joinpath("corpus").iterdir()
+                   if f.name.endswith(".alg"))
+    assert len(names) == 11
+    runs = []
+    for name in names:
+        for case in ("anl", "assoc-novikov", "gd", "novikov-lie"):
+            for degree in ("0", "1", "5"):
+                for fmt in ("text", "machine"):
+                    code = main(["central-ext", name, "--case", case,
+                                 "--degree", degree, "--format", fmt]
+                                + at.get(name, []))
+                    captured = capsys.readouterr()
+                    runs.append("%s %s %s %s: exit %d\n%s%s"
+                                % (name, case, degree, fmt, code,
+                                   captured.out, captured.err))
+    assert len(runs) == 264
+    digest = hashlib.sha256("".join(runs).encode()).hexdigest()
+    assert digest == ("33506f43a37a07ce0da9cfcb5fbd6838"
+                      "7eda636d5f971b4b1039d26cea094066")
