@@ -20,6 +20,7 @@ parse error.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -37,8 +38,8 @@ from .quadratic import (zero_map, check_structure_equations_t, check_anl,
                         check_novikov, check_associative_novikov,
                         check_averaging, build_assoc_novikov_from_averaging,
                         classify_brackets)
-from .extensions import (CASES, PreconditionError, case_bracket,
-                         solve_cocycles_direct, solve_structured)
+from .extensions import (CASES, PreconditionError, central_extension,
+                         structured_route)
 from .coeff import CoeffAlgebra, build_phi_cocycles, check_phi_cocycle
 
 
@@ -249,11 +250,9 @@ def cmd_verify_conformal(args, out):
     reports = [check(bracket, fail_fast=args.fail_fast)
                for check in ((check_conformal_sesquilinearity,)
                              + _conformal_kinds()[args.kind])]
-    ok = True
     for rep in reports:
         out.report(rep)
-        ok = ok and rep.passed
-    return ok
+    return all(rep.passed for rep in reports)
 
 
 def cmd_check_structure(args, out):
@@ -277,17 +276,14 @@ def cmd_classify_brackets(args, out):
     return not result.constraints
 
 
-def _structured_route(af, case, declared, fail_fast):
-    """(structured solve callable, None) for a case, or (None, the reason it
-    does not apply): the bracket the case builds from the file's circ (and
-    bracket) must have the entries of the declared conformal bracket.  The
-    solve checks the case's preconditions under fail_fast."""
-    circ, bracket = af.circ(), af.classical_bracket()
-    if case_bracket(case, circ, bracket).entries != declared.entries:
-        return None, ("structured route: not applicable (case %r builds a "
-                      "different bracket from the one %r declares)"
-                      % (case, af.name))
-    return (lambda: solve_structured(case, circ, bracket, fail_fast)), None
+_NOT_APPLICABLE = ("structured route: not applicable (case %r builds a "
+                   "different bracket from the one %r declares)")
+
+
+def _preconditions_failed(out, case, exc):
+    out.text("preconditions for case %r FAILED:" % case)
+    out.report(exc.report)
+    return False
 
 
 def cmd_central_ext(args, out):
@@ -296,37 +292,23 @@ def cmd_central_ext(args, out):
     af = _algebra(args)
     _require_no_params(af, "central-ext")
     out.data["algebra"] = af.name
-    declared = af.conformal_bracket()
-    solve, not_applicable = _structured_route(af, args.case, declared,
-                                                 args.fail_fast)
     try:
-        structured = solve() if solve else None
+        structured, direct, agree = central_extension(
+            af.conformal_bracket(), args.case, af.circ(),
+            af.classical_bracket(), args.degree, args.fail_fast)
     except PreconditionError as exc:
-        out.text("preconditions for case %r FAILED:" % args.case)
-        out.report(exc.report)
-        out.data["preconditions_passed"] = False
+        _preconditions_failed(out, args.case, exc)
+        out.data["preconditions_passed"] = False  # after "reports"
         return False
-    direct = solve_cocycles_direct(declared, range(args.degree + 1))
-    if structured is None:
-        out.text(not_applicable)
-        out.text(str(direct))
-        out.data.update(structured=None, direct=_solution_payload(direct),
-                        agree=None)
-        return True
-    # the direct route holds no cocycle above --degree, so compare and show
-    # the structured cocycles that vanish there, on the direct route's degrees
-    structured = structured.up_to(args.degree)
-    degrees = list(direct.degrees)
-    agree = (structured.embed(degrees).reduced_basis()
-             == direct.reduced_basis())
-    out.text(str(structured))
+    out.text(_NOT_APPLICABLE % (args.case, af.name) if structured is None
+             else str(structured))
     out.text(str(direct))
-    out.text("routes %s on the common degree range %s"
-             % ("AGREE" if agree else "DISAGREE", degrees))
-    out.data["structured"] = _solution_payload(structured)
-    out.data["direct"] = _solution_payload(direct)
-    out.data["agree"] = agree
-    return agree
+    if agree is not None:
+        out.text("routes %s on the common degree range %s"
+                 % ("AGREE" if agree else "DISAGREE", list(direct.degrees)))
+    out.data.update(structured=structured and _solution_payload(structured),
+                    direct=_solution_payload(direct), agree=agree)
+    return agree is not False
 
 
 def _parse_grid(grid):
@@ -353,11 +335,15 @@ def cmd_coeff(args, out):
         raise UsageError("--phi from-central-ext needs --case")
     if args.case and not args.phi:
         raise UsageError("--case needs --phi from-central-ext")
+    solution = None
     if args.phi:
-        solve, not_applicable = _structured_route(af, args.case, bracket,
-                                                     args.fail_fast)
-        if not_applicable:
-            raise UsageError(not_applicable)
+        try:
+            solution = structured_route(bracket, args.case, af.circ(),
+                                        af.classical_bracket(), args.fail_fast)
+        except PreconditionError as exc:
+            solution = exc
+        if solution is None:
+            raise UsageError(_NOT_APPLICABLE % (args.case, af.name))
     table = coeff.table_lines(grid)
     out.text("coefficient algebra of %s on modes %d..%d:"
              % (af.name, grid[0], grid[-1]))
@@ -369,13 +355,9 @@ def cmd_coeff(args, out):
         rep = coeff.check_leibniz(grid, fail_fast=args.fail_fast)
         out.report(rep)
         ok = ok and rep.passed
-    if args.phi:
-        try:
-            solution = solve()
-        except PreconditionError as exc:
-            out.text("preconditions for case %r FAILED:" % args.case)
-            out.report(exc.report)
-            return False
+    if isinstance(solution, PreconditionError):
+        return _preconditions_failed(out, args.case, solution)
+    if solution is not None:
         phis = build_phi_cocycles(solution)
         out.data["phi_count"] = len(phis)
         for n, phi in enumerate(phis):
@@ -426,19 +408,17 @@ EXAMPLE_EXPECTATIONS = [
 def cmd_examples(args, out):
     cache = {}
     rows = []
-    all_ok = True
     for fname, check, expected in EXAMPLE_EXPECTATIONS:
         if fname not in cache:
             cache[fname] = _load(fname)
         got = bool(_run_check(cache[fname], check))
         ok = (got == expected)
-        all_ok = all_ok and ok
         rows.append({"file": fname, "check": check,
                      "expected": expected, "got": got, "ok": ok})
         out.text("%-4s %-18s %-28s expected %-5s got %s"
                  % ("ok" if ok else "BAD", fname, check, expected, got))
     out.data["results"] = rows
-    return all_ok
+    return all(row["ok"] for row in rows)
 
 
 # ---------- argument parsing ----------
@@ -537,7 +517,12 @@ def main(argv=None):
     except (UsageError, ScalarError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    out.flush(args.command, passed)
+    try:
+        out.flush(args.command, passed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send the rest, and the exit flush, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if passed else 1
 
 

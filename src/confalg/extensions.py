@@ -31,7 +31,8 @@ module solves it two independent ways:
 Both routes produce solution spaces over the same unknown order
 (degree index t, row basis index p, column basis index q), restricted to
 pairs of even parity sum (odd pairs vanish because c is even), so their
-reduced echelon bases are directly comparable.
+reduced echelon bases are directly comparable.  central_extension is where
+they are compared, on a declared bracket the case builds.
 """
 
 import itertools
@@ -498,11 +499,8 @@ def check_alpha_system(system, ops, ansatz, fail_fast=False):
 
 
 def _circ_spans_space(circ):
-    space = circ.space
-    rows = []
-    for vec in circ.table.values():
-        rows.append({k: as_rational(c) for k, c in vec.items()})
-    return linalg.rank(rows) == space.dim
+    return linalg.rank([{k: as_rational(c) for k, c in vec.items()}
+                        for vec in circ.table.values()]) == circ.space.dim
 
 
 _SPAN_WARNING = ("the circ products do not span the whole space; the "
@@ -537,13 +535,6 @@ def _case_ops(case, circ, bracket):
             'bracket': bracket}
 
 
-def case_bracket(case, circ, bracket=None):
-    """The lambda-bracket a case builds from circ (and bracket, in the cases
-    that take one): the structured route of the case solves for it."""
-    ops = _case_ops(case, circ, bracket)
-    return build_quadratic_bracket(ops['circ'], ops['star'], ops['bracket'])
-
-
 def solve_structured(case, circ, bracket=None, fail_fast=False):
     """The structured route of a case in CASES on circ (and bracket, in the
     cases that take one).  The case's preconditions run first, fail_fast
@@ -564,6 +555,30 @@ def solve_structured(case, circ, bracket=None, fail_fast=False):
     basis = linalg.nullspace(rows, len(unknowns))
     return SolutionSpace(circ.space, degrees, basis, "structured-" + case,
                          preconditions=report, warnings=warnings)
+
+
+def structured_route(declared, case, circ, bracket=None, fail_fast=False):
+    """solve_structured(case, circ, bracket, fail_fast) if the bracket the
+    case builds from circ (and bracket) is the declared one, else None."""
+    ops = _case_ops(case, circ, bracket)
+    built = build_quadratic_bracket(ops['circ'], ops['star'], ops['bracket'])
+    if built.entries != declared.entries:
+        return None
+    return solve_structured(case, circ, bracket, fail_fast)
+
+
+def central_extension(declared, case, circ, bracket, degree,
+                      fail_fast=False):
+    """(structured, direct, agree): the direct route on declared at degrees
+    0..degree, structured_route(...) cut to them (up_to), and whether the
+    two span the same space; (None, direct, None) if the case is off."""
+    structured = structured_route(declared, case, circ, bracket, fail_fast)
+    direct = solve_cocycles_direct(declared, range(degree + 1))
+    if structured is None:
+        return None, direct, None
+    structured = structured.up_to(degree)
+    return structured, direct, (structured.embed(direct.degrees)
+                                .reduced_basis() == direct.reduced_basis())
 
 
 def solve_central_ext_anl(circ, bracket, fail_fast=False):

@@ -357,3 +357,21 @@ def test_central_ext_is_pinned_away_from_the_default_degree(capsys):
     digest = hashlib.sha256("".join(runs).encode()).hexdigest()
     assert digest == ("33506f43a37a07ce0da9cfcb5fbd6838"
                       "7eda636d5f971b4b1039d26cea094066")
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    """`confalg ... | head -1`: the JSON (over 64 KiB, more than a pipe
+    holds) meets a closed pipe, which must end the run quietly with the
+    verdict's status."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "confalg.cli", "coeff",
+                             "virasoro", "--grid", "-30..30", "--format",
+                             "machine"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")

@@ -19,7 +19,8 @@ from confalg import (SuperSpace, GradedBilinearMap, Scalar, CocycleAnsatz,
                      check_alpha_system)
 from confalg.extensions import (ANL_ALPHA_SYSTEM, ASSOC_NOVIKOV_ALPHA_SYSTEM,
                                 GD_ALPHA_SYSTEM, NOVIKOV_LIE_ALPHA_SYSTEM,
-                                assemble_cocycle_rows, _alpha_rows)
+                                assemble_cocycle_rows, structured_route,
+                                _alpha_rows)
 
 import gens
 
@@ -387,20 +388,22 @@ CASE_SOLVERS = {
 
 def _route_text(solve):
     """The PreconditionError report of a structured solve, or its solution
-    as (route, degrees, unknowns, basis, warnings)."""
+    as (route, degrees, unknowns, basis, warnings), or None for no solve."""
     try:
         sol = solve()
     except PreconditionError as exc:
         return str(exc.report)
+    if sol is None:
+        return None
     return repr((sol.route, sol.degrees, sol.unknowns,
                  [[str(x) for x in vec] for vec in sol.basis], sol.warnings))
 
 
 def test_structured_routes_are_pinned():
-    """For every corpus file and every case: whether the CLI finds the case
-    applicable, and what the structured solve gives, through the CLI's route
-    and through the public solver, with and without fail_fast."""
-    from confalg.cli import _structured_route
+    """For every corpus file and every case: whether structured_route finds
+    the case applicable, and what the structured solve gives, through
+    structured_route and through the public solver, with and without
+    fail_fast."""
     text = []
     files = sorted(f.name for f in
                    resources.files("confalg").joinpath("corpus").iterdir()
@@ -413,12 +416,17 @@ def test_structured_routes_are_pinned():
         declared = af.conformal_bracket()
         for case in ("anl", "assoc-novikov", "gd", "novikov-lie"):
             for fail_fast in (False, True):
-                solve, reason = _structured_route(af, case, declared,
-                                                  fail_fast)
+                routed = _route_text(lambda: structured_route(
+                    declared, case, af.circ(), af.classical_bracket(),
+                    fail_fast))
+                reason = None if routed is not None else (
+                    "structured route: not applicable (case %r builds a "
+                    "different bracket from the one %r declares)"
+                    % (case, af.name))
                 text.append("%s %s %s: %s" % (fname, case, fail_fast,
                                               reason))
-                if solve is not None:
-                    text.append(_route_text(solve))
+                if routed is not None:
+                    text.append(routed)
                 text.append(_route_text(
                     lambda: CASE_SOLVERS[case](af.circ(),
                                                af.classical_bracket(),
