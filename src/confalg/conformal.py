@@ -258,11 +258,12 @@ CONFORMAL_JACOBI = ('conformal Jacobi',
 
 
 def _ops(bracket):
-    """The ops of _FORMS on bracket, functions that carry its space."""
+    """The ops of _FORMS on bracket, functions that carry its space and,
+    as the table of where they can be nonzero, its entries."""
     def attached_at(form):
         def op(x, y):
             return apply_bracket(bracket, x, y, form)
-        op.space = bracket.space
+        op.space, op.table = bracket.space, bracket.entries
         return op
     return {v: attached_at(form) for v, form in _FORMS.items()}
 

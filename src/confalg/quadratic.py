@@ -470,11 +470,12 @@ def classify_brackets(circ):
             cur[k] = cur.get(k, Scalar.zero(params)) + tv * c
     fam = GradedBilinearMap(fspace, entries, name='bracket')
 
-    # left Leibniz on the family, symbolically
-    at = _memoised(fspace, {'bracket': fam})(LEFT_LEIBNIZ[1], 3)
-    constraints = [
-        str(c) for cell in itertools.product(range(fspace.dim), repeat=3)
-        for c in _residual(at(cell), cell).values()]
+    # left Leibniz on the family, symbolically, on the cells where a term
+    # can be nonzero (the others add no constraint)
+    plan = _memoised(fspace, {'bracket': fam})
+    at = plan(LEFT_LEIBNIZ[1], 3)
+    constraints = [str(c) for cell in plan.cells(LEFT_LEIBNIZ[1], 3)
+                   for c in _residual(at(cell), cell).values()]
 
     return ClassificationResult(space, triples, basis, fspace, fam,
                                 preconditions, constraints)

@@ -11,7 +11,9 @@ linear-combination type under the conformal, mode and file-format layers.
 
 Identities are written here as equations over slots and op nodes (see
 "identities as equations" below) and checked by one evaluator, which per
-check compiles expressions into closures and equations into per-parity plans.
+check compiles expressions into closures and equations into per-parity plans,
+and evaluates an equation only on the basis cells where a term can be
+nonzero, as read from the tables of its multilinear ops.
 The classical ones live here: super skew-symmetry + Jacobi (Lie), the right
 and left Leibniz identities, supercommutativity and associativity, next to
 the sign-twisted conversion between right and left Leibniz structures; the
@@ -316,10 +318,15 @@ class AxiomReport:
 
         check(cell) yields (identity, at, residual string) for each identity
         that fails at the cell.  A cell counts as one instance however many
-        identities it holds.  With fail_fast the run stops at its first
+        identities it holds.  An int n among the cells stands for a run of
+        n cells known to hold nothing: they count as n passed instances and
+        are not checked.  With fail_fast the run stops at its first
         failure.  Returns the report.
         """
         for cell in cells:
+            if type(cell) is int:
+                self.checked += cell
+                continue
             self.checked += 1
             for identity, at, residual in check(cell):
                 self.record(identity, at, residual)
@@ -347,12 +354,14 @@ class AxiomReport:
 # expression).  An expression is a tree of the slots X, Y, Z and op nodes
 # ('op', name, *args), where name is a key of the ops dict that applies to
 # the argument values (a GradedBilinearMap takes two, a LinearMap one); the
-# ops carry the space they act on, a plain function as its space attribute.
-# A sign pair (A, B) of slot strings contributes (-1)^{parity(A) parity(B)}
-# for the basis vectors in the slots.  An equation is checked on every basis
-# cell of the slots it uses: pairs for x, y and triples for x, y, z.  The
-# values are vectors {k: coefficient} or Combinations (the conformal layer's
-# VPolys), and a residual has the type of its values.
+# ops carry the space they act on, a plain function as its space attribute,
+# and are multilinear, with a table of where they can be nonzero (see
+# _memoised).  A sign pair (A, B) of slot strings contributes
+# (-1)^{parity(A) parity(B)} for the basis vectors in the slots.  An
+# equation is checked on every basis cell of the slots it uses, pairs for
+# x, y and triples for x, y, z, and evaluated on those where a term can be
+# nonzero.  The values are vectors {k: coefficient} or Combinations (the
+# conformal layer's VPolys), and a residual has the type of its values.
 
 X = ('slot', 'x')
 Y = ('slot', 'y')
@@ -396,12 +405,21 @@ def _term_sign(sign_pairs, parities):
     return -1 if expo % 2 else 1
 
 
-def _slots(expr):
+def _slots(expr, of=None):
     """The positions (x = 0, y = 1, z = 2) of the slots an expression uses,
-    in increasing order."""
+    in increasing order; of, if given, gives those of its arguments."""
     if expr[0] == 'slot':
         return ('xyz'.index(expr[1]),)
-    return tuple(sorted(set().union(*map(_slots, expr[2:]))))
+    return tuple(sorted(set().union(*map(of or _slots, expr[2:]))))
+
+
+def _indices(value):
+    """The basis indices a value has terms on, as a set or a view of one:
+    the keys of a vector, the first item of each key of a Combination (k
+    of a VPoly's (k, dd, dl, dm))."""
+    if isinstance(value, Combination):
+        return {key[0] for key in value.terms}
+    return value.keys()
 
 
 def _memoised(space, ops):
@@ -410,16 +428,34 @@ def _memoised(space, ops):
     cell, plan(terms, arity)(cell) lists (signed coefficient, *rest) for
     the parities of its basis vectors, each expression of rest a closure
     cell -> vector (a degree index passes through).  A map op runs as its
-    apply_vec; another op is any function of the argument vectors.
+    apply_vec; another op is a function of the argument vectors.
 
     An expression that uses fewer slots than the cell is computed once per
     indices of its slots while plan lives (one check call), in
     plan.memo[expression], shared across arities; one that uses them all
     is computed afresh, since storing it would keep dim^arity vectors per
-    expression alive.  The vectors are shared: never modify one."""
-    basis = [space.basis_vec(i) for i in range(space.dim)]
-    parities = space.parities
+    expression alive.  The vectors are shared: never modify one.
+
+    plan.cells(terms, arity) lists, in product order, the cells where some
+    term (coefficient, sign pairs, expression) of an equation can be
+    nonzero.  It rests on every op being multilinear and declaring in
+    op.table where it can be nonzero: the keys are the basis pairs (basis
+    indices, for a one-argument op) where it can, and the basis indices of
+    a value hold those of the op there; that is a GradedBilinearMap's or
+    LinearMap's table, or a LambdaBracket's entries.  An op node is zero
+    at a cell where no key of its table meets the basis indices of its
+    arguments, read off the memoised values of an argument with fewer
+    slots than the cell and off the tables below one with all of them
+    (see _support).  A term with an op without a table, or of a shape
+    _support does not join, can be nonzero on every cell."""
+    dim, parities = space.dim, space.parities
+    basis = [space.basis_vec(i) for i in range(dim)]
     memo = {}   # expression -> {indices of its slots: vector}
+    tables = {}   # op name -> where it can be nonzero (see table)
+
+    @functools.cache
+    def slots_of(expr):
+        return _slots(expr, slots_of)
 
     @functools.cache
     def compiled(expr, arity):
@@ -433,7 +469,7 @@ def _memoised(space, ops):
             fresh = lambda cell: op(f(cell), g(cell))
         else:
             fresh = lambda cell: op(*[f(cell) for f in args])
-        slots = _slots(expr)
+        slots = slots_of(expr)
         if len(slots) == arity:
             return fresh
         key_of, values = itemgetter(*slots), memo.setdefault(expr, {})
@@ -459,8 +495,100 @@ def _memoised(space, ops):
                     for coeff, pairs, *rest in terms]
             return by_parity[key]
         return at
-    plan.memo = memo
+
+    def table(name):
+        """Where op name can be nonzero, from its table: {i: {j: output
+        basis indices}} for a two-argument op, {i: output basis indices}
+        for a one-argument one; None for an op without a table."""
+        if name not in tables:
+            entries, out = getattr(ops[name], 'table', None), {}
+            for key, value in (entries or {}).items():
+                if type(key) is tuple:
+                    out.setdefault(key[0], {})[key[1]] = _indices(value)
+                else:
+                    out[key] = _indices(value)
+            tables[name] = None if entries is None else out
+        return tables[name]
+
+    @functools.cache
+    def known(expr, arity):
+        """_support of a slot or of an expression with fewer slots than the
+        cell, read off its values; None for one with every slot."""
+        slots = slots_of(expr)
+        if expr[0] != 'slot' and len(slots) == arity:
+            return None
+        value, cell, out = compiled(expr, arity), [0] * arity, {}
+        for key in itertools.product(range(dim), repeat=len(slots)):
+            for s, i in zip(slots, key):
+                cell[s] = i
+            vec = value(cell)
+            if vec:
+                out[key] = _indices(vec)
+        return slots, out
+
+    def cells(terms, arity):
+        live = set()
+        for _, _, expr in terms:
+            found = _support(expr, arity, known, table)
+            if found is None:
+                return itertools.product(range(dim), repeat=arity)
+            slots, values = found
+            if len(slots) < arity:   # nonzero at any index of a slot left out
+                order = slots + tuple(sorted(set(range(arity)) - set(slots)))
+                pick = itemgetter(*[order.index(s) for s in range(arity)])
+                values = [pick(key + rest) for key in values
+                          for rest in itertools.product(
+                              range(dim), repeat=arity - len(slots))]
+            live.update(values)
+        return sorted(live)
+
+    plan.memo, plan.slots, plan.cells = memo, slots_of, cells
     return plan
+
+
+def _support(expr, arity, known, table):
+    """(slots of expr, {their indices at a cell where expr can be nonzero:
+    basis indices its value can have terms on there}), or None where that
+    is unknown.  known(expr, arity) gives it for a slot or an expression
+    with fewer slots than the cell, else None; table(name) is where op
+    name can be nonzero (see _memoised).  An expression with every slot is
+    joined afresh from its arguments at each call, since its support can
+    hold dim^arity keys.  It recurses at module level, not in the closure
+    of a plan, so that no reference cycle keeps a check's supports alive
+    after the check."""
+    found = known(expr, arity)
+    if found is not None:
+        return found
+    op = table(expr[1])
+    args = [_support(arg, arity, known, table) for arg in expr[2:]]
+    if op is None or None in args or len(args) > 2:
+        return None
+    out = {}
+    if len(args) == 1:
+        (slots, values), = args
+        for key, ks in values.items():
+            hit = set().union(*[op[k] for k in ks if k in op])
+            if hit:
+                out[key] = hit
+        return slots, out
+    (sa, va), (sb, vb) = args
+    if set(sa) & set(sb):
+        return None   # arguments that share a slot: not worth a case
+    both = sa + sb   # the slots of ka + kb below
+    slots = tuple(sorted(both))
+    pick = itemgetter(*[both.index(s) for s in slots])
+    holding = {}   # basis index -> keys of the second argument
+    for kb, ks in vb.items():
+        for q in ks:
+            holding.setdefault(q, []).append(kb)
+    for ka, ks in va.items():
+        for p in ks:
+            for q, hit in op.get(p, {}).items():
+                for kb in holding.get(q, ()):
+                    key = pick(ka + kb)
+                    got = out.get(key, hit)   # sets are shared: no |=
+                    out[key] = hit if got is hit else got | hit
+    return slots, out
 
 
 def _residual(terms, cell):
@@ -478,16 +606,28 @@ def _residual(terms, cell):
 
 def _equations(equations, ops, plan=None):
     """(cells, check) of equations over ops: cells run over the equations,
-    then over the basis cells of the slots each one uses.  plan is the
+    then over the basis cells of the slots each one uses, in product
+    order.  A cell where some term can be nonzero (see _memoised) comes as
+    itself; a run of cells where every term is zero comes as its length,
+    which AxiomReport.run counts as passed instances.  plan is the
     compiler of the check call (see _memoised); a fresh one by default."""
     space = next(iter(ops.values())).space
     plan = plan or _memoised(space, ops)
 
     def cells(equation):
         name, terms = equation
-        arity = 1 + max(max(_slots(term[2])) for term in terms)
-        return itertools.product([(name, plan(terms, arity))],
-                                 *[range(space.dim)] * arity)
+        arity = 1 + max(max(plan.slots(term[2])) for term in terms)
+        head, done = (name, plan(terms, arity)), 0
+        for cell in plan.cells(terms, arity):
+            pos = 0
+            for i in cell:
+                pos = pos * space.dim + i
+            if pos > done:
+                yield pos - done
+            yield (head, *cell)
+            done = pos + 1
+        if space.dim ** arity > done:
+            yield space.dim ** arity - done
 
     def check(cell):
         (name, at), *indices = cell

@@ -99,16 +99,28 @@ def rand_fraction(rng, nonzero=False):
     return Fraction(num, rng.choice([1, 1, 1, 2, 3]))
 
 
-def rand_space(rng, dim, allow_odd=True):
+def rand_space(rng, dim, allow_odd=True, params=(), killed=False):
+    """A space e0, e1, ... of random parities over params; with killed,
+    each basis vector is killed with probability 1/3."""
     basis = []
     for i in range(dim):
         parity = rng.randint(0, 1) if allow_odd else 0
         basis.append(("e%d" % i, parity))
-    return SuperSpace(basis)
+    return SuperSpace(basis, params=params, killed=[
+        name for name, _ in basis if killed and rng.random() < 1 / 3])
+
+
+def rand_coeff(rng, space):
+    """A small rational plus a small rational multiple of each parameter
+    of space (a bare small rational on a space without parameters)."""
+    return rand_fraction(rng) + sum(
+        rand_fraction(rng) * Scalar.param(p, space.params)
+        for p in space.params)
 
 
 def rand_gbm(rng, space, density=0.5, name=None):
-    """A random graded bilinear map with small rational entries."""
+    """A random graded bilinear map with small entries (rational, or
+    linear in the parameters of space)."""
     gbm = GradedBilinearMap(space, name=name)
     for i in range(space.dim):
         for j in range(space.dim):
@@ -116,12 +128,23 @@ def rand_gbm(rng, space, density=0.5, name=None):
             vec = {}
             for k in range(space.dim):
                 if space.parity(k) == want and rng.random() < density:
-                    c = rand_fraction(rng)
+                    c = rand_coeff(rng, space)
                     if c:
                         vec[k] = c
             if vec:
                 gbm.set_entry(i, j, vec)
     return gbm
+
+
+def rand_linear_map(rng, space, density=0.5, name="avg"):
+    """A random even linear map with entries as in rand_gbm."""
+    out = LinearMap(space, name=name)
+    for i in range(space.dim):
+        out.set_entry(i, {k: rand_coeff(rng, space)
+                          for k in range(space.dim)
+                          if space.parity(k) == space.parity(i)
+                          and rng.random() < density})
+    return out
 
 
 def mutate_gbm(rng, gbm):

@@ -12,7 +12,8 @@ from confalg import (SuperSpace, GradedBilinearMap, LinearMap, LambdaBracket,
                      VPoly, CoeffAlgebra, CocycleAnsatz, PhiCocycle,
                      check_lie_superalgebra, check_gd_bialgebra,
                      check_averaging, check_conformal_sesquilinearity,
-                     check_phi_cocycle)
+                     check_phi_cocycle, check_leibniz_superalgebra,
+                     check_left_leibniz_superalgebra)
 from confalg.cli import _load
 
 
@@ -154,6 +155,32 @@ def test_gd_bialgebra_with_failing_products(fail_fast, expected):
     sp = space_xyz()
     assert summary(check_gd_bialgebra(product(sp), GradedBilinearMap(sp),
                                       fail_fast=fail_fast)) == expected
+
+
+# Every term of right Leibniz is zero on all cells but (y, x, y), (y, y, x)
+# and (z, z, x), the 11th, 13th and 25th of 27: the cells around them are
+# skipped, yet count as passed instances, and fail_fast stops at the 11th.
+@pytest.mark.parametrize("fail_fast, expected", [
+    (False, (False, 27, [("right Leibniz", ("y", "x", "y"), "x"),
+                         ("right Leibniz", ("y", "y", "x"), "-x"),
+                         ("right Leibniz", ("z", "z", "x"), "x")])),
+    (True, (False, 11, [("right Leibniz", ("y", "x", "y"), "x")])),
+])
+def test_fail_fast_stops_between_skipped_cells(fail_fast, expected):
+    sp = space_xyz()
+    br = GradedBilinearMap(sp, {("y", "y"): {"z": 1}, ("z", "x"): {"x": 1}})
+    assert summary(check_leibniz_superalgebra(
+        br, fail_fast=fail_fast)) == expected
+
+
+# Only the last cell, (z, z, z), can hold a nonzero term, and it fails.
+@pytest.mark.parametrize("fail_fast", [False, True])
+def test_a_failure_at_the_last_cell_counts_every_cell(fail_fast):
+    sp = space_xyz()
+    br = GradedBilinearMap(sp, {("z", "z"): {"z": 1}})
+    assert summary(check_left_leibniz_superalgebra(
+        br, fail_fast=fail_fast)) == (
+            False, 27, [("left Leibniz", ("z", "z", "z"), "-z")])
 
 
 # Both product checks run (each stopping at its own first failure under

@@ -1,0 +1,212 @@
+"""The cell generator of check_system against the dense cell loop.
+
+The evaluator visits only the basis cells where some term of an equation
+can be nonzero and counts every other cell as a passed instance.  The
+oracle here is the dense loop it replaced, copied verbatim, which
+evaluates every cell.  Every checker built on check_system must give the
+same verdict, instance count and failures (identity, cell and residual
+string, in order) under both, with and without fail_fast: on random
+tables, sparse and dense, over odd generators, killed vectors and the
+parameters a, b; on quadratic data that passes and on mutated data that
+fails; and on every corpus file.
+"""
+
+import contextlib
+import functools
+import itertools
+import random
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gens
+from confalg import (build_quadratic_bracket, check_associative,
+                     check_averaging, check_conformal_jacobi,
+                     check_conformal_leibniz, check_conformal_skew,
+                     check_leibniz_superalgebra,
+                     check_left_leibniz_superalgebra, check_lie_superalgebra,
+                     check_skew_symmetry, check_supercommutative,
+                     classify_brackets, quadratic, superspace, zero_map)
+from confalg.quadratic import SYSTEMS
+from confalg.superspace import (LEFT_LEIBNIZ, B, Combination, X, Y, Z,
+                                _memoised, _residual, _slots, check_system)
+
+
+# ---------- the oracle: the dense cell loop ----------
+
+def _equations(equations, ops, plan=None):
+    """(cells, check) of equations over ops: cells run over the equations,
+    then over the basis cells of the slots each one uses.  plan is the
+    compiler of the check call (see _memoised); a fresh one by default."""
+    space = next(iter(ops.values())).space
+    plan = plan or _memoised(space, ops)
+
+    def cells(equation):
+        name, terms = equation
+        arity = 1 + max(max(_slots(term[2])) for term in terms)
+        return itertools.product([(name, plan(terms, arity))],
+                                 *[range(space.dim)] * arity)
+
+    def check(cell):
+        (name, at), *indices = cell
+        res = _residual(at(indices), indices)
+        if res:
+            yield name, [space.names[i] for i in indices], (
+                str(res) if isinstance(res, Combination)
+                else space.vec_str(res))
+    return itertools.chain.from_iterable(map(cells, equations)), check
+
+
+@contextlib.contextmanager
+def dense_cells():
+    """Every check_system-based checker runs the dense loop inside."""
+    saved = superspace._equations, quadratic._equations
+    superspace._equations = quadratic._equations = _equations
+    try:
+        yield
+    finally:
+        superspace._equations, quadratic._equations = saved
+
+
+# ---------- the comparison ----------
+
+def summary(rep):
+    return (rep.passed, rep.checked,
+            [(f["identity"], f["at"], f["residual"]) for f in rep.failures])
+
+
+def checks(circ, star, bracket, avg, conf):
+    """(label, check taking fail_fast) for every checker built on
+    check_system."""
+    out = [(f.__name__, functools.partial(f, bracket))
+           for f in (check_skew_symmetry, check_lie_superalgebra,
+                     check_leibniz_superalgebra,
+                     check_left_leibniz_superalgebra)]
+    out += [(f.__name__, functools.partial(f, circ))
+            for f in (check_associative, check_supercommutative)]
+    comps = {"circ": circ, "star": star, "bracket": bracket}
+    out += [(name, functools.partial(quadratic._check_registered, name,
+                                     [comps[n] for n in names]))
+            for name, (_, _, names) in SYSTEMS.items()]
+    out.append(("check_averaging", functools.partial(check_averaging, circ,
+                                                     avg)))
+    out += [(f.__name__, functools.partial(f, conf))
+            for f in (check_conformal_leibniz, check_conformal_jacobi,
+                      check_conformal_skew)]
+    return out
+
+
+def assert_same_as_dense(circ, star, bracket, avg, conf):
+    for label, check in checks(circ, star, bracket, avg, conf):
+        for fail_fast in (False, True):
+            got = summary(check(fail_fast=fail_fast))
+            with dense_cells():
+                want = summary(check(fail_fast=fail_fast))
+            assert got == want, (label, fail_fast)
+
+
+@given(st.integers(1, 4), st.integers(0, 10 ** 6),
+       st.sampled_from([0.15, 0.5, 0.9]), st.booleans(), st.booleans())
+@settings(deadline=None)
+def test_random_tables_match_the_dense_loop(dim, seed, density, parametric,
+                                            killed):
+    """Up to dimension 4, or 2 over the parameters a, b (where every
+    product is a polynomial and a check takes longer)."""
+    rng = random.Random(seed)
+    space = gens.rand_space(rng, min(dim, 2) if parametric else dim,
+                            params=("a", "b") if parametric else (),
+                            killed=killed)
+    circ, star, bracket = (gens.rand_gbm(rng, space, density, name=name)
+                           for name in ("circ", "star", "bracket"))
+    avg = gens.rand_linear_map(rng, space, density)
+    if rng.random() < 0.5:
+        conf = build_quadratic_bracket(circ, star, bracket)
+    else:
+        conf = gens.rand_lambda_bracket(rng, space, 2, dim * dim)
+    assert_same_as_dense(circ, star, bracket, avg, conf)
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(deadline=None)
+def test_passing_and_mutated_instances_match_the_dense_loop(seed, mutated):
+    rng = random.Random(seed)
+    data = (gens.violating_quadratic_instance if mutated
+            else gens.passing_quadratic_instance)(rng)
+    conf = build_quadratic_bracket(data.circ, data.star, data.bracket)
+    assert check_conformal_leibniz(conf).passed is not mutated
+    assert_same_as_dense(data.circ, data.star, data.bracket,
+                         gens.rand_linear_map(rng, data.space), conf)
+
+
+CORPUS = sorted(p.name for p in (resources.files("confalg") / "corpus")
+                .iterdir() if p.name.endswith(".alg"))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_files_match_the_dense_loop(name):
+    af = gens.corpus(name)
+    circ = af.circ()
+    assert_same_as_dense(circ, af.star() or zero_map(circ.space, "star"),
+                         af.classical_bracket(),
+                         gens.rand_linear_map(random.Random(name),
+                                              circ.space),
+                         af.conformal_bracket())
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6),
+       st.sampled_from([0.2, 0.6]))
+@settings(deadline=None)
+def test_classified_constraints_match_the_dense_pass(dim, seed, density):
+    """classify_brackets evaluates left Leibniz on its family only where a
+    term can be nonzero; the constraints, in order, are those of every
+    cell."""
+    rng = random.Random(seed)
+    circ = gens.rand_gbm(rng, gens.rand_space(rng, dim), density, "circ")
+    cls = classify_brackets(circ)
+    at = _memoised(cls.family_space, {"bracket": cls.family})(
+        LEFT_LEIBNIZ[1], 3)
+    assert cls.constraints == [
+        str(c) for cell in itertools.product(range(dim), repeat=3)
+        for c in _residual(at(cell), cell).values()]
+
+
+def untabled(bracket):
+    """The opposite product of bracket as a plain function: multilinear,
+    but with no table, so its terms are never pruned."""
+    def op(u, v):
+        return bracket.apply_vec(v, u)
+    op.space = bracket.space
+    return op
+
+
+A, F = superspace._op('avg'), superspace._op('flip')
+ODD_SHAPES = [
+    ("one slot", [(1, (), B(X, X))]),
+    ("shared slots", [(1, (), B(X, B(X, Y))), (-1, (('x', 'y'),),
+                                                B(B(Y, X), X))]),
+    ("free slots", [(1, (), B(X, Z)), (-1, (), B(Y, Y)), (1, (), A(Y))]),
+    ("nested", [(1, (), A(B(A(X), Y))), (1, (), B(A(X), A(Y)))]),
+    ("untabled", [(1, (), B(X, Y)), (1, (), F(Y, X))]),
+]
+
+
+@given(st.integers(1, 4), st.integers(0, 10 ** 6),
+       st.sampled_from([0.15, 0.5]), st.booleans())
+@settings(deadline=None)
+def test_odd_term_shapes_match_the_dense_loop(dim, seed, density, fail_fast):
+    """Shapes no registered system has: an equation in x alone, arguments
+    that share a slot, terms that leave a slot out, a one-argument op over
+    a node that uses every slot, and an op without a table."""
+    rng = random.Random(seed)
+    space = gens.rand_space(rng, dim, killed=True)
+    bracket = gens.rand_gbm(rng, space, density, name="bracket")
+    ops = {"bracket": bracket, "avg": gens.rand_linear_map(rng, space,
+                                                            density),
+           "flip": untabled(bracket)}
+    for equation in ODD_SHAPES:
+        got = summary(check_system("shapes", [equation], ops, fail_fast))
+        with dense_cells():
+            want = summary(check_system("shapes", [equation], ops,
+                                        fail_fast))
+        assert got == want, equation[0]
