@@ -24,7 +24,7 @@ vector's coefficient on its value at -m.
 
 import itertools
 
-from .scalars import combination_str, graded_lex, monomial_str
+from .scalars import combination_str, graded_lex, monomial_str, rescaled
 from .superspace import (AxiomReport, Combination, X, Y, Z, check_system,
                          _add_term, _op, _substituted, _tabulate)
 
@@ -157,6 +157,14 @@ class LambdaBracket:
         else:
             self.entries[(i, j)] = vp
 
+    def scaled(self, d):
+        """This bracket times the rational d."""
+        out = LambdaBracket(self.space, name=self.name)
+        out.entries = {key: vp._trusted({t: rescaled(c, d)
+                                         for t, c in vp.terms.items()})
+                       for key, vp in self.entries.items()}
+        return out
+
     def entry(self, i, j):
         vp = self.entries.get((self.space.index(i), self.space.index(j)))
         return vp if vp is not None else VPoly.zero(self.space)
@@ -258,14 +266,16 @@ CONFORMAL_JACOBI = ('conformal Jacobi',
 
 
 def _ops(bracket):
-    """The ops of _FORMS on bracket, functions that carry its space and,
-    as the table of where they can be nonzero, its entries."""
-    def attached_at(form):
+    """The ops of _FORMS on bracket, functions that carry its space, as
+    the table of where they can be nonzero its entries, and scaled(d), the
+    op of the bracket times d."""
+    def attached_at(v, form):
         def op(x, y):
             return apply_bracket(bracket, x, y, form)
         op.space, op.table = bracket.space, bracket.entries
+        op.scaled = lambda d: _ops(bracket.scaled(d))[v]
         return op
-    return {v: attached_at(form) for v, form in _FORMS.items()}
+    return {v: attached_at(v, form) for v, form in _FORMS.items()}
 
 
 def check_conformal_sesquilinearity(bracket, fail_fast=False):

@@ -260,6 +260,24 @@ def as_rational(c):
     return c.terms.get(zero, 0) if set(c.terms) <= {zero} else None
 
 
+def denominator(c):
+    """The least positive int d with c * d integral (every coefficient of
+    it, for a Scalar)."""
+    if isinstance(c, Scalar):
+        return math.lcm(*[v.denominator for v in c.terms.values()])
+    return c.denominator
+
+
+def rescaled(c, q):
+    """c * q for a coefficient c and a nonzero rational q, with every
+    integral rational in the result an int, so that arithmetic on it runs
+    in ints."""
+    if isinstance(c, Scalar):
+        return Scalar._trusted(c.params, {e: _as_fraction(v * q)
+                                          for e, v in c.terms.items()})
+    return _as_fraction(c * q)
+
+
 def require_rational(coeffs, what):
     """ValueError unless every coefficient in coeffs is a plain rational."""
     if any(as_rational(c) is None for c in coeffs):

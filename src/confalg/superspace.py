@@ -13,7 +13,8 @@ Identities are written here as equations over slots and op nodes (see
 "identities as equations" below) and checked by one evaluator, which per
 check compiles expressions into closures and equations into per-parity plans,
 and evaluates an equation only on the basis cells where a term can be
-nonzero, as read from the tables of its multilinear ops.
+nonzero, as read from the tables of its multilinear ops, in int arithmetic
+on ops scaled to integral tables.
 The classical ones live here: super skew-symmetry + Jacobi (Lie), the right
 and left Leibniz identities, supercommutativity and associativity, next to
 the sign-twisted conversion between right and left Leibniz structures; the
@@ -22,9 +23,12 @@ conformal ones live in the conformal layer.
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 from operator import itemgetter
 
-from .scalars import Scalar, ScalarError, combination_str
+from .scalars import (Scalar, ScalarError, combination_str, denominator,
+                      rescaled)
 
 
 class SuperSpace:
@@ -225,6 +229,12 @@ def _substituted(table, assignments):
             for key, vec in table.items()}
 
 
+def _scaled_table(table, d):
+    """A table of vectors with every coefficient times the rational d."""
+    return {key: {k: rescaled(c, d) for k, c in vec.items()}
+            for key, vec in table.items()}
+
+
 def sign(p, q):
     """The Koszul sign (-1)^{p q} for parities p, q."""
     return -1 if (p % 2) and (q % 2) else 1
@@ -254,6 +264,12 @@ class GradedBilinearMap:
             "grading violated: (%s, %s) -> %s has parity %d, expected %d"
             % (space.names[i], space.names[j], space.names[k],
                space.parities[k], want)))
+
+    def scaled(self, d):
+        """This product times the rational d."""
+        out = GradedBilinearMap(self.space, name=self.name)
+        out.table = _scaled_table(self.table, d)
+        return out
 
     def entry(self, i, j):
         return dict(self.table.get((self.space.index(i),
@@ -422,7 +438,7 @@ def _indices(value):
     return value.keys()
 
 
-def _memoised(space, ops):
+def _memoised(space, ops, scale=1):
     """plan(terms, arity) compiles an equation's terms (coefficient, sign
     pairs, *rest) once for cells of arity basis indices into x, y, z: at a
     cell, plan(terms, arity)(cell) lists (signed coefficient, *rest) for
@@ -447,7 +463,10 @@ def _memoised(space, ops):
     arguments, read off the memoised values of an argument with fewer
     slots than the cell and off the tables below one with all of them
     (see _support).  A term with an op without a table, or of a shape
-    _support does not join, can be nonzero on every cell."""
+    _support does not join, can be nonzero on every cell.
+
+    plan.scale is scale, the factor by which ops are those of the check
+    (see _integral); the plan computes with ops as they are."""
     dim, parities = space.dim, space.parities
     basis = [space.basis_vec(i) for i in range(dim)]
     memo = {}   # expression -> {indices of its slots: vector}
@@ -543,6 +562,7 @@ def _memoised(space, ops):
         return sorted(live)
 
     plan.memo, plan.slots, plan.cells = memo, slots_of, cells
+    plan.scale = scale
     return plan
 
 
@@ -591,6 +611,30 @@ def _support(expr, arity, known, table):
     return slots, out
 
 
+def _integral(ops):
+    """(ops times d, d) for d the least positive int that makes every
+    coefficient in the ops' tables integral, so that an identity over them
+    is evaluated in int arithmetic (a Fraction product or sum costs many
+    int ones); (ops, 1) when they are integral already or an op has no
+    table or no scaled method.  As the ops are multilinear, a term with n
+    op nodes comes out d^n times its value (see _equations)."""
+    if not all(hasattr(op, 'table') and hasattr(op, 'scaled')
+               for op in ops.values()):
+        return ops, 1
+    d = math.lcm(*[denominator(c) for op in ops.values()
+                   for value in op.table.values() for _, c in value.items()])
+    if d == 1:
+        return ops, 1
+    return {name: op.scaled(d) for name, op in ops.items()}, d
+
+
+def _nodes(expr):
+    """The number of op nodes in an expression."""
+    if expr[0] == 'slot':
+        return 0
+    return 1 + sum(map(_nodes, expr[2:]))
+
+
 def _residual(terms, cell):
     """The residual at a basis cell of an equation's compiled terms there,
     (signed coefficient, closure) pairs; of the type of its values: a
@@ -610,14 +654,24 @@ def _equations(equations, ops, plan=None):
     order.  A cell where some term can be nonzero (see _memoised) comes as
     itself; a run of cells where every term is zero comes as its length,
     which AxiomReport.run counts as passed instances.  plan is the
-    compiler of the check call (see _memoised); a fresh one by default."""
+    compiler of the check call (see _memoised); a fresh one on ops made
+    integral (see _integral) by default.  Its ops are plan.scale times
+    those of the check, so a term with fewer op nodes than the most of its
+    equation, top, has its coefficient raised to match and a residual
+    comes out plan.scale^top times its value, which a failure divides
+    off."""
     space = next(iter(ops.values())).space
-    plan = plan or _memoised(space, ops)
+    plan = plan or _memoised(space, *_integral(ops))
 
     def cells(equation):
         name, terms = equation
         arity = 1 + max(max(plan.slots(term[2])) for term in terms)
-        head, done = (name, plan(terms, arity)), 0
+        nodes = [_nodes(expr) for _, _, expr in terms]
+        top = max(nodes)
+        head = (name, plan([(coeff * plan.scale ** (top - n), pairs, expr)
+                            for (coeff, pairs, expr), n in zip(terms, nodes)],
+                           arity), plan.scale ** top)
+        done = 0
         for cell in plan.cells(terms, arity):
             pos = 0
             for i in cell:
@@ -630,9 +684,13 @@ def _equations(equations, ops, plan=None):
             yield space.dim ** arity - done
 
     def check(cell):
-        (name, at), *indices = cell
+        (name, at, scale), *indices = cell
         res = _residual(at(indices), indices)
         if res:
+            if scale != 1:
+                q = Fraction(1, scale)
+                res = (res.scale(q) if isinstance(res, Combination)
+                       else space.scale(q, res))
             yield name, [space.names[i] for i in indices], (
                 str(res) if isinstance(res, Combination)
                 else space.vec_str(res))
@@ -730,6 +788,12 @@ class LinearMap:
         _set_graded(space, self.table, i, vec, space.parities[i], lambda k: (
             "linear map is not even: %s -> %s" % (space.names[i],
                                                    space.names[k])))
+
+    def scaled(self, d):
+        """This map times the rational d."""
+        out = LinearMap(self.space, name=self.name)
+        out.table = _scaled_table(self.table, d)
+        return out
 
     def substitute_params(self, assignments):
         return LinearMap(self.space.substitute_params(assignments),

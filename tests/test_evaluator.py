@@ -3,7 +3,9 @@ reference, and the memo it keeps during one check."""
 
 import copy
 import itertools
+import math
 import random
+from fractions import Fraction
 from operator import itemgetter
 
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from confalg.quadratic import AVERAGING_EQ, SYSTEMS
 from confalg.superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, RIGHT_LEIBNIZ,
                                 SKEW_SYMMETRY, SUPERCOMMUTATIVITY, B,
                                 Combination, X, Y, Z, _add_term, _equations,
-                                _memoised, _residual, check_system)
+                                _integral, _memoised, _residual, check_system)
 
 import gens
 
@@ -265,3 +267,80 @@ def test_plans_are_keyed_by_the_equation_not_its_name():
         ("twin", ("e0", "e0"), "e1"), ("twin", ("e1", "e0"), "e0"),
         ("twin", ("e0", "e0", "e0"), "e0"),
         ("twin", ("e0", "e0", "e1"), "e1")]
+
+
+# ---------- integral evaluation ----------
+
+# an equation whose terms have 2, 1 and 0 op nodes, with a fractional
+# coefficient: its terms are scaled by different powers of the scale
+MIXED = ("mixed", [(1, (), B(X, B(Y, Z))), (Fraction(1, 2), (), B(X, Y)),
+                   (-1, (("x", "y"),), X)])
+
+
+def coefficients(op):
+    return [c for value in op.table.values() for _, c in value.items()]
+
+
+def integral(c):
+    if isinstance(c, Scalar):
+        return all(type(v) is int for v in c.terms.values())
+    return type(c) is int
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_integral_ops_are_the_ops_times_the_least_common_denominator(
+        dim, seed):
+    rng = random.Random(seed)
+    space = odd_parametric_space(rng, dim)
+    ops = {"circ": parametric_map(rng, space, "circ"),
+           "avg": parametric_even_map(rng, space),
+           "bracket": gens.rand_lambda_bracket(rng, space, 2, 4)}
+    ops.update(_ops(ops.pop("bracket")))
+    scaled, d = _integral(ops)
+    dens = [c.denominator for op in ops.values() for c in coefficients(op)
+            for c in (c.terms.values() if isinstance(c, Scalar) else [c])]
+    assert d == math.lcm(*dens)
+    for name, op in ops.items():
+        assert all(integral(c) for c in coefficients(scaled[name]))
+        assert coefficients(scaled[name]) == [c * d for c in coefficients(op)]
+        assert list(scaled[name].table) == list(op.table)
+    if d == 1:
+        assert scaled is ops
+    # an op without a scaled method leaves every op as it is
+    ops["plain"] = lambda u, v: {}
+    ops["plain"].table = {}
+    assert _integral(ops) == (ops, 1)
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_integral_checks_report_as_checks_on_the_ops_as_given(
+        dim, seed, parametric):
+    """check_system runs on the ops made integral and divides the scale off
+    each residual; a plan passed in keeps the ops as given.  The reports
+    agree, residual strings and counts included, on classical, quadratic,
+    mixed-degree and conformal equations (killed vectors too)."""
+    rng = random.Random(seed)
+    if parametric:
+        space = odd_parametric_space(rng, dim)
+        maps = {name: parametric_map(rng, space, name)
+                for name in ("circ", "star", "bracket")}
+    else:
+        space = gens.rand_space(rng, dim, killed=True)
+        maps = {name: gens.rand_gbm(rng, space, density=0.4, name=name)
+                for name in ("circ", "star", "bracket")}
+
+    def same(equations, ops):
+        assert (report_summary(check_system("check", equations, ops))
+                == report_summary(run_check(equations, ops,
+                                            _memoised(space, ops))))
+
+    for _, equations, names in SYSTEMS.values():
+        same(equations, {n: maps[n] for n in names})
+    same([MIXED, SKEW_SYMMETRY], {"bracket": maps["bracket"]})
+    same([AVERAGING_EQ], {"product": maps["circ"],
+                          "avg": parametric_even_map(rng, space)
+                          if parametric else gens.rand_linear_map(rng, space)})
+    same([CONFORMAL_LEIBNIZ, CONFORMAL_JACOBI, CONFORMAL_SKEW],
+         _ops(gens.rand_lambda_bracket(rng, space, 2, 2 * dim)))
