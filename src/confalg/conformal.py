@@ -22,6 +22,7 @@ normalization, which is exactly why attaching at v = -m - d lands a killed
 vector's coefficient on its value at -m.
 """
 
+import functools
 import itertools
 
 from .scalars import combination_str, graded_lex, monomial_str, rescaled
@@ -268,12 +269,14 @@ CONFORMAL_JACOBI = ('conformal Jacobi',
 def _ops(bracket):
     """The ops of _FORMS on bracket, functions that carry its space, as
     the table of where they can be nonzero its entries, and scaled(d), the
-    op of the bracket times d."""
+    op of the bracket times d; the five share one scaled bracket."""
+    scaled = functools.cache(lambda d: _ops(bracket.scaled(d)))
+
     def attached_at(v, form):
         def op(x, y):
             return apply_bracket(bracket, x, y, form)
         op.space, op.table = bracket.space, bracket.entries
-        op.scaled = lambda d: _ops(bracket.scaled(d))[v]
+        op.scaled = lambda d: scaled(d)[v]
         return op
     return {v: attached_at(v, form) for v, form in _FORMS.items()}
 

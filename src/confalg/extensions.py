@@ -36,13 +36,14 @@ they are compared, on a declared bracket the case builds.
 """
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 from . import linalg
 from .scalars import (Scalar, as_rational, combination_str, graded_lex,
-                      monomial_str, require_rational)
+                      monomial_str, require_rational, rescaled)
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, check_system,
-                         _memoised)
+                         _equation_cells, _integral, _memoised)
 from .conformal import LambdaBracket, VPoly
 from .quadratic import (C, S, SYSTEMS, StarMode, build_quadratic_bracket,
                         star_from_mode, zero_map)
@@ -452,50 +453,100 @@ NOVIKOV_LIE_ALPHA_SYSTEM = [
 ]
 
 
+# the name of the op of _alpha_cells that covers each term
+_PAIRED = 'alpha'
+
+
+def _alpha_cells(system, ops, pairs):
+    """The cells of a structured system over ops made integral (see
+    superspace._integral and _equation_cells): per equation, a basis triple
+    where a term can be nonzero as ((name, compiled terms, scale), *triple)
+    in product order, a run of the others as its length.  A compiled term
+    is (signed coefficient, degree index, closure, closure).  As
+    alpha_t(u, v) is zero unless a basis pair of u and v is in pairs, each
+    term is covered by a node over its two arguments whose table is
+    pairs."""
+    ops, scale = _integral(ops)
+    space = next(iter(ops.values())).space
+    table = {pair: {0: 1} for pair in pairs}
+
+    def paired(u, v):   # a vector nonzero where alpha_t(u, v) can be
+        return {0: 1} if any((p, q) in table for p in u for q in v) else {}
+    paired.space, paired.table = space, table
+    plan = _memoised(space, {**ops, _PAIRED: paired}, scale)
+    return itertools.chain.from_iterable(
+        _equation_cells(space, plan, name, terms,
+                        [('op', _PAIRED, f1, f2) for *_, f1, f2 in terms])
+        for name, terms in system)
+
+
 def _alpha_rows(system, ops, space, degrees):
-    """Linear rows of a structured alpha system over unknown_order."""
+    """Linear rows of a structured alpha system over unknown_order(space,
+    degrees), one per equation and basis triple where it is not empty, read
+    off the cells of _alpha_cells.  On the integral ops a row can be a
+    positive int multiple of the one on the ops as given, with the same
+    entries in the same order.  ValueError if an op has parameter entries;
+    constant ones over parameters become bare rationals first."""
+    require_rational((c for op in ops.values() for vec in op.table.values()
+                      for c in vec.values()), "the circ or bracket")
+    if space.params:   # the entries are constant: any values do
+        ops = {name: op.substitute_params(dict.fromkeys(space.params, 0))
+               for name, op in ops.items()}
     unknowns = unknown_order(space, degrees)
-    index = {u: i for i, u in enumerate(unknowns)}
-    plan = _memoised(space, ops)
+    col = {t: [[None] * space.dim for _ in range(space.dim)]
+           for t in degrees}   # col[t][p][q]: the unknown alpha_t(e_p, e_q)
+    for u, (t, p, q) in enumerate(unknowns):
+        col[t][p][q] = u
     rows = []
-    for at, *triple in itertools.product(
-            [plan(terms, 3) for _, terms in system], *[range(space.dim)] * 3):
+    for cell in _alpha_cells(system, ops, {(p, q) for _, p, q in unknowns}):
+        if type(cell) is int:
+            continue
+        (_, at, _), *triple = cell
         row = {}
         for s, t, f1, f2 in at(triple):
+            lines = col.get(t)
+            if lines is None:
+                continue
             v1, v2 = f1(triple), f2(triple)
             for p, c1 in v1.items():
-                r1 = as_rational(c1) * s
+                line, r1 = lines[p], c1 * s
                 for q, c2 in v2.items():
-                    u = index.get((t, p, q))
-                    if u is None:
-                        continue
-                    val = r1 * as_rational(c2)
-                    prev = row.get(u)
-                    row[u] = val if prev is None else prev + val
-        row = {u: c for u, c in row.items() if c != 0}
+                    u = line[q]
+                    if u is not None:
+                        prev = row.get(u)
+                        row[u] = r1 * c2 if prev is None else prev + r1 * c2
+        if not all(row.values()):
+            row = {u: c for u, c in row.items() if c}
         if row:
             rows.append(row)
     return unknowns, rows
 
 
 def check_alpha_system(system, ops, ansatz, fail_fast=False):
-    """Check a given ansatz against a structured system, symbolically."""
+    """Check a given ansatz against a structured system, symbolically, on
+    the cells of _alpha_cells over the basis pairs where the ansatz has
+    entries; the other cells count as passed.  A residual is divided by the
+    scale of the integral ops before it prints."""
     space = next(iter(ops.values())).space
-    plan = _memoised(space, ops)
+    entries = ansatz.entries
 
     def check(cell):
-        (name, at), *triple = cell
+        (name, at, scale), *triple = cell
         total = Scalar.zero(ansatz.space.params)
         for s, t, f1, f2 in at(triple):
             v1, v2 = f1(triple), f2(triple)
             for p, c1 in v1.items():
                 for q, c2 in v2.items():
-                    total = total + c1 * c2 * ansatz.alpha(t, p, q) * s
+                    a = entries.get((t, p, q))
+                    if a is not None:
+                        total = total + c1 * c2 * a * s
         if total:
+            if scale != 1:
+                total = rescaled(total, Fraction(1, scale))
             yield name, [space.names[i] for i in triple], str(total)
     return AxiomReport("structured cocycle system").run(
-        itertools.product([(name, plan(terms, 3)) for name, terms in system],
-                          *[range(space.dim)] * 3), check, fail_fast)
+        _alpha_cells(system, ops, {(p, q) for _, p, q in entries}), check,
+        fail_fast)
 
 
 def _circ_spans_space(circ):
@@ -547,11 +598,9 @@ def solve_structured(case, circ, bracket=None, fail_fast=False):
                           fail_fast)
     if not report.passed:
         raise PreconditionError(report)
-    require_rational((c for op in ops.values() for vec in op.table.values()
-                      for c in vec.values()), "the circ or bracket")
+    unknowns, rows = _alpha_rows(system, ops, circ.space, degrees)
     warnings = ([_SPAN_WARNING]
                 if span_warning and not _circ_spans_space(circ) else [])
-    unknowns, rows = _alpha_rows(system, ops, circ.space, degrees)
     basis = linalg.nullspace(rows, len(unknowns))
     return SolutionSpace(circ.space, degrees, basis, "structured-" + case,
                          preconditions=report, warnings=warnings)

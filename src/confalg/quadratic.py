@@ -474,7 +474,8 @@ def classify_brackets(circ):
     # can be nonzero (the others add no constraint)
     plan = _memoised(fspace, {'bracket': fam})
     at = plan(LEFT_LEIBNIZ[1], 3)
-    constraints = [str(c) for cell in plan.cells(LEFT_LEIBNIZ[1], 3)
+    constraints = [str(c) for cell in plan.cells(
+                       [expr for _, _, expr in LEFT_LEIBNIZ[1]], 3)
                    for c in _residual(at(cell), cell).values()]
 
     return ClassificationResult(space, triples, basis, fspace, fam,

@@ -421,12 +421,12 @@ def _term_sign(sign_pairs, parities):
     return -1 if expo % 2 else 1
 
 
-def _slots(expr, of=None):
+def _slots(expr):
     """The positions (x = 0, y = 1, z = 2) of the slots an expression uses,
-    in increasing order; of, if given, gives those of its arguments."""
+    in increasing order."""
     if expr[0] == 'slot':
         return ('xyz'.index(expr[1]),)
-    return tuple(sorted(set().union(*map(of or _slots, expr[2:]))))
+    return tuple(sorted(set().union(*map(_slots, expr[2:]))))
 
 
 def _indices(value):
@@ -452,18 +452,17 @@ def _memoised(space, ops, scale=1):
     is computed afresh, since storing it would keep dim^arity vectors per
     expression alive.  The vectors are shared: never modify one.
 
-    plan.cells(terms, arity) lists, in product order, the cells where some
-    term (coefficient, sign pairs, expression) of an equation can be
-    nonzero.  It rests on every op being multilinear and declaring in
-    op.table where it can be nonzero: the keys are the basis pairs (basis
-    indices, for a one-argument op) where it can, and the basis indices of
-    a value hold those of the op there; that is a GradedBilinearMap's or
-    LinearMap's table, or a LambdaBracket's entries.  An op node is zero
-    at a cell where no key of its table meets the basis indices of its
-    arguments, read off the memoised values of an argument with fewer
-    slots than the cell and off the tables below one with all of them
-    (see _support).  A term with an op without a table, or of a shape
-    _support does not join, can be nonzero on every cell.
+    plan.cells(exprs, arity) lists, in product order, the cells where some
+    expression of exprs can be nonzero.  It rests on every op being
+    multilinear and declaring in op.table where it can be nonzero: the
+    keys are the basis pairs (basis indices, for a one-argument op) where
+    it can, and the basis indices of a value hold those of the op there;
+    that is a GradedBilinearMap's or LinearMap's table, or a
+    LambdaBracket's entries.  An op node is zero at a cell where no key of
+    its table meets the basis indices of its arguments, read off the
+    memoised values of an argument with fewer slots than the cell and off
+    the tables below one with all of them (see _support).  An expression with an op without a table, or of a
+    shape _support does not join, can be nonzero on every cell.
 
     plan.scale is scale, the factor by which ops are those of the check
     (see _integral); the plan computes with ops as they are."""
@@ -471,35 +470,11 @@ def _memoised(space, ops, scale=1):
     basis = [space.basis_vec(i) for i in range(dim)]
     memo = {}   # expression -> {indices of its slots: vector}
     tables = {}   # op name -> where it can be nonzero (see table)
+    closures = {}   # (expression, arity) -> its closure
+    slots_of = functools.cache(_slots)
 
-    @functools.cache
-    def slots_of(expr):
-        return _slots(expr, slots_of)
-
-    @functools.cache
     def compiled(expr, arity):
-        if expr[0] == 'slot':
-            pos = 'xyz'.index(expr[1])
-            return lambda cell: basis[cell[pos]]
-        op = getattr(ops[expr[1]], 'apply_vec', ops[expr[1]])
-        args = [compiled(arg, arity) for arg in expr[2:]]
-        if len(args) == 2:
-            f, g = args
-            fresh = lambda cell: op(f(cell), g(cell))
-        else:
-            fresh = lambda cell: op(*[f(cell) for f in args])
-        slots = slots_of(expr)
-        if len(slots) == arity:
-            return fresh
-        key_of, values = itemgetter(*slots), memo.setdefault(expr, {})
-
-        def stored(cell):
-            key = key_of(cell)
-            vec = values.get(key)
-            if vec is None:
-                vec = values[key] = fresh(cell)
-            return vec
-        return stored
+        return _compiled(expr, arity, ops, basis, memo, closures)
 
     def plan(terms, arity):
         by_parity = {}
@@ -545,9 +520,9 @@ def _memoised(space, ops, scale=1):
                 out[key] = _indices(vec)
         return slots, out
 
-    def cells(terms, arity):
+    def cells(exprs, arity):
         live = set()
-        for _, _, expr in terms:
+        for expr in exprs:
             found = _support(expr, arity, known, table)
             if found is None:
                 return itertools.product(range(dim), repeat=arity)
@@ -564,6 +539,43 @@ def _memoised(space, ops, scale=1):
     plan.memo, plan.slots, plan.cells = memo, slots_of, cells
     plan.scale = scale
     return plan
+
+
+def _compiled(expr, arity, ops, basis, memo, closures):
+    """The closure cell -> vector of an expression for cells of arity basis
+    indices (see _memoised), from closures[expr, arity] once it is there.
+    It recurses at module level, not through a cached closure of a plan,
+    so that no reference cycle keeps a check's memo alive after the
+    check."""
+    done = closures.get((expr, arity))
+    if done is not None:
+        return done
+    if expr[0] == 'slot':
+        pos = 'xyz'.index(expr[1])
+        out = lambda cell: basis[cell[pos]]
+    else:
+        op = getattr(ops[expr[1]], 'apply_vec', ops[expr[1]])
+        args = [_compiled(arg, arity, ops, basis, memo, closures)
+                for arg in expr[2:]]
+        if len(args) == 2:
+            f, g = args
+            fresh = lambda cell: op(f(cell), g(cell))
+        else:
+            fresh = lambda cell: op(*[f(cell) for f in args])
+        slots = _slots(expr)
+        if len(slots) == arity:
+            out = fresh
+        else:
+            key_of, values = itemgetter(*slots), memo.setdefault(expr, {})
+
+            def out(cell):
+                key = key_of(cell)
+                vec = values.get(key)
+                if vec is None:
+                    vec = values[key] = fresh(cell)
+                return vec
+    closures[expr, arity] = out
+    return out
 
 
 def _support(expr, arity, known, table):
@@ -606,8 +618,11 @@ def _support(expr, arity, known, table):
             for q, hit in op.get(p, {}).items():
                 for kb in holding.get(q, ()):
                     key = pick(ka + kb)
-                    got = out.get(key, hit)   # sets are shared: no |=
-                    out[key] = hit if got is hit else got | hit
+                    got = out.get(key)
+                    if got is None:
+                        out[key] = hit
+                    elif not hit <= got:   # sets are shared: no |=
+                        out[key] = got | hit
     return slots, out
 
 
@@ -648,40 +663,46 @@ def _residual(terms, cell):
     return vec._trusted(out) if isinstance(vec, Combination) else out
 
 
+def _equation_cells(space, plan, name, terms, covers):
+    """The basis cells of the slots an equation uses, in product order: a
+    cell where some term can be nonzero as (head, *cell), a run of the
+    others as its length, which AxiomReport.run counts as passed.  The
+    terms are (coefficient, sign pairs, *rest), the expressions of rest
+    compiled by plan; covers[n] is an expression nonzero wherever term n
+    can be.  head is (name, the compiled terms, plan.scale^top): the ops of
+    plan are plan.scale times those of the check (see _integral), so a term
+    with fewer op nodes than the most of the equation, top, has its
+    coefficient raised to match."""
+    exprs = [[x for x in rest if isinstance(x, tuple)]
+             for _, _, *rest in terms]
+    arity = 1 + max(max(plan.slots(x)) for xs in exprs for x in xs)
+    nodes = [sum(map(_nodes, xs)) for xs in exprs]
+    top = max(nodes)
+    head = (name, plan([(coeff * plan.scale ** (top - n), *rest)
+                        for (coeff, *rest), n in zip(terms, nodes)], arity),
+            plan.scale ** top)
+    dim, done = space.dim, 0
+    for cell in plan.cells(covers, arity):
+        pos = 0
+        for i in cell:
+            pos = pos * dim + i
+        if pos > done:
+            yield pos - done
+        yield (head, *cell)
+        done = pos + 1
+    if dim ** arity > done:
+        yield dim ** arity - done
+
+
 def _equations(equations, ops, plan=None):
     """(cells, check) of equations over ops: cells run over the equations,
-    then over the basis cells of the slots each one uses, in product
-    order.  A cell where some term can be nonzero (see _memoised) comes as
-    itself; a run of cells where every term is zero comes as its length,
-    which AxiomReport.run counts as passed instances.  plan is the
-    compiler of the check call (see _memoised); a fresh one on ops made
-    integral (see _integral) by default.  Its ops are plan.scale times
-    those of the check, so a term with fewer op nodes than the most of its
-    equation, top, has its coefficient raised to match and a residual
-    comes out plan.scale^top times its value, which a failure divides
-    off."""
+    then over the basis cells of the slots each one uses (see
+    _equation_cells).  plan is the compiler of the check call (see
+    _memoised); a fresh one on ops made integral (see _integral) by
+    default.  A failing residual comes out plan.scale^top times its value,
+    which check divides off."""
     space = next(iter(ops.values())).space
     plan = plan or _memoised(space, *_integral(ops))
-
-    def cells(equation):
-        name, terms = equation
-        arity = 1 + max(max(plan.slots(term[2])) for term in terms)
-        nodes = [_nodes(expr) for _, _, expr in terms]
-        top = max(nodes)
-        head = (name, plan([(coeff * plan.scale ** (top - n), pairs, expr)
-                            for (coeff, pairs, expr), n in zip(terms, nodes)],
-                           arity), plan.scale ** top)
-        done = 0
-        for cell in plan.cells(terms, arity):
-            pos = 0
-            for i in cell:
-                pos = pos * space.dim + i
-            if pos > done:
-                yield pos - done
-            yield (head, *cell)
-            done = pos + 1
-        if space.dim ** arity > done:
-            yield space.dim ** arity - done
 
     def check(cell):
         (name, at, scale), *indices = cell
@@ -694,7 +715,10 @@ def _equations(equations, ops, plan=None):
             yield name, [space.names[i] for i in indices], (
                 str(res) if isinstance(res, Combination)
                 else space.vec_str(res))
-    return itertools.chain.from_iterable(map(cells, equations)), check
+    return itertools.chain.from_iterable(
+        _equation_cells(space, plan, name, terms,
+                        [expr for _, _, expr in terms])
+        for name, terms in equations), check
 
 
 def check_system(title, equations, ops, fail_fast=False):

@@ -2,19 +2,25 @@
 reference, and the memo it keeps during one check."""
 
 import copy
+import functools
+import gc
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 from operator import itemgetter
 
 from hypothesis import given, settings, strategies as st
 
-from confalg import (AxiomReport, GradedBilinearMap, LinearMap, Scalar,
-                     SuperSpace, build_quadratic_bracket, check_averaging)
+from confalg import (AxiomReport, GradedBilinearMap, LambdaBracket,
+                     LinearMap, Scalar, SuperSpace, build_quadratic_bracket,
+                     check_alpha_system, check_averaging,
+                     check_conformal_leibniz, check_leibniz_superalgebra,
+                     solve_central_ext_anl, VPoly)
 from confalg.conformal import (CONFORMAL_JACOBI, CONFORMAL_LEIBNIZ,
                                CONFORMAL_SKEW, _ops)
-from confalg.extensions import CASES
+from confalg.extensions import ANL_ALPHA_SYSTEM, CASES
 from confalg.quadratic import AVERAGING_EQ, SYSTEMS
 from confalg.superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, RIGHT_LEIBNIZ,
                                 SKEW_SYMMETRY, SUPERCOMMUTATIVITY, B,
@@ -344,3 +350,59 @@ def test_integral_checks_report_as_checks_on_the_ops_as_given(
                           if parametric else gens.rand_linear_map(rng, space)})
     same([CONFORMAL_LEIBNIZ, CONFORMAL_JACOBI, CONFORMAL_SKEW],
          _ops(gens.rand_lambda_bracket(rng, space, 2, 2 * dim)))
+
+
+def test_a_conformal_check_scales_its_bracket_once(monkeypatch):
+    """The five attached ops of a conformal check on a bracket with
+    fractional entries share one scaled bracket."""
+    calls = []
+    scaled = LambdaBracket.scaled
+    monkeypatch.setattr(LambdaBracket, "scaled",
+                        lambda self, d: calls.append(d) or scaled(self, d))
+    rng = random.Random(5)
+    space = gens.rand_space(rng, 3, allow_odd=False)
+    bracket = gens.rand_lambda_bracket(rng, space, 2, 6)
+    bracket.set_entry(0, 0, bracket.entry(0, 0) + VPoly.monomial(
+        space, 0, dd=3, coeff=Fraction(1, 6)))
+    check_conformal_leibniz(bracket)
+    assert calls == [6]
+
+
+def confalg_closures():
+    """Every live function or cache wrapper that a confalg function made."""
+    return [f for f in gc.get_objects()
+            if isinstance(f, (types.FunctionType,
+                              functools._lru_cache_wrapper))
+            and (f.__module__ or "").startswith("confalg")
+            and "<locals>" in f.__qualname__]
+
+
+def test_no_plan_outlives_its_check():
+    """With the cyclic garbage collector off, a check frees its plan, its
+    memo and every closure compiled for it when it ends: nothing of the
+    evaluator is kept alive by a reference cycle."""
+    rng = random.Random(3)
+    space = gens.rand_space(rng, 3)
+    _, circ, bracket = gens.rab_data(0, 0)
+    anz = solve_central_ext_anl(circ, bracket).ansatz(0)
+    anz.set(0, "W", "W", Fraction(1, 2))
+    checks = [
+        lambda: check_leibniz_superalgebra(gens.rand_gbm(rng, space, 0.6)),
+        lambda: check_conformal_leibniz(
+            gens.rand_lambda_bracket(rng, space, 2, 6)),
+        lambda: solve_central_ext_anl(circ, bracket),
+        lambda: check_alpha_system(ANL_ALPHA_SYSTEM,
+                                   {"circ": circ, "bracket": bracket}, anz),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for check in checks:
+            before = confalg_closures()
+            known = {id(f) for f in before}
+            check()
+            left = [f.__qualname__ for f in confalg_closures()
+                    if id(f) not in known]
+            assert left == []
+    finally:
+        gc.enable()

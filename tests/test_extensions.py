@@ -236,6 +236,17 @@ def test_structured_basis_cocycles_pass_their_alpha_system():
             assert check_alpha_system(system, ops, anz).passed
 
 
+def test_constant_entries_over_parameters_solve_as_rational_ones():
+    """A space that declares a parameter its entries do not use: the
+    structured route solves on the constant entries, as on the same circ
+    without the parameter."""
+    circ = gens.example_circ(gens.space_LW(params=("a",)))
+    sol = solve_central_ext_assoc_novikov(circ)
+    assert sol.dimension == 4
+    assert sol.basis == solve_central_ext_assoc_novikov(
+        gens.example_circ()).basis
+
+
 def test_structured_rows_are_pinned():
     """The exact rows (row order, entry order within a row and every value)
     that each structured system hands to the solver at degrees 0..3."""
