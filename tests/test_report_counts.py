@@ -16,6 +16,8 @@ from confalg import (SuperSpace, GradedBilinearMap, LinearMap, LambdaBracket,
                      check_left_leibniz_superalgebra)
 from confalg.cli import _load
 
+from test_mode_kernel import ref_leibniz
+
 
 def space_xyz():
     return SuperSpace([("x", 0), ("y", 1), ("z", 0)])
@@ -251,6 +253,35 @@ def test_mode_leibniz_counts(fail_fast, checked, count):
                                "2 a[-2]")
         assert failures[-1] == ("right Leibniz", ("b[1]", "b[1]", "a[1]"),
                                 "a[1]")
+
+
+# [x _l y] = [y _l x] = l x has D = 1, so the probe of the unsorted grid
+# 2, 0, 2, 1, 3 is 2, 0, 1, and 3 lies outside it.  The blocks of (x, x, x),
+# (x, x, y) and (x, y, x) hold nothing and count as 3 * 125 cells; the
+# block of (x, y, y) fails first at its 2nd cell, the 377th, with the
+# repeated 2 counted twice.  Its failures at the mode 3 are found too.
+@pytest.mark.parametrize("fail_fast, checked, count", [
+    (False, 1000, 246),
+    (True, 377, 1),
+])
+def test_mode_leibniz_counts_past_certified_blocks(fail_fast, checked,
+                                                   count):
+    sp = SuperSpace([("x", 0), ("y", 0)])
+    br = LambdaBracket(sp)
+    br.set_entry("x", "y", VPoly.monomial(sp, "x", dl=1))
+    br.set_entry("y", "x", VPoly.monomial(sp, "x", dl=1))
+    grid = [2, 0, 2, 1, 3]
+    rep = CoeffAlgebra(br).check_leibniz(grid, fail_fast=fail_fast)
+    passed, n, failures = summary(rep)
+    assert (passed, n, len(failures)) == (False, checked, count)
+    assert failures[0] == ("right Leibniz", ("x[2]", "y[2]", "y[0]"),
+                           "-4 x[2]")
+    if not fail_fast:
+        assert ("right Leibniz", ("x[2]", "y[2]", "y[3]"),
+                "2 x[5]") in failures
+        assert failures[-1] == ("right Leibniz", ("y[3]", "y[3]", "x[3]"),
+                                "24 x[7]")
+    assert summary(rep) == summary(ref_leibniz(br, grid, fail_fast))
 
 
 PHI_FAILURES = [

@@ -28,7 +28,7 @@ from confalg import (build_quadratic_bracket, check_associative,
                      check_left_leibniz_superalgebra, check_lie_superalgebra,
                      check_skew_symmetry, check_supercommutative,
                      classify_brackets, quadratic, superspace, zero_map)
-from confalg.quadratic import SYSTEMS
+from confalg.quadratic import SYSTEMS, C
 from confalg.superspace import (LEFT_LEIBNIZ, B, Combination, X, Y, Z,
                                 _memoised, _residual, _slots, check_system)
 
@@ -210,3 +210,38 @@ def test_odd_term_shapes_match_the_dense_loop(dim, seed, density, fail_fast):
             want = summary(check_system("shapes", [equation], ops,
                                         fail_fast))
         assert got == want, equation[0]
+
+
+def paired_op(space, table):
+    """A two-argument op nonzero where a basis pair of its arguments is in
+    table, as extensions._alpha_cells builds it."""
+    def op(u, v):
+        return {0: 1} if any((p, q) in table for p in u for q in v) else {}
+    op.space, op.table = space, table
+    return op
+
+
+@given(st.integers(1, 4), st.integers(0, 10 ** 6),
+       st.sampled_from([0.15, 0.5, 0.9]), st.booleans())
+@settings(deadline=None)
+def test_a_full_table_joins_as_the_pair_walk(dim, seed, density, full):
+    """An op with every basis pair in its table and one value there is
+    joined as the product of its arguments' supports.  It must list the
+    cells that the pair-by-pair join lists for the same pairs with two
+    values, over arguments of one, two and three slots; so must an op with
+    one value on some of the pairs, which is joined pair by pair."""
+    rng = random.Random(seed)
+    space = gens.rand_space(rng, dim)
+    circ = gens.rand_gbm(rng, space, density, name="circ")
+    pairs = [pair for pair in itertools.product(range(dim), repeat=2)
+             if full or pair == (0, 0) or rng.random() < 0.5]
+    one = {pair: {0: 1} for pair in pairs}
+    two = {**one, (0, 0): {0: 1, 1: 1}}
+    plans = [_memoised(space, {"circ": circ,
+                               "alpha": paired_op(space, table)})
+             for table in (one, two)]
+    for f1, f2 in [(X, C(Z, Y)), (C(X, Y), Z), (C(Y, X), C(Z, Z)),
+                   (X, Y), (C(Z, X), Y), (C(X, C(Y, Z)), X)]:
+        node = ('op', 'alpha', f1, f2)
+        got, want = (list(plan.cells([node], 3)) for plan in plans)
+        assert got == want, node
