@@ -159,7 +159,8 @@ class LambdaBracket:
             self.entries[(i, j)] = vp
 
     def scaled(self, d):
-        """This bracket times the rational d."""
+        """This bracket times the rational d, constants bare (see
+        superspace._integral)."""
         out = LambdaBracket(self.space, name=self.name)
         out.entries = {key: vp._trusted({t: rescaled(c, d)
                                          for t, c in vp.terms.items()})
@@ -269,12 +270,20 @@ CONFORMAL_JACOBI = ('conformal Jacobi',
 def _ops(bracket):
     """The ops of _FORMS on bracket, functions that carry its space, as
     the table of where they can be nonzero its entries, and scaled(d), the
-    op of the bracket times d; the five share one scaled bracket."""
+    op of the bracket times d; the five share one scaled bracket.  A dict
+    argument is one of the evaluator's basis vectors {i: 1}, clean, so it
+    becomes a VPoly unchecked (apply_bracket validates one)."""
     scaled = functools.cache(lambda d: _ops(bracket.scaled(d)))
+    zero = VPoly.zero(bracket.space)
+
+    def vpoly(x):
+        if type(x) is not dict:
+            return x
+        return zero._trusted({(k, 0, 0, 0): c for k, c in x.items()})
 
     def attached_at(v, form):
         def op(x, y):
-            return apply_bracket(bracket, x, y, form)
+            return apply_bracket(bracket, vpoly(x), vpoly(y), form)
         op.space, op.table = bracket.space, bracket.entries
         op.scaled = lambda d: scaled(d)[v]
         return op

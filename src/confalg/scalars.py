@@ -12,7 +12,11 @@ parameters, and the constructor refuses an empty tuple.  An integral
 Fraction that arithmetic produces may stay a Fraction: int and Fraction
 compare, hash and print alike.  Bare rationals and Scalars share + - * ==,
 bool, str and factor_str, and a Scalar takes ints and Fractions as
-operands on either side; as_rational reads the rational value off either.
+operands on either side; as_rational reads the rational value off either,
+and a constant Scalar hashes as that value.  Inside a check's private
+ops (superspace's _integral) a constant coefficient is bare on any space,
+via rescaled, so that most of a parametric check's arithmetic runs in
+ints.
 Nothing here divides; the one division on coefficients, rref's final
 division by each row's lead, is exact: an int or a Fraction, never a float.
 Parameters are formal: they are added and multiplied but never inverted,
@@ -45,6 +49,8 @@ def _as_fraction(x):
     # ints and Fractions are the only bare numbers we accept; floats would
     # silently break exactness.  An integral value comes back as an int (a
     # bool as 0 or 1), any other as a Fraction.
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
@@ -57,6 +63,13 @@ def _check_params(params):
     if len(set(params)) != len(params):
         raise ScalarError("duplicate parameter names in %r" % (params,))
     return params
+
+
+def _same_params(params, x):
+    """ScalarError unless the Scalar x is over params."""
+    if x.params != params:
+        raise ScalarError("parameter lists differ: %r vs %r"
+                          % (x.params, params))
 
 
 class Scalar:
@@ -146,25 +159,30 @@ class Scalar:
         Scalar over other parameters is an error."""
         if not isinstance(x, Scalar):
             return cls.rational(x, params)
-        if x.params != tuple(params):
-            raise ScalarError("parameter lists differ: %r vs %r"
-                              % (x.params, tuple(params)))
+        _same_params(tuple(params), x)
         return x
 
     # ---------- ring operations ----------
 
     # The results below are built from clean terms, so the only cleaning
     # left is to drop sums that cancel.  Term order is the constructor's
-    # (first appearance), which callers that walk `terms` rely on.
+    # (first appearance), which callers that walk `terms` rely on.  A Scalar
+    # operand is taken as it is (ScalarError over other parameters); a bare
+    # one is its constant term.
 
     def __add__(self, other):
-        o = Scalar.coerce(other, self.params)
+        if isinstance(other, Scalar):
+            _same_params(self.params, other)
+            items = other.terms.items()
+        else:
+            q = _as_fraction(other)
+            items = (((0,) * len(self.params), q),) if q else ()
         terms = dict(self.terms)
-        for expo, coeff in o.terms.items():
+        for expo, coeff in items:
             if expo in terms:
                 coeff = terms[expo] + coeff
                 if not coeff:
-                    del terms[expo]  # o's exponents are distinct
+                    del terms[expo]  # the operand's exponents are distinct
                     continue
             terms[expo] = coeff
         return Scalar._trusted(self.params, terms)
@@ -182,10 +200,22 @@ class Scalar:
         return Scalar.coerce(other, self.params) + (-self)
 
     def __mul__(self, other):
-        o = Scalar.coerce(other, self.params)
+        if not isinstance(other, Scalar):
+            q = _as_fraction(other)
+            return Scalar._trusted(self.params, {e: c * q for e, c
+                                                 in self.terms.items()}
+                                   if q else {})
+        _same_params(self.params, other)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            (expo, coeff), = b.items()
+            return Scalar._trusted(self.params, _times(a, expo, coeff))
+        if len(a) == 1:
+            (expo, coeff), = a.items()
+            return Scalar._trusted(self.params, _times(b, expo, coeff))
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 expo = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 terms[expo] = terms[expo] + c if expo in terms else c
@@ -215,6 +245,10 @@ class Scalar:
             return NotImplemented
 
     def __hash__(self):
+        # a constant equals its bare value, so it hashes as that value
+        q = as_rational(self)
+        if q is not None:
+            return hash(q)
         return hash((self.params, frozenset(self.terms.items())))
 
     # ---------- substitution ----------
@@ -251,6 +285,14 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
+def _times(terms, expo, coeff):
+    """terms times the one nonzero term coeff * (monomial of expo): no two
+    products share an exponent and none is zero, so no sum is formed and
+    the order is that of terms."""
+    return {tuple(map(operator.add, e, expo)): c * coeff
+            for e, c in terms.items()}
+
+
 def as_rational(c):
     """The rational value (int or Fraction) of a coefficient, or None if it
     has a parameter term: c itself when it is a bare number."""
@@ -271,11 +313,13 @@ def denominator(c):
 def rescaled(c, q):
     """c * q for a coefficient c and a nonzero rational q, with every
     integral rational in the result an int, so that arithmetic on it runs
-    in ints."""
-    if isinstance(c, Scalar):
+    in ints; a bare rational when c has no parameter term, even on a space
+    with parameters (see the module docstring)."""
+    r = as_rational(c)
+    if r is None:
         return Scalar._trusted(c.params, {e: _as_fraction(v * q)
                                           for e, v in c.terms.items()})
-    return _as_fraction(c * q)
+    return _as_fraction(r * q)
 
 
 def require_rational(coeffs, what):

@@ -266,7 +266,8 @@ class GradedBilinearMap:
                space.parities[k], want)))
 
     def scaled(self, d):
-        """This product times the rational d."""
+        """This product times the rational d, constants bare (see
+        _integral)."""
         out = GradedBilinearMap(self.space, name=self.name)
         out.table = _scaled_table(self.table, d)
         return out
@@ -465,9 +466,10 @@ def _memoised(space, ops, scale=1):
     shape _support does not join, can be nonzero on every cell.
 
     plan.scale is scale, the factor by which ops are those of the check
-    (see _integral); the plan computes with ops as they are."""
+    (see _integral); the plan computes with ops as they are.  A slot's
+    value is the basis vector {i: 1}, with a bare 1 on any space."""
     dim, parities = space.dim, space.parities
-    basis = [space.basis_vec(i) for i in range(dim)]
+    basis = [{i: 1} for i in range(dim)]
     memo = {}   # expression -> {indices of its slots: vector}
     tables = {}   # op name -> where it can be nonzero (see table)
     closures = {}   # (expression, arity) -> its closure
@@ -639,15 +641,18 @@ def _integral(ops):
     """(ops times d, d) for d the least positive int that makes every
     coefficient in the ops' tables integral, so that an identity over them
     is evaluated in int arithmetic (a Fraction product or sum costs many
-    int ones); (ops, 1) when they are integral already or an op has no
-    table or no scaled method.  As the ops are multilinear, a term with n
-    op nodes comes out d^n times its value (see _equations)."""
+    int ones); a constant coefficient comes out a bare int even on a space
+    with parameters, so on such a space the copies are made for d = 1 too.
+    (ops, 1) when they are integral already on a space without parameters,
+    or an op has no table or no scaled method.  As the ops are
+    multilinear, a term with n op nodes comes out d^n times its value (see
+    _equations)."""
     if not all(hasattr(op, 'table') and hasattr(op, 'scaled')
                for op in ops.values()):
         return ops, 1
     d = math.lcm(*[denominator(c) for op in ops.values()
                    for value in op.table.values() for _, c in value.items()])
-    if d == 1:
+    if d == 1 and not next(iter(ops.values())).space.params:
         return ops, 1
     return {name: op.scaled(d) for name, op in ops.items()}, d
 
@@ -823,7 +828,7 @@ class LinearMap:
                                                    space.names[k])))
 
     def scaled(self, d):
-        """This map times the rational d."""
+        """This map times the rational d, constants bare (see _integral)."""
         out = LinearMap(self.space, name=self.name)
         out.table = _scaled_table(self.table, d)
         return out

@@ -14,7 +14,8 @@ from operator import itemgetter
 from hypothesis import given, settings, strategies as st
 
 from confalg import (AxiomReport, GradedBilinearMap, LambdaBracket,
-                     LinearMap, Scalar, SuperSpace, build_quadratic_bracket,
+                     LinearMap, Scalar, SuperSpace, as_rational,
+                     build_quadratic_bracket,
                      check_alpha_system, check_averaging,
                      check_conformal_leibniz, check_leibniz_superalgebra,
                      solve_central_ext_anl, VPoly)
@@ -190,8 +191,9 @@ def test_compiled_alpha_terms_match_the_reference(dim, seed):
 
 # ---------- the memo of one check ----------
 
-def run_check(equations, ops, plan):
-    return AxiomReport("check").run(*_equations(equations, ops, plan))
+def run_check(equations, ops, plan, fail_fast=False):
+    return AxiomReport("check").run(*_equations(equations, ops, plan),
+                                    fail_fast)
 
 
 def report_summary(rep):
@@ -293,63 +295,99 @@ def integral(c):
     return type(c) is int
 
 
-@given(st.integers(1, 3), st.integers(0, 10 ** 6))
+@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_integral_ops_are_the_ops_times_the_least_common_denominator(
-        dim, seed):
+        dim, seed, parametric):
+    """On a space with parameters the integral ops are always copies, in
+    which a coefficient is a Scalar exactly when it has a parameter term;
+    without parameters, ops that are integral already are kept."""
     rng = random.Random(seed)
-    space = odd_parametric_space(rng, dim)
-    ops = {"circ": parametric_map(rng, space, "circ"),
-           "avg": parametric_even_map(rng, space),
-           "bracket": gens.rand_lambda_bracket(rng, space, 2, 4)}
+    if parametric:
+        space = odd_parametric_space(rng, dim)
+        ops = {"circ": parametric_map(rng, space, "circ"),
+               "avg": parametric_even_map(rng, space)}
+    else:
+        space = gens.rand_space(rng, dim)
+        ops = {"circ": gens.rand_gbm(rng, space, name="circ"),
+               "avg": gens.rand_linear_map(rng, space)}
+    ops["bracket"] = gens.rand_lambda_bracket(rng, space, 2, 4)
     ops.update(_ops(ops.pop("bracket")))
     scaled, d = _integral(ops)
     dens = [c.denominator for op in ops.values() for c in coefficients(op)
             for c in (c.terms.values() if isinstance(c, Scalar) else [c])]
     assert d == math.lcm(*dens)
     for name, op in ops.items():
-        assert all(integral(c) for c in coefficients(scaled[name]))
         assert coefficients(scaled[name]) == [c * d for c in coefficients(op)]
         assert list(scaled[name].table) == list(op.table)
-    if d == 1:
+        if space.params:
+            assert all(isinstance(c, Scalar) == (as_rational(c) is None)
+                       for c in coefficients(scaled[name]))
+    if d == 1 and not space.params:
+        # integral in value already (an integral Fraction that arithmetic
+        # made may stay one)
         assert scaled is ops
+    else:
+        assert all(integral(c) for op in scaled.values()
+                   for c in coefficients(op))
     # an op without a scaled method leaves every op as it is
     ops["plain"] = lambda u, v: {}
     ops["plain"].table = {}
     assert _integral(ops) == (ops, 1)
 
 
-@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
-@settings(max_examples=25, deadline=None)
+def constant_copy(space, op):
+    """op on space, a twin of its space with parameters: every entry a
+    constant Scalar."""
+    if isinstance(op, LambdaBracket):
+        return LambdaBracket(space, {key: VPoly(space, vp.terms)
+                                     for key, vp in op.entries.items()})
+    return type(op)(space, op.table, name=op.name)
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6),
+       st.sampled_from(["rational", "constant", "mixed"]), st.booleans())
+@settings(max_examples=40, deadline=None)
 def test_integral_checks_report_as_checks_on_the_ops_as_given(
-        dim, seed, parametric):
+        dim, seed, entries, fail_fast):
     """check_system runs on the ops made integral and divides the scale off
     each residual; a plan passed in keeps the ops as given.  The reports
-    agree, residual strings and counts included, on classical, quadratic,
-    mixed-degree and conformal equations (killed vectors too)."""
+    agree, residual strings and counts included, with and without
+    fail_fast, on classical, quadratic, mixed-degree and conformal
+    equations, on spaces with killed vectors: over the rationals, over a
+    parameter with every entry constant, and over parameters with entries
+    that mix constants and parameter terms."""
     rng = random.Random(seed)
-    if parametric:
-        space = odd_parametric_space(rng, dim)
-        maps = {name: parametric_map(rng, space, name)
-                for name in ("circ", "star", "bracket")}
+    rational = gens.rand_space(rng, dim, killed=True)
+    if entries == "mixed":
+        space = gens.rand_space(rng, dim, params=("a", "b"), killed=True)
     else:
-        space = gens.rand_space(rng, dim, killed=True)
-        maps = {name: gens.rand_gbm(rng, space, density=0.4, name=name)
-                for name in ("circ", "star", "bracket")}
+        space = rational
+    maps = {name: gens.rand_gbm(rng, space, density=0.4, name=name)
+            for name in ("circ", "star", "bracket")}
+    maps["avg"] = gens.rand_linear_map(rng, space)
+    bracket = gens.rand_lambda_bracket(rng, space, 2, 2 * dim)
+    if entries == "constant":
+        space = SuperSpace(list(zip(rational.names, rational.parities)),
+                           params=("a",), killed=rational.killed)
+        maps = {name: constant_copy(space, op) for name, op in maps.items()}
+        bracket = constant_copy(space, bracket)
+    elif entries == "mixed" and dim <= 2:
+        bracket = build_quadratic_bracket(maps["circ"], maps["star"],
+                                          maps["bracket"])
 
     def same(equations, ops):
-        assert (report_summary(check_system("check", equations, ops))
+        assert (report_summary(check_system("check", equations, ops,
+                                            fail_fast))
                 == report_summary(run_check(equations, ops,
-                                            _memoised(space, ops))))
+                                            _memoised(space, ops),
+                                            fail_fast)))
 
     for _, equations, names in SYSTEMS.values():
         same(equations, {n: maps[n] for n in names})
     same([MIXED, SKEW_SYMMETRY], {"bracket": maps["bracket"]})
-    same([AVERAGING_EQ], {"product": maps["circ"],
-                          "avg": parametric_even_map(rng, space)
-                          if parametric else gens.rand_linear_map(rng, space)})
-    same([CONFORMAL_LEIBNIZ, CONFORMAL_JACOBI, CONFORMAL_SKEW],
-         _ops(gens.rand_lambda_bracket(rng, space, 2, 2 * dim)))
+    same([AVERAGING_EQ], {"product": maps["circ"], "avg": maps["avg"]})
+    same([CONFORMAL_LEIBNIZ, CONFORMAL_JACOBI, CONFORMAL_SKEW], _ops(bracket))
 
 
 def test_a_conformal_check_scales_its_bracket_once(monkeypatch):

@@ -2,6 +2,7 @@
 parameters."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -167,14 +168,40 @@ def assert_same_scalar(result, expected):
     assert list(rebuilt.terms.items()) == list(result.terms.items())
 
 
-@given(scalar_pairs(), st.integers(-2, 2), st.integers(0, 3))
+@given(scalar_pairs(), st.one_of(st.integers(-2, 2), rationals, st.booleans()),
+       st.integers(0, 3))
 # (-1 - a + a^2)^2: the a^2 sum passes through 0 before its last summand
 # arrives, and the a^3 sum is made in between
 @example((Scalar(("a",), {(0,): -1, (1,): -1, (2,): 1}),
           Scalar(("a",), {(0,): -1, (1,): -1, (2,): 1})), 1, 2)
+# single-term operands on either side, a constant one among them
+@example((Scalar(("a", "b"), {(1, 0): 2}),
+          Scalar(("a", "b"), {(0, 1): -1, (1, 0): 3, (2, 1): 1})), 2, 1)
+@example((Scalar(("a", "b"), {(0, 1): -1, (1, 0): 3, (2, 1): 1}),
+          Scalar(("a", "b"), {(1, 1): Fraction(-1, 2)})), -1, 2)
+@example((Scalar(("a",), {(0,): 3}), Scalar(("a",), {(0,): 1, (2,): -1})),
+         0, 3)
+@example((Scalar(("a",), {(1,): 1, (0,): -1}), Scalar(("a",), {(0,): 3})),
+         1, 1)
+@example((Scalar(("a",), {(1,): 2}), Scalar(("a",), {(1,): -2})), 1, 1)
+# bare operands: int, Fraction and bool
+@example((Scalar(("a",), {(0,): 2, (1,): 1}), Scalar(("a",), {})), 3, 1)
+@example((Scalar(("a",), {(0,): Fraction(3, 2), (1,): 1}),
+          Scalar(("a",), {})), Fraction(-3, 2), 1)
+@example((Scalar(("a",), {(0,): -1, (1,): 1}), Scalar(("a",), {})), True, 1)
+@example((Scalar(("a",), {(1,): 1}), Scalar(("a",), {})), False, 1)
+# a Scalar over other parameters
+@example((Scalar(("a",), {(1,): 1}), Scalar(("b",), {(0,): 2})), 1, 1)
 @settings(max_examples=200)
 def test_ring_operations_match_the_validating_constructor(pair, k, n):
     x, y = pair
+    if y.params != x.params:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ScalarError):
+                op(x, y)
+            with pytest.raises(ScalarError):
+                op(y, x)
+        return
     zero_expo = (0,) * len(x.params)
     assert_same_scalar(x + y, _validated_sum(x.params, x.terms.items(),
                                              y.terms.items()))
@@ -185,13 +212,33 @@ def test_ring_operations_match_the_validating_constructor(pair, k, n):
                                              _negated(x)))
     assert_same_scalar(x * y, _validated_product(x, y))
     assert_same_scalar(x ** n, _validated_power(x, n))
-    assert_same_scalar(x + k, _validated_sum(x.params, x.terms.items(),
-                                             [(zero_expo, k)]))
-    assert_same_scalar(k * x, _validated_product(
-        x, Scalar(x.params, {zero_expo: k})))
+    plus_k = _validated_sum(x.params, x.terms.items(), [(zero_expo, k)])
+    assert_same_scalar(x + k, plus_k)
+    assert_same_scalar(k + x, plus_k)
+    times_k = _validated_product(x, Scalar(x.params, {zero_expo: k}))
+    assert_same_scalar(k * x, times_k)
+    assert_same_scalar(x * k, times_k)
+    assert_same_scalar(x - k, _validated_sum(x.params, x.terms.items(),
+                                             [(zero_expo, -k)]))
     assert not x - x and not x + (-x)
     assert_same_scalar(Scalar.rational(k, x.params),
                        Scalar(x.params, {zero_expo: k}))
+
+
+@given(st.one_of(st.integers(-3, 3), rationals),
+       st.one_of(st.integers(-3, 3), rationals),
+       st.sampled_from([("a",), PARAMS]))
+@example(2, 2, ("a",))
+@example(Fraction(1, 2), Fraction(1, 2), ("a",))
+def test_equal_constants_hash_alike(q, r, params):
+    """A Scalar without parameter terms equals its bare value, so it hashes
+    as that value: x == y implies hash(x) == hash(y) against ints,
+    Fractions and constant Scalars."""
+    x = Scalar.rational(q, params)
+    for y in (r, Fraction(r), Scalar.rational(r, params)):
+        if x == y:
+            assert hash(x) == hash(y)
+    assert len({x, q}) == 1
 
 
 def test_falling_factorial():
