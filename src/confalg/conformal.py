@@ -153,6 +153,8 @@ class LambdaBracket:
                 raise ConformalError(
                     "grading violated in bracket entry (%s, %s)"
                     % (self.space.names[i], self.space.names[j]))
+        if not self.space.params:   # an integral Fraction as an int
+            vp = vp._trusted({t: rescaled(c, 1) for t, c in vp.terms.items()})
         if vp.is_zero():
             self.entries.pop((i, j), None)
         else:

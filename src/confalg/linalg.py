@@ -5,9 +5,10 @@ bool; a missing key is 0.  rref eliminates fraction-free: it scales each
 incoming row to integers once, keeps every stored row a primitive integer
 row (int entries with gcd 1) with a positive lead, and divides each row by
 its lead only when it returns, so integral results are ints, the rest are
-Fractions, and no float is ever made.  The row-reduced echelon form is
-unique, so every routine here is deterministic no matter what order rows
-arrive in.
+Fractions, and no float is ever made.  A stored row {c: 1} (x_c = 0) is
+the only one holding c, so c is dropped from later rows on arrival.  The
+row-reduced echelon form is unique, so every routine here is
+deterministic no matter what order rows arrive in.
 """
 
 from fractions import Fraction
@@ -32,20 +33,23 @@ def rref(rows):
     hold it) lists.  Both clear column p of a row r with the row s that
     leads at p by cross-multiplication, r <- (s[p]/g) r - (r[p]/g) s with
     g = gcd(s[p], r[p]): no division, and no scaling when s[p] divides
-    r[p].  A row is divided by its lead once, on return.
+    r[p].  A row is divided by its lead once, on return.  `zero` lists the
+    settled columns c, whose stored row is {c: 1}: x_c = 0, and no other
+    stored row holds c, so an incoming row drops them with its zero
+    entries, exactly, and is skipped if nothing is left.
     """
     reduced = {}  # pivot col -> primitive int row, lead > 0
     users = {}    # non-pivot col -> set of pivot cols whose rows hold it
+    zero = set()  # pivot cols whose row is {col: 1}: that unknown is 0
     for row in rows:
-        ints = _INT.issuperset(map(type, row.values()))
-        if ints and 0 not in row.values():
-            row = dict(row)  # nonzero ints already: a copy to work on
-        else:
-            row = {col: val for col, val in row.items() if val}
-            if not ints:
-                den = lcm(*[val.denominator for val in row.values()])
-                row = {col: val.numerator * (den // val.denominator)
-                       for col, val in row.items()}
+        row = {col: val for col, val in row.items()
+               if col not in zero and val}
+        if not row:
+            continue
+        if not _INT.issuperset(map(type, row.values())):
+            den = lcm(*[val.denominator for val in row.values()])
+            row = {col: val.numerator * (den // val.denominator)
+                   for col, val in row.items()}
         for pcol in [c for c in row if c in reduced]:
             prow = reduced[pcol]
             factor = row.pop(pcol)
@@ -109,7 +113,11 @@ def rref(rows):
             if content != 1:
                 for col in prow:
                     prow[col] //= content
+            if len(prow) == 1:
+                zero.add(pcol)
         reduced[pivot] = row
+        if len(row) == 1:
+            zero.add(pivot)
     for pivot, row in reduced.items():
         lead = row[pivot]
         if lead != 1:
@@ -132,20 +140,16 @@ def nullspace(rows, ncols):
     negated reduced-row entries in the pivot columns.  Vectors are returned
     as tuples of rationals (ints or Fractions) of length ncols.
     """
-    pivots, reduced = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
+    _, reduced = rref(rows)
+    basis = {free: [0] * ncols for free in range(ncols)
+             if free not in reduced}
+    for free, vec in basis.items():
         vec[free] = 1
-        for pcol in pivots:
-            entry = reduced[pcol].get(free)
-            if entry is not None:
-                vec[pcol] = -entry
-        basis.append(tuple(vec))
-    return basis
+    for pcol, row in reduced.items():
+        for col, val in row.items():
+            if col != pcol:
+                basis[col][pcol] = -val
+    return [tuple(vec) for vec in basis.values()]
 
 
 def span_basis(vectors, ncols):

@@ -495,9 +495,7 @@ def _memoised(space, ops, scale=1):
     def table(name):
         """Where op name can be nonzero, from its table: {i: {j: output
         basis indices}} for a two-argument op, {i: output basis indices}
-        for a one-argument one; None for an op without a table.  A
-        two-argument op with every basis pair in its table, all with the
-        same output indices, gives those indices alone, as a set."""
+        for a one-argument one; None for an op without a table."""
         if name not in tables:
             entries, out = getattr(ops[name], 'table', None), {}
             for key, value in (entries or {}).items():
@@ -505,10 +503,6 @@ def _memoised(space, ops, scale=1):
                     out.setdefault(key[0], {})[key[1]] = _indices(value)
                 else:
                     out[key] = _indices(value)
-            hits = [hit for row in out.values() if type(row) is dict
-                    for hit in row.values()]
-            if len(hits) == dim * dim and hits.count(hits[0]) == len(hits):
-                out = set(hits[0])
             tables[name] = None if entries is None else out
         return tables[name]
 
@@ -617,9 +611,6 @@ def _support(expr, arity, known, table):
     both = sa + sb   # the slots of ka + kb below
     slots = tuple(sorted(both))
     pick = itemgetter(*[both.index(s) for s in slots])
-    if type(op) is set:   # every basis pair: each pair of keys is a hit
-        return slots, {pick(ka + kb): op for ka, a in va.items() if a
-                       for kb, b in vb.items() if b}
     holding = {}   # basis index -> keys of the second argument
     for kb, ks in vb.items():
         for q in ks:

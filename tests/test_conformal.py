@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,28 @@ def test_vpoly_basics():
     assert str(vp) == "d L + 3 W"
     assert not vp.is_zero()
     assert (vp - vp).is_zero()
+
+
+def test_set_entry_stores_an_integral_coefficient_as_an_int():
+    """VPoly addition can make Fraction(1, 1).  On a space without
+    parameters set_entry stores it as 1, so a check over the bracket runs
+    in ints.  The second bracket is the one gens.rand_lambda_bracket draws
+    at dim 1, seed 4005, where hypothesis found an entry of Fraction(2, 1)."""
+    sp = SuperSpace([("e", 0)])
+    half = VPoly.monomial(sp, "e", coeff=Fraction(1, 2))
+    br = LambdaBracket(sp)
+    br.set_entry("e", "e", half + half)
+    assert [(c, type(c)) for c in br.entry("e", "e").terms.values()] \
+        == [(1, int)]
+    rng = random.Random(4005)
+    space = gens.rand_space(rng, 1)
+    gens.rand_gbm(rng, space, name="circ")
+    gens.rand_linear_map(rng, space)
+    br = gens.rand_lambda_bracket(rng, space, 2, 4)
+    coeffs = [c for vp in br.entries.values() for c in vp.terms.values()]
+    assert 2 in coeffs
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in coeffs)
 
 
 def test_vpoly_killed_normalization():
