@@ -422,6 +422,7 @@ def _term_sign(sign_pairs, parities):
     return -1 if expo % 2 else 1
 
 
+@functools.cache
 def _slots(expr):
     """The positions (x = 0, y = 1, z = 2) of the slots an expression uses,
     in increasing order."""
@@ -447,11 +448,11 @@ def _memoised(space, ops, scale=1):
     cell -> vector (a degree index passes through).  A map op runs as its
     apply_vec; another op is a function of the argument vectors.
 
-    An expression that uses fewer slots than the cell is computed once per
-    indices of its slots while plan lives (one check call), in
-    plan.memo[expression], shared across arities; one that uses them all
-    is computed afresh, since storing it would keep dim^arity vectors per
-    expression alive.  The vectors are shared: never modify one.
+    An expression that uses fewer slots than the cell is computed when a
+    cell first needs it, once per indices of its slots while plan lives
+    (one check call), in plan.memo[expression], shared across arities; one
+    that uses them all is computed afresh, since storing it would keep
+    dim^arity vectors per expression alive.  Never modify a shared vector.
 
     plan.cells(exprs, arity) lists, in product order, the cells where some
     expression of exprs can be nonzero.  It rests on every op being
@@ -460,10 +461,11 @@ def _memoised(space, ops, scale=1):
     it can, and the basis indices of a value hold those of the op there;
     that is a GradedBilinearMap's or LinearMap's table, or a
     LambdaBracket's entries.  An op node is zero at a cell where no key of
-    its table meets the basis indices of its arguments, read off the
-    memoised values of an argument with fewer slots than the cell and off
-    the tables below one with all of them (see _support).  An expression with an op without a table, or of a
-    shape _support does not join, can be nonzero on every cell.
+    its table meets the basis indices of its arguments.  The listing joins
+    the tables alone (see _support) and evaluates nothing: the check
+    computes values at the listed cells only.  An expression with an op
+    without a table, or of a shape _support does not join, can be nonzero
+    on every cell.
 
     plan.scale is scale, the factor by which ops are those of the check
     (see _integral); the plan computes with ops as they are.  A slot's
@@ -473,7 +475,9 @@ def _memoised(space, ops, scale=1):
     memo = {}   # expression -> {indices of its slots: vector}
     tables = {}   # op name -> where it can be nonzero (see table)
     closures = {}   # (expression, arity) -> its closure
-    slots_of = functools.cache(_slots)
+    ones = {(i,): (i,) for i in range(dim)}
+    joined = {s: (_slots(s), ones, _holding(ones))
+              for s in (X, Y, Z)}   # see _support
 
     def compiled(expr, arity):
         return _compiled(expr, arity, ops, basis, memo, closures)
@@ -493,53 +497,33 @@ def _memoised(space, ops, scale=1):
         return at
 
     def table(name):
-        """Where op name can be nonzero, from its table: {i: {j: output
-        basis indices}} for a two-argument op, {i: output basis indices}
-        for a one-argument one; None for an op without a table."""
+        """Where op name can be nonzero, from its table: {key: output basis
+        indices} for the keys of its table, basis pairs for a two-argument
+        op and basis indices for a one-argument one; None for an op
+        without a table."""
         if name not in tables:
-            entries, out = getattr(ops[name], 'table', None), {}
-            for key, value in (entries or {}).items():
-                if type(key) is tuple:
-                    out.setdefault(key[0], {})[key[1]] = _indices(value)
-                else:
-                    out[key] = _indices(value)
-            tables[name] = None if entries is None else out
+            entries = getattr(ops[name], 'table', None)
+            tables[name] = None if entries is None else {
+                key: _indices(value) for key, value in entries.items()}
         return tables[name]
-
-    @functools.cache
-    def known(expr, arity):
-        """_support of a slot or of an expression with fewer slots than the
-        cell, read off its values; None for one with every slot."""
-        slots = slots_of(expr)
-        if expr[0] != 'slot' and len(slots) == arity:
-            return None
-        value, cell, out = compiled(expr, arity), [0] * arity, {}
-        for key in itertools.product(range(dim), repeat=len(slots)):
-            for s, i in zip(slots, key):
-                cell[s] = i
-            vec = value(cell)
-            if vec:
-                out[key] = _indices(vec)
-        return slots, out
 
     def cells(exprs, arity):
         live = set()
         for expr in exprs:
-            found = _support(expr, arity, known, table)
+            found = _support(expr, arity, joined, table, top=True)
             if found is None:
                 return itertools.product(range(dim), repeat=arity)
-            slots, values = found
+            slots, keys, _ = found
             if len(slots) < arity:   # nonzero at any index of a slot left out
                 order = slots + tuple(sorted(set(range(arity)) - set(slots)))
                 pick = itemgetter(*[order.index(s) for s in range(arity)])
-                values = [pick(key + rest) for key in values
-                          for rest in itertools.product(
-                              range(dim), repeat=arity - len(slots))]
-            live.update(values)
+                keys = [pick(key + rest) for key in keys
+                        for rest in itertools.product(
+                            range(dim), repeat=arity - len(slots))]
+            live.update(keys)
         return sorted(live)
 
-    plan.memo, plan.slots, plan.cells = memo, slots_of, cells
-    plan.scale = scale
+    plan.memo, plan.cells, plan.scale = memo, cells, scale
     return plan
 
 
@@ -580,52 +564,65 @@ def _compiled(expr, arity, ops, basis, memo, closures):
     return out
 
 
-def _support(expr, arity, known, table):
+def _holding(values):
+    """{basis index: the keys of values whose basis indices hold it}."""
+    out = {}
+    for key, ks in values.items():
+        for k in ks:
+            out.setdefault(k, []).append(key)
+    return out
+
+
+def _support(expr, arity, joined, table, top=False):
     """(slots of expr, {their indices at a cell where expr can be nonzero:
-    basis indices its value can have terms on there}), or None where that
-    is unknown.  known(expr, arity) gives it for a slot or an expression
-    with fewer slots than the cell, else None; table(name) is where op
-    name can be nonzero (see _memoised).  An expression with every slot is
-    joined afresh from its arguments at each call, since its support can
-    hold dim^arity keys.  It recurses at module level, not in the closure
-    of a plan, so that no reference cycle keeps a check's supports alive
-    after the check."""
-    found = known(expr, arity)
+    basis indices its value can have terms on there}, its _holding or
+    None), or None where that is unknown, joined from the op tables alone:
+    table(name) is where op name can be nonzero (see _memoised).  joined
+    holds this for each slot and keeps it for a node with fewer slots than
+    the cell; a node with every slot is joined afresh, since its support
+    can hold dim^arity keys, and with top as the set of its keys only.  It
+    recurses at module level, not in the closure of a plan, so that no
+    reference cycle keeps a check's supports alive after the check."""
+    found = joined.get(expr)
     if found is not None:
         return found
     op = table(expr[1])
-    args = [_support(arg, arity, known, table) for arg in expr[2:]]
+    args = [_support(arg, arity, joined, table) for arg in expr[2:]]
     if op is None or None in args or len(args) > 2:
         return None
-    out = {}
     if len(args) == 1:
-        (slots, values), = args
-        for key, ks in values.items():
-            hit = set().union(*[op[k] for k in ks if k in op])
-            if hit:
-                out[key] = hit
-        return slots, out
-    (sa, va), (sb, vb) = args
-    if set(sa) & set(sb):
-        return None   # arguments that share a slot: not worth a case
-    both = sa + sb   # the slots of ka + kb below
-    slots = tuple(sorted(both))
-    pick = itemgetter(*[both.index(s) for s in slots])
-    holding = {}   # basis index -> keys of the second argument
-    for kb, ks in vb.items():
-        for q in ks:
-            holding.setdefault(q, []).append(kb)
-    for ka, ks in va.items():
-        for p in ks:
-            for q, hit in op.get(p, {}).items():
-                for kb in holding.get(q, ()):
-                    key = pick(ka + kb)
-                    got = out.get(key)
-                    if got is None:
-                        out[key] = hit
-                    elif not hit <= got:   # sets are shared: no |=
-                        out[key] = got | hit
-    return slots, out
+        (slots, values, _), = args
+        out = {key: hit for key, ks in values.items()
+               if (hit := set().union(*[op[k] for k in ks if k in op]))}
+    else:
+        (sa, va, ha), (sb, vb, hb) = args
+        if set(sa) & set(sb):
+            return None   # arguments that share a slot: not worth a case
+        both = sa + sb   # the slots of ka + kb below
+        slots = tuple(sorted(both))
+        pick = itemgetter(*[both.index(s) for s in slots])
+        if expr[2][0] == expr[3][0] == 'slot':   # the table in slot order
+            out = op if both == slots else {
+                (q, p): hit for (p, q), hit in op.items()}
+        elif top and len(slots) == arity:
+            left, right = ha or _holding(va), hb or _holding(vb)
+            out = {pick(ka + kb) for p, q in op
+                   for ka in left.get(p, ()) for kb in right.get(q, ())}
+        else:
+            left, right, out = ha or _holding(va), hb or _holding(vb), {}
+            for (p, q), hit in op.items():
+                for ka in left.get(p, ()):
+                    for kb in right.get(q, ()):
+                        key = pick(ka + kb)
+                        got = out.get(key)
+                        if got is None:
+                            out[key] = hit
+                        elif not hit <= got:   # sets are shared: no |=
+                            out[key] = got | hit
+    if len(slots) < arity:
+        joined[expr] = slots, out, _holding(out)
+        return joined[expr]
+    return slots, out, None
 
 
 def _integral(ops):
@@ -680,7 +677,7 @@ def _equation_cells(space, plan, name, terms, covers):
     coefficient raised to match."""
     exprs = [[x for x in rest if isinstance(x, tuple)]
              for _, _, *rest in terms]
-    arity = 1 + max(max(plan.slots(x)) for xs in exprs for x in xs)
+    arity = 1 + max(max(_slots(x)) for xs in exprs for x in xs)
     nodes = [sum(map(_nodes, xs)) for xs in exprs]
     top = max(nodes)
     head = (name, plan([(coeff * plan.scale ** (top - n), *rest)

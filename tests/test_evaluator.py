@@ -120,6 +120,14 @@ def parametric_even_map(rng, space):
     return avg
 
 
+def op_nodes(expr):
+    """The op nodes of an expression, itself first if it is one."""
+    if expr[0] != 'slot':
+        yield expr
+        for arg in expr[2:]:
+            yield from op_nodes(arg)
+
+
 def arity(terms):
     return 1 + max(max(ref_slots(term[2])) for term in terms)
 
@@ -220,8 +228,21 @@ def test_memo_keeps_only_nodes_with_fewer_slots(dim, seed):
                 used = len(ref_slots(expr))
                 assert used < n or not values
                 assert len(values) <= space.dim ** (n - 1)
-            if n == 3:
-                assert any(plan.memo.values())
+            # the memo fills on demand: a node with fewer slots than the
+            # cell holds its values at the slot indices of the listed cells
+            # whose terms hold it, and nowhere else
+            want = {}
+            for _, terms in same_arity:
+                listed = list(plan.cells([term[2] for term in terms], n))
+                for node in {node for term in terms
+                             for node in op_nodes(term[2])
+                             if len(ref_slots(node)) < n}:
+                    want.setdefault(node, set()).update(
+                        map(itemgetter(*ref_slots(node)), listed))
+            assert {expr: set(values) for expr, values in plan.memo.items()
+                    if values} == {node: keys for node, keys in want.items()
+                                   if keys}
+            assert any(plan.memo.values()) == any(want.values())
 
 
 @given(st.integers(1, 4), st.integers(0, 10 ** 6))

@@ -225,11 +225,11 @@ def paired_op(space, table):
        st.sampled_from([0.15, 0.5, 0.9]), st.booleans())
 @settings(deadline=None)
 def test_a_full_table_joins_as_the_pair_walk(dim, seed, density, full):
-    """An op with every basis pair in its table and one value there is
-    joined as the product of its arguments' supports.  It must list the
-    cells that the pair-by-pair join lists for the same pairs with two
-    values, over arguments of one, two and three slots; so must an op with
-    one value on some of the pairs, which is joined pair by pair."""
+    """Two tables on the same basis pairs, one with the value {0: 1} at
+    every pair and one with two basis indices at (0, 0), list the same
+    cells for a node over arguments of one, two and three slots, whether
+    the pairs are all of them or some: a listing reads which pairs a table
+    holds, and a node that covers a term reads no value of it."""
     rng = random.Random(seed)
     space = gens.rand_space(rng, dim)
     circ = gens.rand_gbm(rng, space, density, name="circ")
