@@ -304,8 +304,10 @@ def cmd_central_ext(args, out):
              else str(structured))
     out.text(str(direct))
     if agree is not None:
+        top = max(CASES[args.case][3])
         out.text("routes %s on the common degree range %s"
-                 % ("AGREE" if agree else "DISAGREE", list(direct.degrees)))
+                 % ("AGREE" if agree else "DISAGREE",
+                    [t for t in direct.degrees if t <= top]))
     out.data.update(structured=structured and _solution_payload(structured),
                     direct=_solution_payload(direct), agree=agree)
     return agree is not False

@@ -20,8 +20,12 @@ module solves it two independent ways:
   and the second, alpha_{-m}([a _l c], b), keyed by (a, c) with one list
   per Koszul sign.  The RHS tables are built per outer index (a, or a and
   b) and dropped when it moves on, which keeps peak memory flat.
-  assemble_cocycle_rows reads them with a column per unknown,
-  check_cocycle_direct with the ansatz's values; and
+  _cocycle_rows reads them with a column per unknown, leaving out the
+  unknowns in a settled set; assemble_cocycle_rows lists its rows with
+  nothing settled, and solve_cocycles_direct streams them, on the bracket
+  scaled to integers, into linalg.nullspace with rref's own settled set
+  (the rows must stay lazy for the skip to act).  check_cocycle_direct
+  reads the same tables with the ansatz's values; and
 * the **structured route** instantiates the per-degree equation systems known
   in closed form for the quadratic cases (the associative-Novikov-Leibniz
   case, the bracket-free associative-Novikov case, the symmetrized
@@ -37,11 +41,11 @@ they are compared, on a declared bracket the case builds.
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import linalg
-from .scalars import (Scalar, as_rational, combination_str, graded_lex,
-                      monomial_str, require_rational, rescaled)
+from .scalars import (Scalar, as_rational, combination_str, denominator,
+                      graded_lex, monomial_str, require_rational, rescaled)
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, check_system,
                          _equation_cells, _integral, _memoised)
 from .conformal import LambdaBracket, VPoly
@@ -217,23 +221,31 @@ def _entry_table(bracket, coeff):
             for pair, vp in bracket.entries.items()}
 
 
+def _with_lines(terms):
+    """(terms, the distinct lines they read, in order of first use)."""
+    return terms, list({id(line): line for line, _, _ in terms}.values())
+
+
 def _cocycle_terms(bracket, coeff, tables):
     """Yield each basis triple (a, b, c), in product order, with the terms
     of the cocycle residual LHS - RHS at it.
 
     tables maps each ansatz degree t, in order, to tab, where tab[p][q]
     stands for alpha_t(e_p, e_q) and is None where it is absent.
-    The terms come as three (terms, k) parts.  Each term is (line,
+    The terms come as three (terms, lines, k) parts.  Each term is (line,
     (l-degree, m-degree), value): value is coeff(entry coefficient) times
     an integer and multiplies line[k], which is tab[k][v] for the LHS and
-    tab[v][k] for the RHS terms, v the term's basis vector.
+    tab[v][k] for the RHS terms, v the term's basis vector.  lines lists
+    the distinct lines of the terms: line[k] over them names every entry
+    of tab the part reads.
 
     * LHS alpha_l(a, [b _m c]): the table of pair (b, c), k = a.
     * -RHS1 = -alpha_{l+m}([a _l b], c): the table of pair (a, b), k = c;
       it holds the binomial expansion of (l + m)^(dd + t), its terms of
       equal unknown and monomial summed, in order of first appearance.
     * +sigma RHS2 = +sigma alpha_{-m}([a _l c], b): the table of pair
-      (a, c) for the Koszul sign sigma of (b, c), k = b.
+      (a, c) for the Koszul sign sigma of (b, c), k = b; both signs read
+      the same lines.
 
     The LHS tables are built up front.  The RHS ones are built lazily per
     outer index, RHS2 for each a and RHS1 for each (a, b), and dropped when
@@ -243,8 +255,8 @@ def _cocycle_terms(bracket, coeff, tables):
     par = bracket.space.parities
     entries = _entry_table(bracket, coeff)
     columns = {t: list(zip(*tab)) for t, tab in tables.items()}
-    lhs = {pair: [(columns[t][v], (dd + t, dl), s)
-                  for v, dd, dl, s in terms for t in tables]
+    lhs = {pair: _with_lines([(columns[t][v], (dd + t, dl), s)
+                              for v, dd, dl, s in terms for t in tables])
            for pair, terms in entries.items()}
 
     def rhs1(terms):
@@ -258,52 +270,61 @@ def _cocycle_terms(bracket, coeff, tables):
                     value = s * (neg_base * comb(n, r))
                     prev = out.get(key)
                     out[key] = value if prev is None else prev + value
-        return [(tables[t][v], (ldeg, mdeg), value)
-                for (t, v, ldeg, mdeg), value in out.items()]
+        return _with_lines([(tables[t][v], (ldeg, mdeg), value)
+                            for (t, v, ldeg, mdeg), value in out.items()])
 
     def rhs2(terms):
         # one list per Koszul sign: sigma = +1 at index 0, -1 at index 1
-        return tuple([(tab[v], (dl, dd + t), s * (-sigma if t & 1 else sigma))
-                      for v, dd, dl, s in terms for t, tab in tables.items()]
-                     for sigma in (1, -1))
+        signed = tuple([(tab[v], (dl, dd + t),
+                         s * (-sigma if t & 1 else sigma))
+                        for v, dd, dl, s in terms
+                        for t, tab in tables.items()]
+                       for sigma in (1, -1))
+        return signed, _with_lines(signed[0])[1]
 
+    empty = ((), [])
     for ia in range(dim):
         rhs2_a = [rhs2(entries.get((ia, ic), ())) for ic in range(dim)]
         for ib in range(dim):
             rhs1_ab = rhs1(entries.get((ia, ib), ()))
             for ic in range(dim):
-                yield (ia, ib, ic), ((lhs.get((ib, ic), ()), ia),
-                                     (rhs1_ab, ic),
-                                     (rhs2_a[ic][par[ib] & par[ic]], ib))
+                signed, lines = rhs2_a[ic]
+                yield (ia, ib, ic), ((*lhs.get((ib, ic), empty), ia),
+                                     (*rhs1_ab, ic),
+                                     (signed[par[ib] & par[ic]], lines, ib))
 
 
-def assemble_cocycle_rows(bracket, degrees):
-    """All monomial rows of the cocycle system, over unknown_order(space,
-    degrees): per basis triple in product order, one row per monomial
-    l^i m^j in order of first appearance.  Bracket entries must be
-    parameter-free.
+def _cocycle_rows(bracket, degrees, settled):
+    """Yield the monomial rows of the cocycle system over
+    unknown_order(space, degrees), leaving out every unknown in settled:
+    per basis triple in product order, one row per monomial l^i m^j in
+    order of first appearance.  Bracket entries must be parameter-free.
 
     The triple loop only reads and sums the per-pair tables of
-    _cocycle_terms (the LHS keyed by (b, c), the first RHS term by (a, b),
-    the second by (a, c)), with the column table col[t][p][q] (None on odd
-    pairs) naming each unknown.  The RHS tables are built per outer index
-    and dropped after it, which keeps peak memory flat.
-    check_cocycle_direct reads the same tables."""
+    _cocycle_terms, with the column table col[t][p][q] (None on odd pairs)
+    naming each unknown.  A part whose unknowns are all settled is skipped
+    at one lookup per distinct line, a term whose unknown is at one lookup.
+    settled is read at each triple, so a set that grows while the rows are
+    consumed (rref's, see linalg.rref) prunes the triples that follow."""
     require_rational((c for vp in bracket.entries.values()
                       for c in vp.terms.values()), "the bracket")
     space = bracket.space
-    unknowns = unknown_order(space, degrees)
     col = {t: [[None] * space.dim for _ in range(space.dim)]
            for t in degrees}
-    for u, (t, p, q) in enumerate(unknowns):
+    for u, (t, p, q) in enumerate(unknown_order(space, degrees)):
         col[t][p][q] = u
-    rows = []
     for _, parts in _cocycle_terms(bracket, as_rational, col):
         acc = {}
-        for terms, k in parts:
+        for terms, lines, k in parts:
+            for line in lines:
+                u = line[k]
+                if u is not None and u not in settled:
+                    break
+            else:   # every unknown the part reads is settled or absent
+                continue
             for line, mono, value in terms:
                 u = line[k]
-                if u is None:
+                if u is None or u in settled:
                     continue
                 row = acc.get(mono)
                 if row is None:
@@ -316,15 +337,37 @@ def assemble_cocycle_rows(bracket, degrees):
                 row = {u: c for u, c in row.items() if c}
                 if not row:
                     continue
-            rows.append(row)
-    return unknowns, rows
+            yield row
+
+
+def assemble_cocycle_rows(bracket, degrees):
+    """(unknown_order(space, degrees), every row of _cocycle_rows with
+    nothing settled).  Bracket entries must be parameter-free."""
+    return (unknown_order(bracket.space, degrees),
+            list(_cocycle_rows(bracket, degrees, frozenset())))
 
 
 def solve_cocycles_direct(bracket, degrees=(0, 1, 2, 3)):
-    """Solve the cocycle system by direct expansion."""
+    """Solve the cocycle system by direct expansion, in ints: on the bracket
+    times d, d the least common denominator of its coefficients, with the
+    rows streamed into linalg.nullspace and one set of settled unknowns
+    shared by both, so that _cocycle_rows leaves out what elimination has
+    settled.
+
+    The answer is that of nullspace on assemble_cocycle_rows(bracket,
+    degrees).  The system is linear in the bracket's coefficients, so each
+    row at the scaled bracket is d times the row as given, with the same
+    nullspace.  Leaving out an entry v in a settled column c subtracts v
+    times the stored row {c: 1}, which keeps the row space; the RREF is
+    unique, so the basis is the same."""
     degrees = list(degrees)
-    unknowns, rows = assemble_cocycle_rows(bracket, degrees)
-    basis = linalg.nullspace(rows, len(unknowns))
+    unknowns = unknown_order(bracket.space, degrees)
+    d = lcm(*[denominator(c) for vp in bracket.entries.values()
+              for c in vp.terms.values()])
+    settled = set()
+    basis = linalg.nullspace(_cocycle_rows(bracket.scaled(d), degrees,
+                                           settled),
+                             len(unknowns), settled)
     return SolutionSpace(bracket.space, degrees, basis, "direct")
 
 
@@ -342,7 +385,7 @@ def check_cocycle_direct(bracket, ansatz, fail_fast=False):
     def check(cell):
         triple, parts = cell
         acc = {}
-        for terms, k in parts:
+        for terms, _, k in parts:
             for line, mono, value in terms:
                 val = line[k]
                 if val is None:
@@ -620,14 +663,17 @@ def central_extension(declared, case, circ, bracket, degree,
                       fail_fast=False):
     """(structured, direct, agree): the direct route on declared at degrees
     0..degree, structured_route(...) cut to them (up_to), and whether the
-    two span the same space; (None, direct, None) if the case is off."""
+    two span the same space on the common degrees 0..top, top the lesser
+    of degree and the structured route's top degree; (None, direct, None)
+    if the case is off."""
     structured = structured_route(declared, case, circ, bracket, fail_fast)
     direct = solve_cocycles_direct(declared, range(degree + 1))
     if structured is None:
         return None, direct, None
-    structured = structured.up_to(degree)
-    return structured, direct, (structured.embed(direct.degrees)
-                                .reduced_basis() == direct.reduced_basis())
+    top = min(degree, max(structured.degrees))
+    structured, common = structured.up_to(top), direct.up_to(top)
+    return structured, direct, (structured.embed(common.degrees)
+                                .reduced_basis() == common.reduced_basis())
 
 
 def solve_central_ext_anl(circ, bracket, fail_fast=False):

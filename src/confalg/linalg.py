@@ -6,7 +6,9 @@ incoming row to integers once, keeps every stored row a primitive integer
 row (int entries with gcd 1) with a positive lead, and divides each row by
 its lead only when it returns, so integral results are ints, the rest are
 Fractions, and no float is ever made.  A stored row {c: 1} (x_c = 0) is
-the only one holding c, so c is dropped from later rows on arrival.  The
+the only one holding c, so c is dropped from later rows on arrival; a
+caller may share that set of settled columns with a lazy row iterator,
+which can then leave them out before it builds them (see rref).  The
 row-reduced echelon form is unique, so every routine here is
 deterministic no matter what order rows arrive in.
 """
@@ -17,7 +19,7 @@ from math import gcd, lcm
 _INT = frozenset([int])  # type(True) is bool, so a bool takes the slow path
 
 
-def rref(rows):
+def rref(rows, settled=None):
     """Reduce a collection of sparse rows to RREF.
 
     Returns (pivot_cols, reduced) where pivot_cols is the sorted list of
@@ -37,10 +39,17 @@ def rref(rows):
     settled columns c, whose stored row is {c: 1}: x_c = 0, and no other
     stored row holds c, so an incoming row drops them with its zero
     entries, exactly, and is skipped if nothing is left.
+
+    settled, if given, is an empty set that rref uses as `zero`: after each
+    row it holds exactly the settled columns so far, so an iterator of rows
+    may read it and leave out the entries in those columns, the same drop
+    rref makes on arrival, with the same result.  The skip acts only while
+    the rows stay lazy: a list made before the call sees the set empty.
     """
     reduced = {}  # pivot col -> primitive int row, lead > 0
     users = {}    # non-pivot col -> set of pivot cols whose rows hold it
-    zero = set()  # pivot cols whose row is {col: 1}: that unknown is 0
+    # pivot cols whose row is {col: 1}: that unknown is 0
+    zero = set() if settled is None else settled
     for row in rows:
         row = {col: val for col, val in row.items()
                if col not in zero and val}
@@ -132,15 +141,16 @@ def rank(rows):
     return len(pivots)
 
 
-def nullspace(rows, ncols):
+def nullspace(rows, ncols, settled=None):
     """Standard nullspace basis of the homogeneous system rows * x = 0.
 
     One basis vector per free column, in increasing free-column order: the
     vector has 1 in its free column, 0 in the other free columns, and the
     negated reduced-row entries in the pivot columns.  Vectors are returned
-    as tuples of rationals (ints or Fractions) of length ncols.
+    as tuples of rationals (ints or Fractions) of length ncols.  settled
+    is passed on to rref.
     """
-    _, reduced = rref(rows)
+    _, reduced = rref(rows, settled)
     basis = {free: [0] * ncols for free in range(ncols)
              if free not in reduced}
     for free, vec in basis.items():

@@ -413,6 +413,53 @@ def test_settled_columns_reduce_like_the_references(system):
     assert [dense(reduced[p], ncols) for p in pivots] == ref_rows
 
 
+@given(cocycle_systems())
+@settings(deadline=None)
+def test_a_shared_settled_set_lists_the_settled_pivots(system):
+    """rref(rows, s) gives rref(rows) and leaves in s exactly the pivot
+    columns whose reduced row is {p: 1}."""
+    rows, _ = system
+    settled = set()
+    pivots, reduced = rref(rows, settled)
+    assert (pivots, reduced) == rref(rows)
+    assert settled == {p for p in pivots if reduced[p] == {p: 1}}
+
+
+@given(cocycle_systems())
+@settings(deadline=None)
+def test_rows_that_read_the_settled_set_reduce_alike(system):
+    """A row iterator that reads the shared set between rows and leaves
+    out the entries in settled columns gives the RREF of the full rows,
+    and nullspace the same basis."""
+    rows, ncols = system
+
+    def lazy(settled):
+        for row in rows:
+            yield {c: v for c, v in row.items() if c not in settled}
+
+    settled = set()
+    assert rref(lazy(settled), settled) == rref(rows)
+    settled = set()
+    assert nullspace(lazy(settled), ncols, settled) == nullspace(rows, ncols)
+
+
+def test_a_lazy_row_sees_the_columns_settled_before_it():
+    """The set fills while rref runs: the third row is built after {0: 3}
+    and {1: 5} arrive, so it finds columns 0 and 1 settled."""
+    rows = [{0: 3}, {1: 5}, {0: 1, 1: 2, 2: 4}]
+    seen = []
+
+    def lazy(settled):
+        for row in rows:
+            seen.append(sorted(settled))
+            yield row
+
+    settled = set()
+    pivots, reduced = rref(lazy(settled), settled)
+    assert seen == [[], [0], [0, 1]]
+    assert pivots == [0, 1, 2] and settled == {0, 1, 2}
+
+
 def test_a_back_substituted_row_settles_its_column():
     """{0: 2, 1: 3} is left as {0: 1} once {1: 5} is back-substituted
     into it, so the last row keeps only column 2."""
