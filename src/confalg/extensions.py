@@ -30,7 +30,10 @@ module solves it two independent ways:
   in closed form for the quadratic cases (the associative-Novikov-Leibniz
   case, the bracket-free associative-Novikov case, the symmetrized
   Gelfand-Dorfman case, and the bracket-free Novikov case): one row of
-  CASES each, all solved by solve_structured.
+  CASES each, all solved by solve_structured.  Its rows and its check
+  come from _alpha_cells, which scatters each term once over the value
+  tables of its two arguments (an op over two slots is its table), not
+  once per basis triple, and takes its sign once per parity class.
 
 Both routes produce solution spaces over the same unknown order
 (degree index t, row basis index p, column basis index q), restricted to
@@ -39,7 +42,7 @@ reduced echelon bases are directly comparable.  central_extension is where
 they are compared, on a declared bracket the case builds.
 """
 
-import itertools
+from collections import defaultdict
 from fractions import Fraction
 from math import comb, lcm
 
@@ -47,7 +50,7 @@ from . import linalg
 from .scalars import (Scalar, as_rational, combination_str, denominator,
                       graded_lex, monomial_str, require_rational, rescaled)
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, check_system,
-                         _equation_cells, _integral, _memoised)
+                         _integral, _nodes, _slots, _term_cells, _term_sign)
 from .conformal import LambdaBracket, VPoly
 from .quadratic import (C, S, SYSTEMS, StarMode, build_quadratic_bracket,
                         star_from_mode, zero_map)
@@ -496,40 +499,46 @@ NOVIKOV_LIE_ALPHA_SYSTEM = [
 ]
 
 
-# the name of the op of _alpha_cells that covers each term
-_PAIRED = 'alpha'
-
-
-def _alpha_cells(system, ops, pairs):
-    """The cells of a structured system over ops made integral (see
-    superspace._integral and _equation_cells): per equation, a basis triple
-    where a term can be nonzero as ((name, compiled terms, scale), *triple)
-    in product order, a run of the others as its length.  A compiled term
-    is (signed coefficient, degree index, closure, closure).  As
-    alpha_t(u, v) is zero unless a basis pair of u and v is in pairs, each
-    term is covered by a node over its two arguments whose table is
-    pairs."""
+def _alpha_cells(system, ops, lines):
+    """Per equation of a structured system on ops made integral (see
+    superspace._integral), (name, arity, scale^top, {cell: entries}) over
+    the basis cells of its slots where a term meets lines, lines[t][p][q]
+    standing for alpha_t(e_p, e_q) (None where absent): entries sums coeff
+    * scale^(top - nodes) * sign * c1 * c2 at lines[t][p][q] over the
+    terms and the terms c1 e_p, c2 e_q of their two arguments there (see
+    superspace._term_cells), top the most op nodes of a term.  A term's
+    sign is taken once per parity class of its cells."""
     ops, scale = _integral(ops)
-    space = next(iter(ops.values())).space
-    table = {pair: {0: 1} for pair in pairs}
-
-    def paired(u, v):   # a vector nonzero where alpha_t(u, v) can be
-        return {0: 1} if any((p, q) in table for p in u for q in v) else {}
-    paired.space, paired.table = space, table
-    plan = _memoised(space, {**ops, _PAIRED: paired}, scale)
-    return itertools.chain.from_iterable(
-        _equation_cells(space, plan, name, terms,
-                        [('op', _PAIRED, f1, f2) for *_, f1, f2 in terms])
-        for name, terms in system)
+    parities, memo = next(iter(ops.values())).space.parities, {}
+    for name, terms in system:
+        nodes = [_nodes(f1) + _nodes(f2) for *_, f1, f2 in terms]
+        arity = 1 + max(max(_slots(f1) + _slots(f2)) for *_, f1, f2 in terms)
+        top, cells = max(nodes), defaultdict(dict)
+        for (coeff, pairs, t, f1, f2), n in zip(terms, nodes):
+            tab = lines.get(t)
+            if tab is None:
+                continue
+            for par, found in _term_cells(f1, f2, arity, ops, parities,
+                                          memo):
+                s = (coeff * scale ** (top - n)
+                     * _term_sign(pairs, dict(zip('xyz', par))))
+                for cell, (v1, v2) in found.items():
+                    acc = cells[cell]
+                    for p, c1 in v1.items():
+                        line, r1 = tab[p], c1 * s
+                        for q, c2 in v2.items():
+                            if (u := line[q]) is not None:
+                                acc[u] = acc.get(u, 0) + r1 * c2
+        yield name, arity, scale ** top, cells
 
 
 def _alpha_rows(system, ops, space, degrees):
     """Linear rows of a structured alpha system over unknown_order(space,
-    degrees), one per equation and basis triple where it is not empty, read
-    off the cells of _alpha_cells.  On the integral ops a row can be a
-    positive int multiple of the one on the ops as given, with the same
-    entries in the same order.  ValueError if an op has parameter entries;
-    constant ones over parameters become bare rationals first."""
+    degrees), one per equation and basis triple where it is not empty, in
+    product order, read off _alpha_cells.  On the integral ops a row can
+    be a positive int multiple of the one on the ops as given, with the
+    same entries in the same order.  ValueError if an op has parameter
+    entries; constant ones over parameters become bare rationals first."""
     require_rational((c for op in ops.values() for vec in op.table.values()
                       for c in vec.values()), "the circ or bracket")
     if space.params:   # the entries are constant: any values do
@@ -541,55 +550,46 @@ def _alpha_rows(system, ops, space, degrees):
     for u, (t, p, q) in enumerate(unknowns):
         col[t][p][q] = u
     rows = []
-    for cell in _alpha_cells(system, ops, {(p, q) for _, p, q in unknowns}):
-        if type(cell) is int:
-            continue
-        (_, at, _), *triple = cell
-        row = {}
-        for s, t, f1, f2 in at(triple):
-            lines = col.get(t)
-            if lines is None:
-                continue
-            v1, v2 = f1(triple), f2(triple)
-            for p, c1 in v1.items():
-                line, r1 = lines[p], c1 * s
-                for q, c2 in v2.items():
-                    u = line[q]
-                    if u is not None:
-                        prev = row.get(u)
-                        row[u] = r1 * c2 if prev is None else prev + r1 * c2
-        if not all(row.values()):
-            row = {u: c for u, c in row.items() if c}
-        if row:
-            rows.append(row)
+    for *_, cells in _alpha_cells(system, ops, col):
+        for cell in sorted(cells):
+            row = cells[cell]
+            if not all(row.values()):
+                row = {u: c for u, c in row.items() if c}
+            if row:
+                rows.append(row)
     return unknowns, rows
 
 
 def check_alpha_system(system, ops, ansatz, fail_fast=False):
     """Check a given ansatz against a structured system, symbolically, on
-    the cells of _alpha_cells over the basis pairs where the ansatz has
-    entries; the other cells count as passed.  A residual is divided by the
-    scale of the integral ops before it prints."""
+    the cells of _alpha_cells over the ansatz's entries, in product order;
+    the other cells count as passed.  A residual is divided by the scale of
+    the integral ops before it prints."""
     space = next(iter(ops.values())).space
-    entries = ansatz.entries
+    dim, keys = space.dim, list(ansatz.entries)
+    lines = {}
+    for n, (t, p, q) in enumerate(keys):
+        lines.setdefault(t, [[None] * dim for _ in range(dim)])[p][q] = n
+
+    def cells():   # a run of cells out of found as its length
+        for name, arity, scale, found in _alpha_cells(system, ops, lines):
+            done = 0
+            for cell in sorted(found):
+                pos = sum(i * dim ** k for k, i in enumerate(cell[::-1]))
+                yield pos - done
+                yield name, scale, cell, found[cell]
+                done = pos + 1
+            yield dim ** arity - done
 
     def check(cell):
-        (name, at, scale), *triple = cell
-        total = Scalar.zero(ansatz.space.params)
-        for s, t, f1, f2 in at(triple):
-            v1, v2 = f1(triple), f2(triple)
-            for p, c1 in v1.items():
-                for q, c2 in v2.items():
-                    a = entries.get((t, p, q))
-                    if a is not None:
-                        total = total + c1 * c2 * a * s
+        name, scale, triple, entries = cell
+        total = sum((c * ansatz.entries[keys[n]] for n, c in entries.items()),
+                    Scalar.zero(ansatz.space.params))
         if total:
-            if scale != 1:
-                total = rescaled(total, Fraction(1, scale))
+            total = rescaled(total, Fraction(1, scale))
             yield name, [space.names[i] for i in triple], str(total)
-    return AxiomReport("structured cocycle system").run(
-        _alpha_cells(system, ops, {(p, q) for _, p, q in entries}), check,
-        fail_fast)
+    return AxiomReport("structured cocycle system").run(cells(), check,
+                                                        fail_fast)
 
 
 def _circ_spans_space(circ):

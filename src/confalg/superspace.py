@@ -652,6 +652,92 @@ def _nodes(expr):
     return 1 + sum(map(_nodes, expr[2:]))
 
 
+def _join(sa, a, sb, b):
+    """(slots, {key: (va, vb)}) for maps a and b keyed by one item per
+    slot of sa and sb (basis indices as _values keys them, or their
+    parities): an item of a and one of b that agree on their shared slots
+    give one item, keyed over the union of the slots, slots, in
+    increasing order."""
+    both = sa + sb
+    slots = tuple(sorted(set(both)))
+    pos = [both.index(s) for s in slots]
+    pick = itemgetter(*pos) if len(pos) > 1 else lambda key: (key[pos[0]],)
+    shared = [s for s in sb if s in sa]
+    of_a, of_b = ((itemgetter(*[sa.index(s) for s in shared]),
+                   itemgetter(*[sb.index(s) for s in shared]))
+                  if shared else (lambda key: (),) * 2)
+    index = {}
+    for kb, vb in b.items():
+        index.setdefault(of_b(kb), []).append((kb, vb))
+    return slots, {pick(ka + kb): (va, vb) for ka, va in a.items()
+                   for kb, vb in index.get(of_a(ka), ())}
+
+
+def _by_parity(values, parities):
+    """A map keyed by basis indices split by the parities of its keys:
+    {parities of a key: {key: value}}."""
+    out = {}
+    for key, val in values.items():
+        out.setdefault(tuple([parities[i] for i in key]), {})[key] = val
+    return out
+
+
+def _values(expr, ops, dim, memo):
+    """{indices of the slots of expr (see _slots): its value there}, at
+    every index tuple where the value is nonzero, built from the op tables
+    and kept in memo[expr].  A slot's value is {i: 1}; an op over two
+    distinct slots is its table of vectors keyed by basis pairs (a
+    GradedBilinearMap's), with its keys swapped for slots in reverse
+    order; any other node applies its op (as in _memoised) to the values
+    of its arguments joined on their shared slots (see _join).  Values
+    can be table entries, so never modify one."""
+    out = memo.get(expr)
+    if out is not None:
+        return out
+    if expr[0] == 'slot':
+        out = {(i,): {i: 1} for i in range(dim)}
+    else:
+        op, args = ops[expr[1]], expr[2:]
+        if (len(args) == 2 and args[0][0] == args[1][0] == 'slot'
+                and args[0] != args[1]):
+            out = op.table if args[0] < args[1] else {
+                (q, p): vec for (p, q), vec in op.table.items()}
+        else:
+            run = getattr(op, 'apply_vec', op)
+            tabs = [(_slots(arg), _values(arg, ops, dim, memo))
+                    for arg in args]
+            pairs = (_join(*tabs[0], *tabs[1])[1] if len(tabs) == 2 else
+                     {key: (vec,) for key, vec in tabs[0][1].items()})
+            out = {key: vec for key, vecs in pairs.items()
+                   if (vec := run(*vecs))}
+    memo[expr] = out
+    return out
+
+
+def _term_cells(f1, f2, arity, ops, parities, memo):
+    """Yield (parities of the slots x, y, z.., {cell: (v1, v2)}) for each
+    parity class of the basis cells of arity indices where the value v1
+    of f1 and v2 of f2 (see _values, on ops and memo) are both nonzero:
+    the values joined on their shared slots and repeated over the slots
+    the two leave out."""
+    s1, s2 = _slots(f1), _slots(f2)
+    for f in (f1, f2):   # memo keeps each value split by parity too
+        if ('by parity', f) not in memo:
+            memo['by parity', f] = _by_parity(
+                _values(f, ops, len(parities), memo), parities)
+    slots, classes = _join(s1, memo['by parity', f1],
+                           s2, memo['by parity', f2])
+    rest = tuple(s for s in range(arity) if s not in slots)
+    free = _by_parity(dict.fromkeys(itertools.product(
+        range(len(parities)), repeat=len(rest))), parities)
+    for par, (a, b) in classes.items():
+        cells = _join(s1, a, s2, b)[1]
+        for more, at in free.items():   # the slots left out, by parity
+            full, = _join(slots, {par: 0}, rest, {more: 0})[1]
+            yield full, {cell: vv for cell, (vv, _) in _join(
+                slots, cells, rest, at)[1].items()} if rest else cells
+
+
 def _residual(terms, cell):
     """The residual at a basis cell of an equation's compiled terms there,
     (signed coefficient, closure) pairs; of the type of its values: a
@@ -665,26 +751,24 @@ def _residual(terms, cell):
     return vec._trusted(out) if isinstance(vec, Combination) else out
 
 
-def _equation_cells(space, plan, name, terms, covers):
+def _equation_cells(space, plan, name, terms):
     """The basis cells of the slots an equation uses, in product order: a
     cell where some term can be nonzero as (head, *cell), a run of the
     others as its length, which AxiomReport.run counts as passed.  The
-    terms are (coefficient, sign pairs, *rest), the expressions of rest
-    compiled by plan; covers[n] is an expression nonzero wherever term n
-    can be.  head is (name, the compiled terms, plan.scale^top): the ops of
-    plan are plan.scale times those of the check (see _integral), so a term
-    with fewer op nodes than the most of the equation, top, has its
+    terms are (coefficient, sign pairs, expression).  head is (name, the
+    terms compiled by plan, plan.scale^top): the ops of plan are
+    plan.scale times those of the check (see _integral), so a term with
+    fewer op nodes than the most of the equation, top, has its
     coefficient raised to match."""
-    exprs = [[x for x in rest if isinstance(x, tuple)]
-             for _, _, *rest in terms]
-    arity = 1 + max(max(_slots(x)) for xs in exprs for x in xs)
-    nodes = [sum(map(_nodes, xs)) for xs in exprs]
+    exprs = [expr for _, _, expr in terms]
+    arity = 1 + max(max(_slots(expr)) for expr in exprs)
+    nodes = [_nodes(expr) for expr in exprs]
     top = max(nodes)
     head = (name, plan([(coeff * plan.scale ** (top - n), *rest)
                         for (coeff, *rest), n in zip(terms, nodes)], arity),
             plan.scale ** top)
     dim, done = space.dim, 0
-    for cell in plan.cells(covers, arity):
+    for cell in plan.cells(exprs, arity):
         pos = 0
         for i in cell:
             pos = pos * dim + i
@@ -718,8 +802,7 @@ def _equations(equations, ops, plan=None):
                 str(res) if isinstance(res, Combination)
                 else space.vec_str(res))
     return itertools.chain.from_iterable(
-        _equation_cells(space, plan, name, terms,
-                        [expr for _, _, expr in terms])
+        _equation_cells(space, plan, name, terms)
         for name, terms in equations), check
 
 

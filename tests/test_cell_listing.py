@@ -24,8 +24,7 @@ from hypothesis import given, settings, strategies as st
 import gens
 from confalg import (SuperSpace, build_quadratic_bracket,
                      check_conformal_jacobi, check_conformal_leibniz,
-                     check_conformal_skew, extensions, quadratic, superspace)
-from confalg.extensions import CASES
+                     check_conformal_skew, quadratic, superspace)
 from confalg.quadratic import SYSTEMS
 from confalg.superspace import Combination
 
@@ -146,10 +145,10 @@ def counted(op, calls):
 
 @contextlib.contextmanager
 def counted_listings(killed):
-    """Inside, every plan the checks and _alpha_cells make runs on counting
-    ops, and each of its listings must call none of them and equal the
-    oracle's (hold it, with killed vectors).  Yields (calls, the number of
-    cells of each listing)."""
+    """Inside, every plan the checks make runs on counting ops, and each
+    of its listings must call none of them and equal the oracle's (hold it,
+    with killed vectors).  Yields (calls, the number of cells of each
+    listing)."""
     real = superspace._memoised
     calls, sizes = [0], []
 
@@ -171,7 +170,7 @@ def counted_listings(killed):
             return got
         plan.cells = listed
         return plan
-    modules = (superspace, quadratic, extensions)
+    modules = (superspace, quadratic)
     saved = [m._memoised for m in modules]
     for m in modules:
         m._memoised = memoised
@@ -196,9 +195,8 @@ def odd_space(rng, dim, params, killed):
 @settings(deadline=None)
 def test_listing_evaluates_nothing_and_matches_the_values(
         dim, seed, density, parametric, killed):
-    """Every registered system, the three conformal equations and the
-    structured cocycle systems with their paired op.  Up to dimension 3, or
-    2 over the parameters a, b."""
+    """Every registered system and the three conformal equations.  Up to
+    dimension 3, or 2 over the parameters a, b."""
     rng = random.Random(seed)
     space = odd_space(rng, min(dim, 2) if parametric else dim,
                       ("a", "b") if parametric else (), killed)
@@ -208,8 +206,6 @@ def test_listing_evaluates_nothing_and_matches_the_values(
         conf = build_quadratic_bracket(*comps.values())
     else:
         conf = gens.rand_lambda_bracket(rng, space, 2, 2 * space.dim ** 2)
-    pairs = {pair for pair in itertools.product(range(space.dim), repeat=2)
-             if rng.random() < density}
     with counted_listings(killed) as (calls, sizes):
         for name, (_, _, names) in SYSTEMS.items():
             quadratic._check_registered(name, [comps[n] for n in names],
@@ -217,12 +213,6 @@ def test_listing_evaluates_nothing_and_matches_the_values(
         for check in (check_conformal_leibniz, check_conformal_jacobi,
                       check_conformal_skew):
             check(conf)
-        for _, _, system, *_ in CASES.values():
-            for cell in extensions._alpha_cells(system, comps, pairs):
-                if type(cell) is not int:
-                    (_, at, _), *triple = cell
-                    for _, _, f1, f2 in at(triple):
-                        f1(triple), f2(triple)
     assert sizes
     # the checks do call the ops, at the listed cells
     assert calls[0] > 0 or not any(sizes)

@@ -214,7 +214,8 @@ def test_odd_term_shapes_match_the_dense_loop(dim, seed, density, fail_fast):
 
 def paired_op(space, table):
     """A two-argument op nonzero where a basis pair of its arguments is in
-    table, as extensions._alpha_cells builds it."""
+    table: a node of it over two expressions is nonzero where some basis
+    pair of theirs is."""
     def op(u, v):
         return {0: 1} if any((p, q) in table for p in u for q in v) else {}
     op.space, op.table = space, table
@@ -229,7 +230,7 @@ def test_a_full_table_joins_as_the_pair_walk(dim, seed, density, full):
     every pair and one with two basis indices at (0, 0), list the same
     cells for a node over arguments of one, two and three slots, whether
     the pairs are all of them or some: a listing reads which pairs a table
-    holds, and a node that covers a term reads no value of it."""
+    holds, not the values there."""
     rng = random.Random(seed)
     space = gens.rand_space(rng, dim)
     circ = gens.rand_gbm(rng, space, density, name="circ")
