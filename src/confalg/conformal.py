@@ -270,11 +270,12 @@ CONFORMAL_JACOBI = ('conformal Jacobi',
 
 
 def _ops(bracket):
-    """The ops of _FORMS on bracket, functions that carry its space, as
-    the table of where they can be nonzero its entries, and scaled(d), the
-    op of the bracket times d; the five share one scaled bracket.  A dict
-    argument is one of the evaluator's basis vectors {i: 1}, clean, so it
-    becomes a VPoly unchecked (apply_bracket validates one)."""
+    """The ops of _FORMS on bracket, functions that carry its space, with
+    its entries as their table (on two slots the evaluator calls one once
+    per key there; see superspace._values) and scaled(d), the op of the
+    bracket times d; the five share one scaled bracket.  A dict argument
+    is one of the evaluator's basis vectors {i: 1}, clean, so it becomes a
+    VPoly unchecked (apply_bracket validates one)."""
     scaled = functools.cache(lambda d: _ops(bracket.scaled(d)))
     zero = VPoly.zero(bracket.space)
 

@@ -50,7 +50,8 @@ from . import linalg
 from .scalars import (Scalar, as_rational, combination_str, denominator,
                       graded_lex, monomial_str, require_rational, rescaled)
 from .superspace import (AxiomReport, B, SuperSpace, X, Y, Z, check_system,
-                         _integral, _nodes, _slots, _term_cells, _term_sign)
+                         _integral, _join, _nodes, _runs, _signs, _slots,
+                         _spread, _values)
 from .conformal import LambdaBracket, VPoly
 from .quadratic import (C, S, SYSTEMS, StarMode, build_quadratic_bracket,
                         star_from_mode, zero_map)
@@ -506,29 +507,30 @@ def _alpha_cells(system, ops, lines):
     standing for alpha_t(e_p, e_q) (None where absent): entries sums coeff
     * scale^(top - nodes) * sign * c1 * c2 at lines[t][p][q] over the
     terms and the terms c1 e_p, c2 e_q of their two arguments there (see
-    superspace._term_cells), top the most op nodes of a term.  A term's
-    sign is taken once per parity class of its cells."""
+    superspace._values, joined and spread over the slots the term leaves
+    out), top the most op nodes of a term; a sign per parity class."""
     ops, scale = _integral(ops)
-    parities, memo = next(iter(ops.values())).space.parities, {}
+    space, memo = next(iter(ops.values())).space, {}
+    dim, parities = space.dim, space.parities
     for name, terms in system:
         nodes = [_nodes(f1) + _nodes(f2) for *_, f1, f2 in terms]
         arity = 1 + max(max(_slots(f1) + _slots(f2)) for *_, f1, f2 in terms)
         top, cells = max(nodes), defaultdict(dict)
         for (coeff, pairs, t, f1, f2), n in zip(terms, nodes):
-            tab = lines.get(t)
+            tab, k = lines.get(t), coeff * scale ** (top - n)
             if tab is None:
                 continue
-            for par, found in _term_cells(f1, f2, arity, ops, parities,
-                                          memo):
-                s = (coeff * scale ** (top - n)
-                     * _term_sign(pairs, dict(zip('xyz', par))))
-                for cell, (v1, v2) in found.items():
-                    acc = cells[cell]
-                    for p, c1 in v1.items():
-                        line, r1 = tab[p], c1 * s
-                        for q, c2 in v2.items():
-                            if (u := line[q]) is not None:
-                                acc[u] = acc.get(u, 0) + r1 * c2
+            signs = {par: k * s for par, s in _signs(pairs, arity).items()}
+            found = _join(_slots(f1), _values(f1, ops, dim, memo),
+                          _slots(f2), _values(f2, ops, dim, memo))
+            for cell, (v1, v2) in _spread(*found, arity, dim).items():
+                s = signs[tuple([parities[i] for i in cell])] if pairs else k
+                acc = cells[cell]
+                for p, c1 in v1.items():
+                    line, r1 = tab[p], c1 * s
+                    for q, c2 in v2.items():
+                        if (u := line[q]) is not None:
+                            acc[u] = acc.get(u, 0) + r1 * c2
         yield name, arity, scale ** top, cells
 
 
@@ -571,25 +573,17 @@ def check_alpha_system(system, ops, ansatz, fail_fast=False):
     for n, (t, p, q) in enumerate(keys):
         lines.setdefault(t, [[None] * dim for _ in range(dim)])[p][q] = n
 
-    def cells():   # a run of cells out of found as its length
-        for name, arity, scale, found in _alpha_cells(system, ops, lines):
-            done = 0
-            for cell in sorted(found):
-                pos = sum(i * dim ** k for k, i in enumerate(cell[::-1]))
-                yield pos - done
-                yield name, scale, cell, found[cell]
-                done = pos + 1
-            yield dim ** arity - done
-
     def check(cell):
-        name, scale, triple, entries = cell
+        (name, scale), triple, entries = cell
         total = sum((c * ansatz.entries[keys[n]] for n, c in entries.items()),
                     Scalar.zero(ansatz.space.params))
         if total:
             total = rescaled(total, Fraction(1, scale))
             yield name, [space.names[i] for i in triple], str(total)
-    return AxiomReport("structured cocycle system").run(cells(), check,
-                                                        fail_fast)
+    return AxiomReport("structured cocycle system").run(
+        (cell for name, arity, scale, found in _alpha_cells(system, ops, lines)
+         for cell in _runs(found, dim, arity, (name, scale))),
+        check, fail_fast)
 
 
 def _circ_spans_space(circ):

@@ -25,7 +25,7 @@ from .scalars import Scalar, as_rational, require_rational
 from .superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, SKEW_SYMMETRY,
                          SUPERCOMMUTATIVITY, AxiomReport, B, GradedBilinearMap,
                          P, SuperSpace, X, Y, Z, check_system, _add_term,
-                         _equations, _memoised, _op, _residual, _tabulate)
+                         _equations, _op, _residuals, _tabulate)
 # unused here, but bench/test_bench.py asserts that this name is bound here
 from .superspace import check_left_leibniz_superalgebra
 from .conformal import LambdaBracket, VPoly
@@ -313,14 +313,15 @@ def check_averaging(product, avg, fail_fast=False):
 
     Both product checks run (each stopping at its own first failure under
     fail_fast) before the averaging identity."""
-    ops = {'product': product, 'avg': avg}
-    plan = _memoised(product.space, ops)
+    (commutes, associates, averages), check = _equations(
+        [SUPERCOMMUTATIVITY, ASSOCIATIVITY, AVERAGING_EQ],
+        {'product': product, 'avg': avg})
     rep = AxiomReport("averaging operator axioms")
-    for equation in (SUPERCOMMUTATIVITY, ASSOCIATIVITY):
-        rep.run(*_equations([equation], ops, plan), fail_fast)
+    rep.run(commutes, check, fail_fast)
+    rep.run(associates, check, fail_fast)
     if fail_fast and not rep.passed:
         return rep
-    return rep.run(*_equations([AVERAGING_EQ], ops, plan), fail_fast)
+    return rep.run(averages, check, fail_fast)
 
 
 def build_assoc_novikov_from_averaging(product, avg):
@@ -443,15 +444,14 @@ def classify_brackets(circ):
 
     # linear rows from the mixed equations, one per coordinate; every term
     # holds one bracket, so every residual key is a (k, u) pair
-    plan = _memoised(space, {'circ': apply_circ, 'bracket': unknown_bracket})
-    rows = []
-    for at, *triple in itertools.product(
-            [plan(terms, 3) for _, terms in R_MIXED_EQS],
-            *[range(space.dim)] * 3):
-        by_coord = {}
-        for (k, u), c in _residual(at(triple), triple).items():
-            by_coord.setdefault(k, {})[u] = as_rational(c)
-        rows.extend(by_coord.values())
+    ops, memo, rows = {'circ': apply_circ, 'bracket': unknown_bracket}, {}, []
+    for _, terms in R_MIXED_EQS:
+        found = _residuals(space, terms, 3, ops, memo)
+        for triple in sorted(found):
+            by_coord = {}
+            for (k, u), c in found[triple].items():
+                by_coord.setdefault(k, {})[u] = as_rational(c)
+            rows.extend(by_coord.values())
 
     basis = linalg.nullspace(rows, len(triples))
 
@@ -470,13 +470,11 @@ def classify_brackets(circ):
             cur[k] = cur.get(k, Scalar.zero(params)) + tv * c
     fam = GradedBilinearMap(fspace, entries, name='bracket')
 
-    # left Leibniz on the family, symbolically, on the cells where a term
-    # can be nonzero (the others add no constraint)
-    plan = _memoised(fspace, {'bracket': fam})
-    at = plan(LEFT_LEIBNIZ[1], 3)
-    constraints = [str(c) for cell in plan.cells(
-                       [expr for _, _, expr in LEFT_LEIBNIZ[1]], 3)
-                   for c in _residual(at(cell), cell).values()]
+    # left Leibniz on the family, symbolically, on the cells where the
+    # residual is nonzero (the others add no constraint)
+    found = _residuals(fspace, LEFT_LEIBNIZ[1], 3, {'bracket': fam}, {})
+    constraints = [str(c) for cell in sorted(found)
+                   for c in found[cell].values()]
 
     return ClassificationResult(space, triples, basis, fspace, fam,
                                 preconditions, constraints)

@@ -10,11 +10,12 @@ grading parity(x * y) = parity(x) + parity(y).  Combination is the sparse
 linear-combination type under the conformal, mode and file-format layers.
 
 Identities are written here as equations over slots and op nodes (see
-"identities as equations" below) and checked by one evaluator, which per
-check compiles expressions into closures and equations into per-parity plans,
-and evaluates an equation only on the basis cells where a term can be
-nonzero, as read from the tables of its multilinear ops, in int arithmetic
-on ops scaled to integral tables.
+"identities as equations" below) and checked by one evaluator, which
+builds each expression's values once per check from the tables of its
+multilinear ops, only where a table meets its arguments, and adds each
+term's values into the basis cells they fall on, so an equation is
+evaluated only where a term is nonzero, in int arithmetic on ops scaled
+to integral tables.
 The classical ones live here: super skew-symmetry + Jacobi (Lie), the right
 and left Leibniz identities, supercommutativity and associativity, next to
 the sign-twisted conversion between right and left Leibniz structures; the
@@ -370,13 +371,14 @@ class AxiomReport:
 # An equation is (name, terms), each term (coefficient, sign pairs,
 # expression).  An expression is a tree of the slots X, Y, Z and op nodes
 # ('op', name, *args), where name is a key of the ops dict that applies to
-# the argument values (a GradedBilinearMap takes two, a LinearMap one); the
+# the one or two argument values (a GradedBilinearMap takes two, a
+# LinearMap one); the
 # ops carry the space they act on, a plain function as its space attribute,
 # and are multilinear, with a table of where they can be nonzero (see
-# _memoised).  A sign pair (A, B) of slot strings contributes
+# _values).  A sign pair (A, B) of slot strings contributes
 # (-1)^{parity(A) parity(B)} for the basis vectors in the slots.  An
 # equation is checked on every basis cell of the slots it uses, pairs for
-# x, y and triples for x, y, z, and evaluated on those where a term can be
+# x, y and triples for x, y, z, and evaluated on those where a term is
 # nonzero.  The values are vectors {k: coefficient} or Combinations (the
 # conformal layer's VPolys), and a residual has the type of its values.
 
@@ -431,6 +433,26 @@ def _slots(expr):
     return tuple(sorted(set().union(*map(_slots, expr[2:]))))
 
 
+@functools.cache
+def _subtrees(expr):
+    """expr and every expression under it, as a tuple."""
+    return (expr,) + tuple(sub for arg in expr[2:] for sub in _subtrees(arg))
+
+
+@functools.cache
+def _nodes(expr):
+    """The number of op nodes in an expression."""
+    return sum(sub[0] == 'op' for sub in _subtrees(expr))
+
+
+@functools.cache
+def _signs(pairs, arity):
+    """{parities of the slots of a cell of arity basis indices: the sign of
+    the sign pairs there (see _term_sign)}."""
+    return {par: _term_sign(pairs, dict(zip('xyz', par)))
+            for par in itertools.product((0, 1), repeat=arity)}
+
+
 def _indices(value):
     """The basis indices a value has terms on, as a set or a view of one:
     the keys of a vector, the first item of each key of a Combination (k
@@ -438,191 +460,6 @@ def _indices(value):
     if isinstance(value, Combination):
         return {key[0] for key in value.terms}
     return value.keys()
-
-
-def _memoised(space, ops, scale=1):
-    """plan(terms, arity) compiles an equation's terms (coefficient, sign
-    pairs, *rest) once for cells of arity basis indices into x, y, z: at a
-    cell, plan(terms, arity)(cell) lists (signed coefficient, *rest) for
-    the parities of its basis vectors, each expression of rest a closure
-    cell -> vector (a degree index passes through).  A map op runs as its
-    apply_vec; another op is a function of the argument vectors.
-
-    An expression that uses fewer slots than the cell is computed when a
-    cell first needs it, once per indices of its slots while plan lives
-    (one check call), in plan.memo[expression], shared across arities; one
-    that uses them all is computed afresh, since storing it would keep
-    dim^arity vectors per expression alive.  Never modify a shared vector.
-
-    plan.cells(exprs, arity) lists, in product order, the cells where some
-    expression of exprs can be nonzero.  It rests on every op being
-    multilinear and declaring in op.table where it can be nonzero: the
-    keys are the basis pairs (basis indices, for a one-argument op) where
-    it can, and the basis indices of a value hold those of the op there;
-    that is a GradedBilinearMap's or LinearMap's table, or a
-    LambdaBracket's entries.  An op node is zero at a cell where no key of
-    its table meets the basis indices of its arguments.  The listing joins
-    the tables alone (see _support) and evaluates nothing: the check
-    computes values at the listed cells only.  An expression with an op
-    without a table, or of a shape _support does not join, can be nonzero
-    on every cell.
-
-    plan.scale is scale, the factor by which ops are those of the check
-    (see _integral); the plan computes with ops as they are.  A slot's
-    value is the basis vector {i: 1}, with a bare 1 on any space."""
-    dim, parities = space.dim, space.parities
-    basis = [{i: 1} for i in range(dim)]
-    memo = {}   # expression -> {indices of its slots: vector}
-    tables = {}   # op name -> where it can be nonzero (see table)
-    closures = {}   # (expression, arity) -> its closure
-    ones = {(i,): (i,) for i in range(dim)}
-    joined = {s: (_slots(s), ones, _holding(ones))
-              for s in (X, Y, Z)}   # see _support
-
-    def compiled(expr, arity):
-        return _compiled(expr, arity, ops, basis, memo, closures)
-
-    def plan(terms, arity):
-        by_parity = {}
-
-        def at(cell):
-            key = tuple([parities[i] for i in cell])
-            if key not in by_parity:
-                by_parity[key] = [
-                    (coeff * _term_sign(pairs, dict(zip('xyz', key))), *[
-                        compiled(x, arity) if isinstance(x, tuple) else x
-                        for x in rest])
-                    for coeff, pairs, *rest in terms]
-            return by_parity[key]
-        return at
-
-    def table(name):
-        """Where op name can be nonzero, from its table: {key: output basis
-        indices} for the keys of its table, basis pairs for a two-argument
-        op and basis indices for a one-argument one; None for an op
-        without a table."""
-        if name not in tables:
-            entries = getattr(ops[name], 'table', None)
-            tables[name] = None if entries is None else {
-                key: _indices(value) for key, value in entries.items()}
-        return tables[name]
-
-    def cells(exprs, arity):
-        live = set()
-        for expr in exprs:
-            found = _support(expr, arity, joined, table, top=True)
-            if found is None:
-                return itertools.product(range(dim), repeat=arity)
-            slots, keys, _ = found
-            if len(slots) < arity:   # nonzero at any index of a slot left out
-                order = slots + tuple(sorted(set(range(arity)) - set(slots)))
-                pick = itemgetter(*[order.index(s) for s in range(arity)])
-                keys = [pick(key + rest) for key in keys
-                        for rest in itertools.product(
-                            range(dim), repeat=arity - len(slots))]
-            live.update(keys)
-        return sorted(live)
-
-    plan.memo, plan.cells, plan.scale = memo, cells, scale
-    return plan
-
-
-def _compiled(expr, arity, ops, basis, memo, closures):
-    """The closure cell -> vector of an expression for cells of arity basis
-    indices (see _memoised), from closures[expr, arity] once it is there.
-    It recurses at module level, not through a cached closure of a plan,
-    so that no reference cycle keeps a check's memo alive after the
-    check."""
-    done = closures.get((expr, arity))
-    if done is not None:
-        return done
-    if expr[0] == 'slot':
-        pos = 'xyz'.index(expr[1])
-        out = lambda cell: basis[cell[pos]]
-    else:
-        op = getattr(ops[expr[1]], 'apply_vec', ops[expr[1]])
-        args = [_compiled(arg, arity, ops, basis, memo, closures)
-                for arg in expr[2:]]
-        if len(args) == 2:
-            f, g = args
-            fresh = lambda cell: op(f(cell), g(cell))
-        else:
-            fresh = lambda cell: op(*[f(cell) for f in args])
-        slots = _slots(expr)
-        if len(slots) == arity:
-            out = fresh
-        else:
-            key_of, values = itemgetter(*slots), memo.setdefault(expr, {})
-
-            def out(cell):
-                key = key_of(cell)
-                vec = values.get(key)
-                if vec is None:
-                    vec = values[key] = fresh(cell)
-                return vec
-    closures[expr, arity] = out
-    return out
-
-
-def _holding(values):
-    """{basis index: the keys of values whose basis indices hold it}."""
-    out = {}
-    for key, ks in values.items():
-        for k in ks:
-            out.setdefault(k, []).append(key)
-    return out
-
-
-def _support(expr, arity, joined, table, top=False):
-    """(slots of expr, {their indices at a cell where expr can be nonzero:
-    basis indices its value can have terms on there}, its _holding or
-    None), or None where that is unknown, joined from the op tables alone:
-    table(name) is where op name can be nonzero (see _memoised).  joined
-    holds this for each slot and keeps it for a node with fewer slots than
-    the cell; a node with every slot is joined afresh, since its support
-    can hold dim^arity keys, and with top as the set of its keys only.  It
-    recurses at module level, not in the closure of a plan, so that no
-    reference cycle keeps a check's supports alive after the check."""
-    found = joined.get(expr)
-    if found is not None:
-        return found
-    op = table(expr[1])
-    args = [_support(arg, arity, joined, table) for arg in expr[2:]]
-    if op is None or None in args or len(args) > 2:
-        return None
-    if len(args) == 1:
-        (slots, values, _), = args
-        out = {key: hit for key, ks in values.items()
-               if (hit := set().union(*[op[k] for k in ks if k in op]))}
-    else:
-        (sa, va, ha), (sb, vb, hb) = args
-        if set(sa) & set(sb):
-            return None   # arguments that share a slot: not worth a case
-        both = sa + sb   # the slots of ka + kb below
-        slots = tuple(sorted(both))
-        pick = itemgetter(*[both.index(s) for s in slots])
-        if expr[2][0] == expr[3][0] == 'slot':   # the table in slot order
-            out = op if both == slots else {
-                (q, p): hit for (p, q), hit in op.items()}
-        elif top and len(slots) == arity:
-            left, right = ha or _holding(va), hb or _holding(vb)
-            out = {pick(ka + kb) for p, q in op
-                   for ka in left.get(p, ()) for kb in right.get(q, ())}
-        else:
-            left, right, out = ha or _holding(va), hb or _holding(vb), {}
-            for (p, q), hit in op.items():
-                for ka in left.get(p, ()):
-                    for kb in right.get(q, ()):
-                        key = pick(ka + kb)
-                        got = out.get(key)
-                        if got is None:
-                            out[key] = hit
-                        elif not hit <= got:   # sets are shared: no |=
-                            out[key] = got | hit
-    if len(slots) < arity:
-        joined[expr] = slots, out, _holding(out)
-        return joined[expr]
-    return slots, out, None
 
 
 def _integral(ops):
@@ -634,7 +471,7 @@ def _integral(ops):
     (ops, 1) when they are integral already on a space without parameters,
     or an op has no table or no scaled method.  As the ops are
     multilinear, a term with n op nodes comes out d^n times its value (see
-    _equations)."""
+    _residuals)."""
     if not all(hasattr(op, 'table') and hasattr(op, 'scaled')
                for op in ops.values()):
         return ops, 1
@@ -645,19 +482,12 @@ def _integral(ops):
     return {name: op.scaled(d) for name, op in ops.items()}, d
 
 
-def _nodes(expr):
-    """The number of op nodes in an expression."""
-    if expr[0] == 'slot':
-        return 0
-    return 1 + sum(map(_nodes, expr[2:]))
-
-
-def _join(sa, a, sb, b):
+def _join(sa, a, sb, b, pairs=None):
     """(slots, {key: (va, vb)}) for maps a and b keyed by one item per
-    slot of sa and sb (basis indices as _values keys them, or their
-    parities): an item of a and one of b that agree on their shared slots
-    give one item, keyed over the union of the slots, slots, in
-    increasing order."""
+    slot of sa and sb (basis indices, as _values keys them): an item of a
+    and one of b that agree on their shared slots give one item, keyed
+    over the union of the slots, slots, in increasing order; with pairs,
+    only where a basis index p of va and q of vb make a pair (p, q)."""
     both = sa + sb
     slots = tuple(sorted(set(both)))
     pos = [both.index(s) for s in slots]
@@ -666,6 +496,15 @@ def _join(sa, a, sb, b):
     of_a, of_b = ((itemgetter(*[sa.index(s) for s in shared]),
                    itemgetter(*[sb.index(s) for s in shared]))
                   if shared else (lambda key: (),) * 2)
+    if pairs is not None:   # the keys of a and b by their values' indices
+        ha, hb = {}, {}
+        for held, values in ((ha, a), (hb, b)):
+            for key, value in values.items():
+                for k in _indices(value):
+                    held.setdefault(k, []).append(key)
+        return slots, {pick(ka + kb): (a[ka], b[kb]) for p, q in pairs
+                       for ka in ha.get(p, ()) for kb in hb.get(q, ())
+                       if not shared or of_a(ka) == of_b(kb)}
     index = {}
     for kb, vb in b.items():
         index.setdefault(of_b(kb), []).append((kb, vb))
@@ -673,24 +512,19 @@ def _join(sa, a, sb, b):
                    for kb, vb in index.get(of_a(ka), ())}
 
 
-def _by_parity(values, parities):
-    """A map keyed by basis indices split by the parities of its keys:
-    {parities of a key: {key: value}}."""
-    out = {}
-    for key, val in values.items():
-        out.setdefault(tuple([parities[i] for i in key]), {})[key] = val
-    return out
-
-
 def _values(expr, ops, dim, memo):
     """{indices of the slots of expr (see _slots): its value there}, at
-    every index tuple where the value is nonzero, built from the op tables
-    and kept in memo[expr].  A slot's value is {i: 1}; an op over two
-    distinct slots is its table of vectors keyed by basis pairs (a
-    GradedBilinearMap's), with its keys swapped for slots in reverse
-    order; any other node applies its op (as in _memoised) to the values
-    of its arguments joined on their shared slots (see _join).  Values
-    can be table entries, so never modify one."""
+    every index tuple where the value is nonzero, kept in memo[expr].  A
+    slot's value is {i: 1}.  An op over two distinct slots is read at the
+    keys of its table, the basis pairs where it can be nonzero: a
+    GradedBilinearMap's table holds its values, another op (an attached
+    conformal bracket) is called on each pair of basis vectors; keys are
+    swapped for slots in reverse order.  Any other node calls its op (a
+    map as its apply_vec) on the values of its arguments joined on their
+    shared slots (see _join) where its table meets their basis indices (a
+    key of a one-argument op's table, a pair of a two-argument op's), as
+    the ops are multilinear; an op without a table, on the whole join.
+    Values can be table entries, so never modify one."""
     out = memo.get(expr)
     if out is not None:
         return out
@@ -698,118 +532,140 @@ def _values(expr, ops, dim, memo):
         out = {(i,): {i: 1} for i in range(dim)}
     else:
         op, args = ops[expr[1]], expr[2:]
-        if (len(args) == 2 and args[0][0] == args[1][0] == 'slot'
-                and args[0] != args[1]):
-            out = op.table if args[0] < args[1] else {
-                (q, p): vec for (p, q), vec in op.table.items()}
+        table = getattr(op, 'table', None)
+        if (table is not None and len(args) == 2 and args[0] != args[1]
+                and args[0][0] == args[1][0] == 'slot'):
+            out = table if isinstance(op, GradedBilinearMap) else {
+                key: vec for key in table
+                if (vec := op({key[0]: 1}, {key[1]: 1}))}
+            if args[0] > args[1]:
+                out = {(q, p): vec for (p, q), vec in out.items()}
         else:
             run = getattr(op, 'apply_vec', op)
-            tabs = [(_slots(arg), _values(arg, ops, dim, memo))
-                    for arg in args]
-            pairs = (_join(*tabs[0], *tabs[1])[1] if len(tabs) == 2 else
-                     {key: (vec,) for key, vec in tabs[0][1].items()})
+            (sa, a), *more = [(_slots(arg), _values(arg, ops, dim, memo))
+                              for arg in args]
+            if more:
+                (sb, b), = more
+                pairs = _join(sa, a, sb, b, table)[1] if a and b else {}
+            else:
+                pairs = {key: (va,) for key, va in a.items() if table is None
+                         or any(k in table for k in _indices(va))}
             out = {key: vec for key, vecs in pairs.items()
                    if (vec := run(*vecs))}
     memo[expr] = out
     return out
 
 
-def _term_cells(f1, f2, arity, ops, parities, memo):
-    """Yield (parities of the slots x, y, z.., {cell: (v1, v2)}) for each
-    parity class of the basis cells of arity indices where the value v1
-    of f1 and v2 of f2 (see _values, on ops and memo) are both nonzero:
-    the values joined on their shared slots and repeated over the slots
-    the two leave out."""
-    s1, s2 = _slots(f1), _slots(f2)
-    for f in (f1, f2):   # memo keeps each value split by parity too
-        if ('by parity', f) not in memo:
-            memo['by parity', f] = _by_parity(
-                _values(f, ops, len(parities), memo), parities)
-    slots, classes = _join(s1, memo['by parity', f1],
-                           s2, memo['by parity', f2])
-    rest = tuple(s for s in range(arity) if s not in slots)
-    free = _by_parity(dict.fromkeys(itertools.product(
-        range(len(parities)), repeat=len(rest))), parities)
-    for par, (a, b) in classes.items():
-        cells = _join(s1, a, s2, b)[1]
-        for more, at in free.items():   # the slots left out, by parity
-            full, = _join(slots, {par: 0}, rest, {more: 0})[1]
-            yield full, {cell: vv for cell, (vv, _) in _join(
-                slots, cells, rest, at)[1].items()} if rest else cells
+def _spread(slots, values, arity, dim):
+    """A map keyed by the indices of slots, repeated over the other slots
+    of the basis cells of arity indices: {cell: value}."""
+    if len(slots) == arity:
+        return values
+    order = slots + tuple(s for s in range(arity) if s not in slots)
+    pick = itemgetter(*[order.index(s) for s in range(arity)])
+    return {pick(key + more): value for key, value in values.items()
+            for more in itertools.product(range(dim),
+                                          repeat=arity - len(slots))}
 
 
-def _residual(terms, cell):
-    """The residual at a basis cell of an equation's compiled terms there,
-    (signed coefficient, closure) pairs; of the type of its values: a
-    vector {k: coefficient} (also for no terms), or a Combination such as a
-    VPoly."""
-    out = vec = {}
-    for s, value in terms:
-        vec = value(cell)
-        for k, c in vec.items():
-            _add_term(out, k, c if s == 1 else c * s)
-    return vec._trusted(out) if isinstance(vec, Combination) else out
+def _residuals(space, terms, arity, ops, memo, scale=1):
+    """{cell: residual} of an equation's terms (coefficient, sign pairs,
+    expression) over ops, at the basis cells of arity indices where it is
+    nonzero: each term's values (see _values, on memo) are added into the
+    cells they fall on, repeated over the slots the term leaves out, with
+    its sign per parity class.  The ops are scale times those of the check
+    (see _integral), so a term with n op nodes is raised by scale^(top -
+    n), top the most of a term, and each residual divided by scale^top.
+    A residual has the type of its values: a vector {k: coefficient}, or
+    a Combination such as a VPoly."""
+    dim, parities = space.dim, space.parities
+    nodes = [_nodes(expr) for _, _, expr in terms]
+    top = max(nodes, default=0)
+    out, like = {}, None
+    for (coeff, pairs, expr), n in zip(terms, nodes):
+        coeff *= scale ** (top - n)
+        values = _values(expr, ops, dim, memo)
+        if not values:
+            continue
+        values = _spread(_slots(expr), values, arity, dim)
+        first = next(iter(values.values()))
+        like = first if isinstance(first, Combination) else like
+        signs = {par: coeff * s for par, s in _signs(pairs, arity).items()}
+        for cell, vec in values.items():
+            s = signs[tuple([parities[i] for i in cell])] if pairs else coeff
+            acc = out.get(cell)
+            if acc is None:
+                acc = out[cell] = {}
+            for k, c in vec.items():
+                if s != 1:
+                    c = c * s
+                if k in acc:
+                    c = acc[k] + c
+                    if not c:
+                        del acc[k]
+                        continue
+                acc[k] = c
+    out = {cell: acc if like is None else like._trusted(acc)
+           for cell, acc in out.items() if acc}
+    if scale ** top == 1:
+        return out
+    q = Fraction(1, scale ** top)
+    return {cell: space.scale(q, res) if like is None else res.scale(q)
+            for cell, res in out.items()}
 
 
-def _equation_cells(space, plan, name, terms):
-    """The basis cells of the slots an equation uses, in product order: a
-    cell where some term can be nonzero as (head, *cell), a run of the
-    others as its length, which AxiomReport.run counts as passed.  The
-    terms are (coefficient, sign pairs, expression).  head is (name, the
-    terms compiled by plan, plan.scale^top): the ops of plan are
-    plan.scale times those of the check (see _integral), so a term with
-    fewer op nodes than the most of the equation, top, has its
-    coefficient raised to match."""
-    exprs = [expr for _, _, expr in terms]
-    arity = 1 + max(max(_slots(expr)) for expr in exprs)
-    nodes = [_nodes(expr) for expr in exprs]
-    top = max(nodes)
-    head = (name, plan([(coeff * plan.scale ** (top - n), *rest)
-                        for (coeff, *rest), n in zip(terms, nodes)], arity),
-            plan.scale ** top)
-    dim, done = space.dim, 0
-    for cell in plan.cells(exprs, arity):
+def _runs(found, dim, arity, head):
+    """Yield the basis cells of arity indices in product order: a cell of
+    found, {cell: value}, as (head, cell, value), and each run of the
+    other cells as its length, which AxiomReport.run counts as passed."""
+    done = 0
+    for cell in sorted(found):
         pos = 0
         for i in cell:
             pos = pos * dim + i
         if pos > done:
             yield pos - done
-        yield (head, *cell)
+        yield head, cell, found[cell]
         done = pos + 1
     if dim ** arity > done:
         yield dim ** arity - done
 
 
-def _equations(equations, ops, plan=None):
-    """(cells, check) of equations over ops: cells run over the equations,
-    then over the basis cells of the slots each one uses (see
-    _equation_cells).  plan is the compiler of the check call (see
-    _memoised); a fresh one on ops made integral (see _integral) by
-    default.  A failing residual comes out plan.scale^top times its value,
-    which check divides off."""
+def _equations(equations, ops):
+    """(cells, check) of equations over ops, made integral (see _integral),
+    on one memo of values: cells holds one iterable per equation over the
+    basis cells of its slots (see _runs), a cell where the residual is
+    nonzero as (name, cell, residual) (see _residuals), which check
+    renders as a failure.  An equation's residuals are found when its
+    iterable starts, and the memo drops each value after the last
+    equation that uses it."""
     space = next(iter(ops.values())).space
-    plan = plan or _memoised(space, *_integral(ops))
+    ops, scale = _integral(ops)
+    memo, last = {}, {sub: n for n, (_, terms) in enumerate(equations)
+                      for *_, expr in terms for sub in _subtrees(expr)}
+
+    def cells(n, name, terms):
+        arity = 1 + max(max(_slots(expr)) for _, _, expr in terms)
+        found = _residuals(space, terms, arity, ops, memo, scale)
+        for expr in [expr for expr, at in last.items() if at == n]:
+            memo.pop(expr, None)
+        yield from _runs(found, space.dim, arity, name)
 
     def check(cell):
-        (name, at, scale), *indices = cell
-        res = _residual(at(indices), indices)
-        if res:
-            if scale != 1:
-                q = Fraction(1, scale)
-                res = (res.scale(q) if isinstance(res, Combination)
-                       else space.scale(q, res))
-            yield name, [space.names[i] for i in indices], (
-                str(res) if isinstance(res, Combination)
-                else space.vec_str(res))
-    return itertools.chain.from_iterable(
-        _equation_cells(space, plan, name, terms)
-        for name, terms in equations), check
+        name, at, res = cell
+        yield name, [space.names[i] for i in at], (
+            str(res) if isinstance(res, Combination)
+            else space.vec_str(res))
+    return [cells(n, *equation)
+            for n, equation in enumerate(equations)], check
 
 
 def check_system(title, equations, ops, fail_fast=False):
     """Check every equation of a system on every basis cell of its slots,
     in order, into one report."""
-    return AxiomReport(title).run(*_equations(equations, ops), fail_fast)
+    cells, check = _equations(equations, ops)
+    return AxiomReport(title).run(itertools.chain.from_iterable(cells),
+                                  check, fail_fast)
 
 
 def check_skew_symmetry(bracket, fail_fast=False):
@@ -851,10 +707,9 @@ def check_lie_superalgebra(bracket, fail_fast=False):
 def _tabulate(out, terms, ops):
     """out, an empty map of pairs, with its entry at each basis pair set to
     the residual of an equation in x, y there."""
-    space = out.space
-    at = _memoised(space, ops)(terms, 2)
-    for cell in itertools.product(range(space.dim), repeat=2):
-        out.set_entry(*cell, _residual(at(cell), cell))
+    found = _residuals(out.space, terms, 2, ops, {})
+    for cell in sorted(found):
+        out.set_entry(*cell, found[cell])
     return out
 
 

@@ -19,9 +19,10 @@ from confalg.cli import main
 from confalg.conformal import CONFORMAL_LEIBNIZ, _ops
 from confalg.extensions import CASES, _alpha_rows, solve_structured
 from confalg.quadratic import SYSTEMS
-from confalg.superspace import _memoised, _residual, _slots, check_system
+from confalg.superspace import check_system
 
 import gens
+from dense import ref_arity, ref_memoised, ref_residual
 
 GRID = range(-2, 3)
 
@@ -191,13 +192,12 @@ def expected_failures(equations, ops, point):
     """The failures of a system on ops, each residual substituted at point."""
     space = next(iter(ops.values())).space
     space_at = space.substitute_params(point)
-    plan = _memoised(space, ops)
+    value = ref_memoised(space, ops)
     out = []
     for name, terms in equations:
-        arity = 1 + max(max(_slots(term[2])) for term in terms)
-        at = plan(terms, arity)
+        arity = ref_arity(terms)
         for cell in itertools.product(range(space.dim), repeat=arity):
-            res = substituted(_residual(at(cell), cell), point)
+            res = substituted(ref_residual(terms, space, cell, value), point)
             if res:
                 out.append((name, tuple(space.names[i] for i in cell),
                             space_at.vec_str(res)))
@@ -219,10 +219,11 @@ def assert_representations_agree(circ, star, bracket, point):
     built = build_quadratic_bracket(circ, star, bracket)
     built_at = build_quadratic_bracket(at["circ"], at["star"], at["bracket"])
     space_at = built_at.space
-    terms_at = _memoised(built.space, _ops(built))(CONFORMAL_LEIBNIZ[1], 3)
+    value = ref_memoised(built.space, _ops(built))
     failures = []
     for cell in itertools.product(range(space_at.dim), repeat=3):
-        res = substituted(_residual(terms_at(cell), cell).terms, point)
+        res = substituted(ref_residual(CONFORMAL_LEIBNIZ[1], built.space,
+                                       cell, value).terms, point)
         if res:
             failures.append(("conformal Leibniz",
                              tuple(space_at.names[i] for i in cell),

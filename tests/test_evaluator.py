@@ -1,90 +1,35 @@
-"""The compiled equation evaluator of `superspace` against an uncompiled
-reference, and the memo it keeps during one check."""
+"""The equation evaluator of `superspace` against the dense reference of
+tests/dense.py, and what one check does with its ops and its memo."""
 
+import collections
 import copy
-import functools
 import gc
 import itertools
 import math
 import random
-import types
 from fractions import Fraction
-from operator import itemgetter
 
 from hypothesis import given, settings, strategies as st
 
-from confalg import (AxiomReport, GradedBilinearMap, LambdaBracket,
-                     LinearMap, Scalar, SuperSpace, as_rational,
-                     build_quadratic_bracket,
+from confalg import (GradedBilinearMap, LambdaBracket, LinearMap, Scalar,
+                     SuperSpace, as_rational, build_quadratic_bracket,
                      check_alpha_system, check_averaging,
                      check_conformal_leibniz, check_leibniz_superalgebra,
-                     solve_central_ext_anl, VPoly)
+                     classify_brackets, solve_central_ext_anl,
+                     to_left_conformal, VPoly)
 from confalg.conformal import (CONFORMAL_JACOBI, CONFORMAL_LEIBNIZ,
                                CONFORMAL_SKEW, _ops)
 from confalg.extensions import ANL_ALPHA_SYSTEM, CASES
 from confalg.quadratic import AVERAGING_EQ, SYSTEMS
 from confalg.superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, RIGHT_LEIBNIZ,
                                 SKEW_SYMMETRY, SUPERCOMMUTATIVITY, B,
-                                Combination, X, Y, Z, _add_term, _equations,
-                                _integral, _memoised, _residual, check_system)
+                                Combination, X, Y, Z, _integral, _join,
+                                _residuals, _spread, _subtrees, _values,
+                                check_system)
 
 import gens
-
-
-# ---------- the reference: one dispatch per node and per cell ----------
-
-def ref_term_sign(sign_pairs, parities):
-    expo = 0
-    for left, right in sign_pairs:
-        pl = sum(parities[ch] for ch in left)
-        pr = sum(parities[ch] for ch in right)
-        expo += pl * pr
-    return -1 if expo % 2 else 1
-
-
-def ref_slots(expr):
-    if expr[0] == 'slot':
-        return ('xyz'.index(expr[1]),)
-    return tuple(sorted(set().union(*map(ref_slots, expr[2:]))))
-
-
-def ref_memoised(space, ops):
-    """value(expr, cell), looking the expression up in the memo, then
-    dispatching on its node type, at every node of every cell."""
-    memo = {}
-
-    def value(expr, cell):
-        entry = memo.get(expr)
-        if entry is None:
-            slots = ref_slots(expr)
-            entry = memo[expr] = (itemgetter(*slots), len(slots), {})
-        key_of, used, values = entry
-        key = key_of(cell)
-        vec = values.get(key)
-        if vec is None:
-            if expr[0] == 'slot':
-                vec = space.basis_vec(key)
-            else:
-                vec = ops[expr[1]](*[value(arg, cell) for arg in expr[2:]])
-            if used < len(cell):
-                values[key] = vec
-        return vec
-    return value
-
-
-def ref_terms_at(terms, space, cell, value):
-    parities = {slot: space.parities[i] for slot, i in zip('xyz', cell)}
-    for coeff, pairs, *rest in terms:
-        yield (coeff * ref_term_sign(pairs, parities),
-               [value(x, cell) if isinstance(x, tuple) else x for x in rest])
-
-
-def ref_residual(terms, space, cell, value):
-    out = vec = {}
-    for s, (vec,) in ref_terms_at(terms, space, cell, value):
-        for k, c in vec.items():
-            _add_term(out, k, c if s == 1 else c * s)
-    return vec._trusted(out) if isinstance(vec, Combination) else out
+from dense import (dense_cells, ref_arity, ref_memoised, ref_residual,
+                   ref_slots)
 
 
 # ---------- random data: odd generators, entries c + c' a ----------
@@ -122,27 +67,23 @@ def parametric_even_map(rng, space):
 
 def op_nodes(expr):
     """The op nodes of an expression, itself first if it is one."""
-    if expr[0] != 'slot':
-        yield expr
-        for arg in expr[2:]:
-            yield from op_nodes(arg)
-
-
-def arity(terms):
-    return 1 + max(max(ref_slots(term[2])) for term in terms)
+    return [sub for sub in _subtrees(expr) if sub[0] == 'op']
 
 
 def assert_same_residuals(equations, ops):
-    """The compiled residual equals the reference residual at every cell,
-    as a value and as rendered text."""
+    """The residuals equal the reference residual at every cell, as a value
+    and as rendered text; a cell left out has a zero reference residual."""
     space = next(iter(ops.values())).space
-    plan, value = _memoised(space, ops), ref_memoised(space, ops)
+    memo, value = {}, ref_memoised(space, ops)
     for _, terms in equations:
-        n = arity(terms)
-        terms_at = plan(terms, n)
+        n = ref_arity(terms)
+        found = _residuals(space, terms, n, ops, memo)
         for cell in itertools.product(range(space.dim), repeat=n):
-            got = _residual(terms_at(cell), cell)
             want = ref_residual(terms, space, cell, value)
+            if cell not in found:
+                assert not want
+                continue
+            got = found[cell]
             assert type(got) is type(want)
             if isinstance(want, Combination):
                 assert got.terms == want.terms and str(got) == str(want)
@@ -153,7 +94,7 @@ def assert_same_residuals(equations, ops):
 
 @given(st.integers(1, 3), st.integers(0, 10 ** 6))
 @settings(max_examples=25, deadline=None)
-def test_compiled_residuals_match_the_reference(dim, seed):
+def test_residuals_match_the_reference(dim, seed):
     rng = random.Random(seed)
     space = odd_parametric_space(rng, dim)
     maps = {name: parametric_map(rng, space, name)
@@ -178,31 +119,32 @@ def test_compiled_residuals_match_the_reference(dim, seed):
 
 @given(st.integers(1, 3), st.integers(0, 10 ** 6))
 @settings(max_examples=15, deadline=None)
-def test_compiled_alpha_terms_match_the_reference(dim, seed):
-    """The structured cocycle systems keep their degree index in place and
-    evaluate both expressions as the reference does."""
+def test_alpha_term_values_match_the_reference(dim, seed):
+    """The structured cocycle systems keep their degree index in place:
+    each term's two expressions, joined and spread over the basis triples,
+    hold the reference values at exactly the triples where both are
+    nonzero."""
     rng = random.Random(seed)
     space = gens.rand_space(rng, dim)
     ops = {name: gens.rand_gbm(rng, space, name=name)
            for name in ("circ", "star", "bracket")}
-    plan, value = _memoised(space, ops), ref_memoised(space, ops)
+    memo, value = {}, ref_memoised(space, ops)
     for case in CASES.values():
         for _, terms in case[2]:
-            terms_at = plan(terms, 3)
-            for cell in itertools.product(range(space.dim), repeat=3):
-                got = [(s, t, f1(cell), f2(cell))
-                       for s, t, f1, f2 in terms_at(cell)]
-                want = [(s, *values) for s, values
-                        in ref_terms_at(terms, space, cell, value)]
+            for *_, f1, f2 in terms:
+                got = _spread(*_join(
+                    ref_slots(f1), _values(f1, ops, space.dim, memo),
+                    ref_slots(f2), _values(f2, ops, space.dim, memo)),
+                    3, space.dim)
+                want = {}
+                for cell in itertools.product(range(space.dim), repeat=3):
+                    v1, v2 = value(f1, cell), value(f2, cell)
+                    if v1 and v2:
+                        want[cell] = (v1, v2)
                 assert got == want
 
 
-# ---------- the memo of one check ----------
-
-def run_check(equations, ops, plan, fail_fast=False):
-    return AxiomReport("check").run(*_equations(equations, ops, plan),
-                                    fail_fast)
-
+# ---------- what one check does ----------
 
 def report_summary(rep):
     return (rep.passed, rep.checked,
@@ -211,57 +153,103 @@ def report_summary(rep):
 
 @given(st.integers(1, 4), st.integers(0, 10 ** 6))
 @settings(max_examples=25, deadline=None)
-def test_memo_keeps_only_nodes_with_fewer_slots(dim, seed):
-    rng = random.Random(seed)
-    space = gens.rand_space(rng, dim)
-    maps = {name: gens.rand_gbm(rng, space, name=name)
-            for name in ("circ", "star", "bracket")}
-    for _, equations, names in SYSTEMS.values():
-        for n in (2, 3):
-            same_arity = [eq for eq in equations if arity(eq[1]) == n]
-            if not same_arity:
-                continue
-            ops = {m: maps[m] for m in names}
-            plan = _memoised(space, ops)
-            run_check(same_arity, ops, plan)
-            for expr, values in plan.memo.items():
-                used = len(ref_slots(expr))
-                assert used < n or not values
-                assert len(values) <= space.dim ** (n - 1)
-            # the memo fills on demand: a node with fewer slots than the
-            # cell holds its values at the slot indices of the listed cells
-            # whose terms hold it, and nowhere else
-            want = {}
-            for _, terms in same_arity:
-                listed = list(plan.cells([term[2] for term in terms], n))
-                for node in {node for term in terms
-                             for node in op_nodes(term[2])
-                             if len(ref_slots(node)) < n}:
-                    want.setdefault(node, set()).update(
-                        map(itemgetter(*ref_slots(node)), listed))
-            assert {expr: set(values) for expr, values in plan.memo.items()
-                    if values} == {node: keys for node, keys in want.items()
-                                   if keys}
-            assert any(plan.memo.values()) == any(want.values())
-
-
-@given(st.integers(1, 4), st.integers(0, 10 ** 6))
-@settings(max_examples=25, deadline=None)
 def test_checks_modify_no_table_and_no_memoised_vector(dim, seed):
+    """Values read off a table are the table's own vectors and pass from
+    one equation to the next in the memo: the residuals of a second pass
+    on the same memo are the first pass's, the memo and the tables are as
+    they were, and so is a lambda-bracket after a conformal check."""
     rng = random.Random(seed)
     space = odd_parametric_space(rng, dim)
     maps = {name: parametric_map(rng, space, name)
             for name in ("circ", "star", "bracket")}
     tables = copy.deepcopy({name: gbm.table for name, gbm in maps.items()})
     equations = SYSTEMS['t'][1]
-    plan = _memoised(space, maps)
-    first = report_summary(run_check(equations, maps, plan))
-    memo = copy.deepcopy(plan.memo)
-    # a second run reads every memoised vector again and stores no new one
-    assert report_summary(run_check(equations, maps, plan)) == first
-    assert plan.memo == memo
+    memo = {}
+    first = [_residuals(space, terms, 3, maps, memo)
+             for _, terms in equations]
+    kept = copy.deepcopy(memo)
+    assert [_residuals(space, terms, 3, maps, memo)
+            for _, terms in equations] == first
+    assert memo == kept
     assert {name: gbm.table for name, gbm in maps.items()} == tables
-    assert first == report_summary(check_system("check", equations, maps))
+    with dense_cells():
+        want = report_summary(check_system("check", equations, maps))
+    assert report_summary(check_system("check", equations, maps)) == want
+    assert {name: gbm.table for name, gbm in maps.items()} == tables
+    if dim <= 2:
+        built = build_quadratic_bracket(*maps.values())
+        entries = {key: dict(vp.terms) for key, vp in built.entries.items()}
+        check_conformal_leibniz(built)
+        to_left_conformal(built)
+        assert {key: vp.terms for key, vp in built.entries.items()} == entries
+
+
+def arguments(args):
+    """A list of argument values as a comparable key."""
+    return repr([sorted(map(repr, arg.items())) for arg in args])
+
+
+def counted(op, name, calls):
+    """op as a plain function that counts its calls in calls, by op name
+    and arguments, with its table and space; it has no scaled method, so
+    a check runs it as it is (see superspace._integral)."""
+    run = getattr(op, 'apply_vec', op)
+
+    def wrapper(*args):
+        calls[name, arguments(args)] += 1
+        return run(*args)
+    wrapper.space, wrapper.table = op.space, op.table
+    return wrapper
+
+
+def keyed_calls(equations, ops):
+    """The calls of one evaluation of every distinct op node of equations
+    at every index tuple of its slots, by op name and arguments, made by
+    the reference."""
+    space = next(iter(ops.values())).space
+    value, out = ref_memoised(space, ops), collections.Counter()
+    for node in {node for _, terms in equations for *_, expr in terms
+                 for node in op_nodes(expr)}:
+        slots = ref_slots(node)
+        for key in itertools.product(range(space.dim), repeat=len(slots)):
+            cell = [0, 0, 0]
+            for s, i in zip(slots, key):
+                cell[s] = i
+            out[node[1], arguments([value(arg, cell)
+                                    for arg in node[2:]])] += 1
+    return out
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6),
+       st.sampled_from([0.2, 0.6]))
+@settings(max_examples=25, deadline=None)
+def test_each_op_is_called_at_most_once_per_argument_key(dim, seed,
+                                                         density):
+    """In one check an op is called on given arguments at most as often
+    as the distinct nodes of it, each evaluated once per index tuple of
+    its slots, call it on them: however many cells and equations hold a
+    node, its value at a key is computed once.  A check on counting ops
+    reports as on the ops themselves.  Every registered system, the
+    averaging system and the three conformal equations."""
+    rng = random.Random(seed)
+    space = gens.rand_space(rng, dim, killed=True)
+    maps = {name: gens.rand_gbm(rng, space, density, name=name)
+            for name in ("circ", "star", "bracket")}
+    maps["avg"] = gens.rand_linear_map(rng, space, density)
+    runs = [(equations, {n: maps[n] for n in names})
+            for _, equations, names in SYSTEMS.values()]
+    runs.append(([SUPERCOMMUTATIVITY, ASSOCIATIVITY, AVERAGING_EQ],
+                 {"product": maps["circ"], "avg": maps["avg"]}))
+    runs.append(([CONFORMAL_LEIBNIZ, CONFORMAL_JACOBI, CONFORMAL_SKEW],
+                 _ops(gens.rand_lambda_bracket(rng, space, 2, 2 * dim))))
+    for equations, ops in runs:
+        calls = collections.Counter()
+        got = check_system("check", equations, {
+            name: counted(op, name, calls) for name, op in ops.items()})
+        assert report_summary(got) == report_summary(
+            check_system("check", equations, ops))
+        allowed = keyed_calls(equations, ops)
+        assert all(n <= allowed[key] for key, n in calls.items())
 
 
 @given(st.integers(1, 3), st.integers(0, 10 ** 6))
@@ -372,7 +360,8 @@ def constant_copy(space, op):
 def test_integral_checks_report_as_checks_on_the_ops_as_given(
         dim, seed, entries, fail_fast):
     """check_system runs on the ops made integral and divides the scale off
-    each residual; a plan passed in keeps the ops as given.  The reports
+    each residual; the dense loop of tests/dense.py evaluates the ops as
+    given.  The reports
     agree, residual strings and counts included, with and without
     fail_fast, on classical, quadratic, mixed-degree and conformal
     equations, on spaces with killed vectors: over the rationals, over a
@@ -398,11 +387,11 @@ def test_integral_checks_report_as_checks_on_the_ops_as_given(
                                           maps["bracket"])
 
     def same(equations, ops):
-        assert (report_summary(check_system("check", equations, ops,
-                                            fail_fast))
-                == report_summary(run_check(equations, ops,
-                                            _memoised(space, ops),
-                                            fail_fast)))
+        got = report_summary(check_system("check", equations, ops,
+                                          fail_fast))
+        with dense_cells():
+            assert got == report_summary(check_system("check", equations,
+                                                      ops, fail_fast))
 
     for _, equations, names in SYSTEMS.values():
         same(equations, {n: maps[n] for n in names})
@@ -427,28 +416,23 @@ def test_a_conformal_check_scales_its_bracket_once(monkeypatch):
     assert calls == [6]
 
 
-def confalg_closures():
-    """Every live function or cache wrapper that a confalg function made."""
-    return [f for f in gc.get_objects()
-            if isinstance(f, (types.FunctionType,
-                              functools._lru_cache_wrapper))
-            and (f.__module__ or "").startswith("confalg")
-            and "<locals>" in f.__qualname__]
-
-
-def test_no_plan_outlives_its_check():
-    """With the cyclic garbage collector off, a check frees its plan, its
-    memo and every closure compiled for it when it ends: nothing of the
-    evaluator is kept alive by a reference cycle."""
+def test_no_memo_outlives_its_check():
+    """With the cyclic garbage collector off, a check frees its memo, its
+    values and every function made for it when it ends: it leaves no
+    reference cycle for the collector to find."""
     rng = random.Random(3)
     space = gens.rand_space(rng, 3)
     _, circ, bracket = gens.rab_data(0, 0)
     anz = solve_central_ext_anl(circ, bracket).ansatz(0)
     anz.set(0, "W", "W", Fraction(1, 2))
+    product = gens.rand_gbm(rng, space, 0.6, name="product")
     checks = [
         lambda: check_leibniz_superalgebra(gens.rand_gbm(rng, space, 0.6)),
         lambda: check_conformal_leibniz(
             gens.rand_lambda_bracket(rng, space, 2, 6)),
+        lambda: to_left_conformal(gens.rand_lambda_bracket(rng, space, 2, 6)),
+        lambda: check_averaging(product, gens.rand_linear_map(rng, space)),
+        lambda: classify_brackets(gens.rand_gbm(rng, space, 0.4, "circ")),
         lambda: solve_central_ext_anl(circ, bracket),
         lambda: check_alpha_system(ANL_ALPHA_SYSTEM,
                                    {"circ": circ, "bracket": bracket}, anz),
@@ -457,11 +441,7 @@ def test_no_plan_outlives_its_check():
     gc.disable()
     try:
         for check in checks:
-            before = confalg_closures()
-            known = {id(f) for f in before}
             check()
-            left = [f.__qualname__ for f in confalg_closures()
-                    if id(f) not in known]
-            assert left == []
+            assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,9 +1,8 @@
 """The cell generator of check_system against the dense cell loop.
 
 The evaluator visits only the basis cells where some term of an equation
-can be nonzero and counts every other cell as a passed instance.  The
-oracle here is the dense loop it replaced, copied verbatim, which
-evaluates every cell.  Every checker built on check_system must give the
+is nonzero and counts every other cell as a passed instance.  The oracle
+here is the dense loop of tests/dense.py, which evaluates every cell.  Every checker built on check_system must give the
 same verdict, instance count and failures (identity, cell and residual
 string, in order) under both, with and without fail_fast: on random
 tables, sparse and dense, over odd generators, killed vectors and the
@@ -11,7 +10,6 @@ parameters a, b; on quadratic data that passes and on mutated data that
 fails; and on every corpus file.
 """
 
-import contextlib
 import functools
 import itertools
 import random
@@ -29,44 +27,8 @@ from confalg import (build_quadratic_bracket, check_associative,
                      check_skew_symmetry, check_supercommutative,
                      classify_brackets, quadratic, superspace, zero_map)
 from confalg.quadratic import SYSTEMS, C
-from confalg.superspace import (LEFT_LEIBNIZ, B, Combination, X, Y, Z,
-                                _memoised, _residual, _slots, check_system)
-
-
-# ---------- the oracle: the dense cell loop ----------
-
-def _equations(equations, ops, plan=None):
-    """(cells, check) of equations over ops: cells run over the equations,
-    then over the basis cells of the slots each one uses.  plan is the
-    compiler of the check call (see _memoised); a fresh one by default."""
-    space = next(iter(ops.values())).space
-    plan = plan or _memoised(space, ops)
-
-    def cells(equation):
-        name, terms = equation
-        arity = 1 + max(max(_slots(term[2])) for term in terms)
-        return itertools.product([(name, plan(terms, arity))],
-                                 *[range(space.dim)] * arity)
-
-    def check(cell):
-        (name, at), *indices = cell
-        res = _residual(at(indices), indices)
-        if res:
-            yield name, [space.names[i] for i in indices], (
-                str(res) if isinstance(res, Combination)
-                else space.vec_str(res))
-    return itertools.chain.from_iterable(map(cells, equations)), check
-
-
-@contextlib.contextmanager
-def dense_cells():
-    """Every check_system-based checker runs the dense loop inside."""
-    saved = superspace._equations, quadratic._equations
-    superspace._equations = quadratic._equations = _equations
-    try:
-        yield
-    finally:
-        superspace._equations, quadratic._equations = saved
+from confalg.superspace import LEFT_LEIBNIZ, B, X, Y, Z, check_system
+from dense import dense_cells, ref_memoised, ref_residual
 
 
 # ---------- the comparison ----------
@@ -164,11 +126,11 @@ def test_classified_constraints_match_the_dense_pass(dim, seed, density):
     rng = random.Random(seed)
     circ = gens.rand_gbm(rng, gens.rand_space(rng, dim), density, "circ")
     cls = classify_brackets(circ)
-    at = _memoised(cls.family_space, {"bracket": cls.family})(
-        LEFT_LEIBNIZ[1], 3)
+    value = ref_memoised(cls.family_space, {"bracket": cls.family})
     assert cls.constraints == [
         str(c) for cell in itertools.product(range(dim), repeat=3)
-        for c in _residual(at(cell), cell).values()]
+        for c in ref_residual(LEFT_LEIBNIZ[1], cls.family_space, cell,
+                              value).values()]
 
 
 def untabled(bracket):
@@ -227,10 +189,10 @@ def paired_op(space, table):
 @settings(deadline=None)
 def test_a_full_table_joins_as_the_pair_walk(dim, seed, density, full):
     """Two tables on the same basis pairs, one with the value {0: 1} at
-    every pair and one with two basis indices at (0, 0), list the same
-    cells for a node over arguments of one, two and three slots, whether
-    the pairs are all of them or some: a listing reads which pairs a table
-    holds, not the values there."""
+    every pair and one with two basis indices at (0, 0), give the same
+    check of a node over arguments of one, two and three slots, and the
+    dense loop's, whether the pairs are all of them or some: the
+    evaluator reads which pairs a table holds, not the values there."""
     rng = random.Random(seed)
     space = gens.rand_space(rng, dim)
     circ = gens.rand_gbm(rng, space, density, name="circ")
@@ -238,11 +200,14 @@ def test_a_full_table_joins_as_the_pair_walk(dim, seed, density, full):
              if full or pair == (0, 0) or rng.random() < 0.5]
     one = {pair: {0: 1} for pair in pairs}
     two = {**one, (0, 0): {0: 1, 1: 1}}
-    plans = [_memoised(space, {"circ": circ,
-                               "alpha": paired_op(space, table)})
+    opses = [{"circ": circ, "alpha": paired_op(space, table)}
              for table in (one, two)]
     for f1, f2 in [(X, C(Z, Y)), (C(X, Y), Z), (C(Y, X), C(Z, Z)),
                    (X, Y), (C(Z, X), Y), (C(X, C(Y, Z)), X)]:
         node = ('op', 'alpha', f1, f2)
-        got, want = (list(plan.cells([node], 3)) for plan in plans)
+        equation = [("pair", [(1, (), node)])]
+        got, want = (summary(check_system("pair", equation, ops))
+                     for ops in opses)
         assert got == want, node
+        with dense_cells():
+            assert summary(check_system("pair", equation, opses[0])) == got

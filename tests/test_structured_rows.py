@@ -3,7 +3,8 @@
 _alpha_rows and check_alpha_system evaluate a structured alpha system
 only on the basis triples where some term can be nonzero, on ops scaled
 to integral tables.  The oracles here are the dense loops they replaced,
-copied verbatim, which evaluate every triple on the ops as given.  The
+on the reference evaluator of tests/dense.py, which evaluate every triple
+on the ops as given.  The
 rows must come out in the same order, each a positive multiple of the
 oracle's row with the same entries in the same order, so the two reduce
 to the same echelon form; the check must give the same verdict, instance
@@ -28,7 +29,8 @@ from confalg.extensions import (CASES, SolutionSpace, _alpha_rows,
                                 unknown_order)
 from confalg.quadratic import C, S
 from confalg.scalars import as_rational
-from confalg.superspace import B, X, Y, Z, _memoised
+from confalg.superspace import B, X, Y, Z
+from dense import ref_memoised, ref_terms_at
 
 
 # ---------- the oracles: the dense triple loops ----------
@@ -37,13 +39,12 @@ def oracle_alpha_rows(system, ops, space, degrees):
     """Linear rows of a structured alpha system over unknown_order."""
     unknowns = unknown_order(space, degrees)
     index = {u: i for i, u in enumerate(unknowns)}
-    plan = _memoised(space, ops)
+    value = ref_memoised(space, ops)
     rows = []
-    for at, *triple in itertools.product(
-            [plan(terms, 3) for _, terms in system], *[range(space.dim)] * 3):
+    for (_, terms), triple in itertools.product(
+            system, itertools.product(range(space.dim), repeat=3)):
         row = {}
-        for s, t, f1, f2 in at(triple):
-            v1, v2 = f1(triple), f2(triple)
+        for s, (t, v1, v2) in ref_terms_at(terms, space, triple, value):
             for p, c1 in v1.items():
                 r1 = as_rational(c1) * s
                 for q, c2 in v2.items():
@@ -62,21 +63,20 @@ def oracle_alpha_rows(system, ops, space, degrees):
 def oracle_check_alpha_system(system, ops, ansatz, fail_fast=False):
     """Check a given ansatz against a structured system, symbolically."""
     space = next(iter(ops.values())).space
-    plan = _memoised(space, ops)
+    value = ref_memoised(space, ops)
 
     def check(cell):
-        (name, at), *triple = cell
+        (name, terms), *triple = cell
         total = Scalar.zero(ansatz.space.params)
-        for s, t, f1, f2 in at(triple):
-            v1, v2 = f1(triple), f2(triple)
+        for s, (t, v1, v2) in ref_terms_at(terms, space, triple, value):
             for p, c1 in v1.items():
                 for q, c2 in v2.items():
                     total = total + c1 * c2 * ansatz.alpha(t, p, q) * s
         if total:
             yield name, [space.names[i] for i in triple], str(total)
     return AxiomReport("structured cocycle system").run(
-        itertools.product([(name, plan(terms, 3)) for name, terms in system],
-                          *[range(space.dim)] * 3), check, fail_fast)
+        itertools.product(system, *[range(space.dim)] * 3), check,
+        fail_fast)
 
 
 # ---------- term shapes the four systems leave out ----------

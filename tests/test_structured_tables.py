@@ -6,9 +6,10 @@ term's sign once per parity class of the cells.  Two things are pinned
 here against the dense triple loops of test_structured_rows: a sign pair
 that names a slot the term leaves out, on odd generators, where a sign
 taken before the cells are repeated over that slot would be wrong; and
-that neither the rows nor the check build a per-cell plan of the
-evaluator (superspace._memoised), so the route cannot fall back to
-evaluating cell by cell unnoticed.
+that neither the rows nor the check build a per-cell plan: every node of
+the four systems is an op over two slots, read off its table, so no op is
+ever applied, and the route cannot fall back to evaluating cell by cell
+unnoticed.
 """
 
 import random
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gens
-from confalg import SuperSpace, extensions, linalg, superspace
+from confalg import GradedBilinearMap, SuperSpace, linalg
 from confalg.extensions import CASES, _alpha_rows, check_alpha_system
 from confalg.quadratic import C
 from confalg.superspace import B, X, Y, Z
@@ -66,7 +67,7 @@ def test_a_sign_on_a_slot_the_term_leaves_out(dim, seed, density):
 @pytest.mark.parametrize('case', sorted(CASES))
 def test_the_route_builds_no_per_cell_plan(case, monkeypatch):
     """_alpha_rows and check_alpha_system on each case's system, with
-    superspace._memoised (and any copy of it in extensions) raising."""
+    GradedBilinearMap.apply_vec (which its __call__ runs too) raising."""
     rng = random.Random(case)
     space = odd_space(rng, 3)
     _, _, system, degrees, _ = CASES[case]
@@ -76,9 +77,8 @@ def test_the_route_builds_no_per_cell_plan(case, monkeypatch):
     want_check = summary(oracle_check_alpha_system(system, ops, anz))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the structured route built a per-cell plan")
-    monkeypatch.setattr(superspace, '_memoised', refuse)
-    monkeypatch.setattr(extensions, '_memoised', refuse, raising=False)
+        raise AssertionError("the structured route applied an op")
+    monkeypatch.setattr(GradedBilinearMap, 'apply_vec', refuse)
     got = _alpha_rows(system, ops, space, degrees)
     got_check = summary(check_alpha_system(system, ops, anz))
     monkeypatch.undo()
