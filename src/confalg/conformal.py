@@ -275,9 +275,15 @@ def _ops(bracket):
     per key there; see superspace._values) and scaled(d), the op of the
     bracket times d; the five share one scaled bracket.  A dict argument
     is one of the evaluator's basis vectors {i: 1}, clean, so it becomes a
-    VPoly unchecked (apply_bracket validates one)."""
+    VPoly unchecked (apply_bracket validates one).  growth is (W, L, E)
+    of superspace._bound: W the most of 1, |v| and |d + v| (the sums of
+    their absolute coefficients), L the most l-power and E the most
+    d-power plus l-power of an entry term."""
     scaled = functools.cache(lambda d: _ops(bracket.scaled(d)))
     zero = VPoly.zero(bracket.space)
+    keys = [key for vp in bracket.entries.values() for key in vp.terms]
+    powers = (max((key[2] for key in keys), default=0),
+              max((key[1] + key[2] for key in keys), default=0))
 
     def vpoly(x):
         if type(x) is not dict:
@@ -289,6 +295,8 @@ def _ops(bracket):
             return apply_bracket(bracket, vpoly(x), vpoly(y), form)
         op.space, op.table = bracket.space, bracket.entries
         op.scaled = lambda d: scaled(d)[v]
+        op.growth = (max(1, *[sum(map(abs, f.values())) for f in (
+            form, {**form, 'd': form.get('d', 0) + 1})]),) + powers
         return op
     return {v: attached_at(v, form) for v, form in _FORMS.items()}
 

@@ -13,10 +13,10 @@ Fraction that arithmetic produces may stay a Fraction: int and Fraction
 compare, hash and print alike.  Bare rationals and Scalars share + - * ==,
 bool, str and factor_str, and a Scalar takes ints and Fractions as
 operands on either side; as_rational reads the rational value off either,
-and a constant Scalar hashes as that value.  Inside a check's private
-ops (superspace's _integral) a constant coefficient is bare on any space,
-via rescaled, so that most of a parametric check's arithmetic runs in
-ints.
+and a constant Scalar hashes as that value.  In a check's private ops
+(superspace's _integral) a constant is bare on any space, via rescaled,
+and superspace._equations packs each Scalar into one int by Kronecker
+substitution, so a parametric check runs in ints (see _bound).
 Nothing here divides; the one division on coefficients, rref's final
 division by each row's lead, is exact: an int or a Fraction, never a float.
 Parameters are formal: they are added and multiplied but never inverted,

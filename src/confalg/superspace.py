@@ -15,7 +15,7 @@ builds each expression's values once per check from the tables of its
 multilinear ops, only where a table meets its arguments, and adds each
 term's values into the basis cells they fall on, so an equation is
 evaluated only where a term is nonzero, in int arithmetic on ops scaled
-to integral tables.
+to integral tables, their parameters packed into ints (see _bound).
 The classical ones live here: super skew-symmetry + Jacobi (Lie), the right
 and left Leibniz identities, supercommutativity and associativity, next to
 the sign-twisted conversion between right and left Leibniz structures; the
@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .scalars import (Scalar, ScalarError, combination_str, denominator,
                       rescaled)
@@ -467,11 +467,11 @@ def _integral(ops):
     coefficient in the ops' tables integral, so that an identity over them
     is evaluated in int arithmetic (a Fraction product or sum costs many
     int ones); a constant coefficient comes out a bare int even on a space
-    with parameters, so on such a space the copies are made for d = 1 too.
-    (ops, 1) when they are integral already on a space without parameters,
-    or an op has no table or no scaled method.  As the ops are
-    multilinear, a term with n op nodes comes out d^n times its value (see
-    _residuals)."""
+    with parameters, where the copies are made for d = 1 too, and where
+    _equations packs them into ints.  (ops, 1) when they are integral on a
+    space without parameters, or an op has no table or no scaled method.
+    As the ops are multilinear, a term with n op nodes comes out d^n
+    times its value (see _residuals)."""
     if not all(hasattr(op, 'table') and hasattr(op, 'scaled')
                for op in ops.values()):
         return ops, 1
@@ -480,6 +480,97 @@ def _integral(ops):
     if d == 1 and not next(iter(ops.values())).space.params:
         return ops, 1
     return {name: op.scaled(d) for name, op in ops.items()}, d
+
+
+# The most bits of a packed coefficient (see _bound): in a sweep of random
+# t-system checks, packed ran as fast as on Scalars at 2048, slower beyond.
+PACK_BITS = 2048
+
+
+def _bound(equations, ops, scale):
+    """(bits, dims) of an exact packing of a check of equations on the
+    integral ops (see _integral, _equations) over parameters a_1, ..., a_r;
+    ScalarError if a coefficient is not an int or an int polynomial.
+
+    phi(c) = c(B, B^D_1, B^(D_1 D_2), ...), B = 2^bits, dims = (D_1, ...,
+    D_r), puts the term of a^e of c in Z[a] at base-B digit e_1 + D_1 e_2
+    + D_1 D_2 e_3 + ...: a ring homomorphism, so the evaluator, which only
+    adds and multiplies table coefficients and ints, computes phi(R) for
+    each residual coefficient R, whatever the values on the way.  phi is
+    injective on polynomials of a_i-degree < D_i with coefficients in
+    (-B/2, B/2), whose coefficients are the balanced base-B digits of
+    their image.  R meets these bounds.  Degree: a value of a term of n
+    op nodes sums int multiples of products of n table coefficients, so
+    D_i = 1 + top delta_i (top: the most op nodes of a term; delta_i: the
+    most a_i-degree of an entry).  Size: let |v| be the sum of the
+    absolute int coefficients of a value v over keys and monomials, so
+    |u v| <= |u| |v|.  An expression has N >= |value| and A >= its
+    d-powers: a slot (1, 0); an op node of table norm M (the most |entry|)
+    and growth (W, L, E) (op.growth; (1, 0, 0) for a map) N = M W^(A_x +
+    A_y + L) N_x N_y, A = A_x + A_y + E, as a map sums x_i y_j T(i, j) and
+    conformal.apply_bracket multiplies an entry term d^dd l^el by (-v)^ddx
+    (d + v)^ddy v^el, of norm <= W^(ddx + ddy + el) and d-power <= ddx +
+    ddy + el.  _residuals raises a term (c, pairs, expr) of n nodes by
+    scale^(top - n), top per equation, so |R| <= S = the sum of |c|
+    scale^(top - n) N(expr); B is the least power of two above 2S (and at
+    least 2) for the largest S of the equations.
+    """
+    zero = (0,) * len(next(iter(ops.values())).space.params)
+    norms, expos = {}, [zero]
+    for op in ops.values():
+        for value in op.table.values():
+            terms = [c.terms if isinstance(c, Scalar) else {zero: c}
+                     for _, c in value.items()]
+            if any(type(v) is not int for t in terms for v in t.values()):
+                raise ScalarError("cannot pack %r: not an int polynomial"
+                                  % (value,))
+            norms[id(op.table)] = max(norms.get(id(op.table), 0), sum(
+                abs(v) for t in terms for v in t.values()))
+            expos += [e for t in terms for e in t]
+
+    @functools.cache
+    def size(expr):
+        if expr[0] == 'slot':
+            return 1, 0
+        op, args = ops[expr[1]], [size(arg) for arg in expr[2:]]
+        w, ls, es = getattr(op, 'growth', (1, 0, 0))
+        a = sum(a for _, a in args)
+        return (norms.get(id(op.table), 0) * w ** (a + ls)
+                * math.prod(n for n, _ in args), a + es)
+    top, most = 0, 0
+    for _, terms in equations:
+        nodes = [_nodes(expr) for *_, expr in terms]
+        top = max(top, *nodes)
+        most = max(most, sum(abs(c) * scale ** (max(nodes) - n)
+                             * size(expr)[0]
+                             for (c, _, expr), n in zip(terms, nodes)))
+    return ((2 * most + 1).bit_length(),
+            tuple(1 + top * max(col) for col in zip(*expos)))
+
+
+def _kronecker(params, bits, dims):
+    """(pack, unpack): phi of _bound on a coefficient over params (an int
+    stays as it is) and its inverse on phi(R), a Scalar, for R inside the
+    bounds."""
+    strides = list(itertools.accumulate((1,) + dims[:-1], mul))
+    expos = [e[::-1] for e in itertools.product(*map(range, dims[::-1]))]
+
+    def pack(c):
+        return c if type(c) is int else sum(
+            v << bits * sum(map(mul, e, strides))
+            for e, v in c.terms.items())
+
+    def unpack(x):
+        terms, at = {}, 0
+        while x:
+            digit = x & ((1 << bits) - 1)
+            if digit >= 1 << bits - 1:
+                digit -= 1 << bits
+            if digit:
+                terms[expos[at]] = digit
+            x, at = (x - digit) >> bits, at + 1
+        return Scalar._trusted(params, terms)
+    return pack, unpack
 
 
 def _join(sa, a, sb, b, pairs=None):
@@ -568,14 +659,15 @@ def _spread(slots, values, arity, dim):
                                           repeat=arity - len(slots))}
 
 
-def _residuals(space, terms, arity, ops, memo, scale=1):
+def _residuals(space, terms, arity, ops, memo, scale=1, unpack=None):
     """{cell: residual} of an equation's terms (coefficient, sign pairs,
     expression) over ops, at the basis cells of arity indices where it is
     nonzero: each term's values (see _values, on memo) are added into the
     cells they fall on, repeated over the slots the term leaves out, with
     its sign per parity class.  The ops are scale times those of the check
     (see _integral), so a term with n op nodes is raised by scale^(top -
-    n), top the most of a term, and each residual divided by scale^top.
+    n), top the most of a term, and each residual divided by scale^top;
+    on packed ops (see _equations) each coefficient is unpacked first.
     A residual has the type of its values: a vector {k: coefficient}, or
     a Combination such as a VPoly."""
     dim, parities = space.dim, space.parities
@@ -605,6 +697,9 @@ def _residuals(space, terms, arity, ops, memo, scale=1):
                         del acc[k]
                         continue
                 acc[k] = c
+    if unpack is not None:
+        out = {cell: {k: unpack(c) for k, c in acc.items()}
+               for cell, acc in out.items()}
     out = {cell: acc if like is None else like._trusted(acc)
            for cell, acc in out.items() if acc}
     if scale ** top == 1:
@@ -638,15 +733,30 @@ def _equations(equations, ops):
     nonzero as (name, cell, residual) (see _residuals), which check
     renders as a failure.  An equation's residuals are found when its
     iterable starts, and the memo drops each value after the last
-    equation that uses it."""
+    equation that uses it.  On a space with parameters, with int term
+    coefficients, the tables of the integral copies are packed into ints
+    (see _bound) unless that is wider than PACK_BITS, and each residual
+    coefficient is unpacked."""
     space = next(iter(ops.values())).space
+    given, unpack = ops, None
     ops, scale = _integral(ops)
+    if ops is not given and space.params and all(
+            type(term[0]) is int for _, terms in equations for term in terms):
+        bits, dims = _bound(equations, ops, scale)
+        if bits * math.prod(dims) <= PACK_BITS:
+            pack, unpack = _kronecker(space.params, bits, dims)
+            for table in {id(op.table): op.table
+                          for op in ops.values()}.values():
+                for key, value in table.items():
+                    terms = {k: pack(c) for k, c in value.items()}
+                    table[key] = (value._trusted(terms) if isinstance(
+                        value, Combination) else terms)
     memo, last = {}, {sub: n for n, (_, terms) in enumerate(equations)
                       for *_, expr in terms for sub in _subtrees(expr)}
 
     def cells(n, name, terms):
         arity = 1 + max(max(_slots(expr)) for _, _, expr in terms)
-        found = _residuals(space, terms, arity, ops, memo, scale)
+        found = _residuals(space, terms, arity, ops, memo, scale, unpack)
         for expr in [expr for expr, at in last.items() if at == n]:
             memo.pop(expr, None)
         yield from _runs(found, space.dim, arity, name)

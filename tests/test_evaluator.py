@@ -12,11 +12,14 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from confalg import (GradedBilinearMap, LambdaBracket, LinearMap, Scalar,
-                     SuperSpace, as_rational, build_quadratic_bracket,
-                     check_alpha_system, check_averaging,
-                     check_conformal_leibniz, check_leibniz_superalgebra,
-                     classify_brackets, solve_central_ext_anl,
-                     to_left_conformal, VPoly)
+                     StarMode, SuperSpace, as_rational,
+                     build_assoc_novikov_from_averaging,
+                     build_quadratic_bracket, check_alpha_system,
+                     check_averaging, check_conformal_jacobi,
+                     check_conformal_leibniz, check_conformal_skew,
+                     check_leibniz_superalgebra, classify_brackets,
+                     solve_central_ext_anl, star_from_mode,
+                     to_left_conformal, to_left_superalgebra, VPoly)
 from confalg.conformal import (CONFORMAL_JACOBI, CONFORMAL_LEIBNIZ,
                                CONFORMAL_SKEW, _ops)
 from confalg.extensions import ANL_ALPHA_SYSTEM, CASES
@@ -157,12 +160,18 @@ def test_checks_modify_no_table_and_no_memoised_vector(dim, seed):
     """Values read off a table are the table's own vectors and pass from
     one equation to the next in the memo: the residuals of a second pass
     on the same memo are the first pass's, the memo and the tables are as
-    they were, and so is a lambda-bracket after a conformal check."""
+    they were, and so is a lambda-bracket after a conformal check.  A
+    packed check (see superspace._pack) rewrites only its private copies:
+    no check, tabulation (_tabulate, to_left_conformal) or classification
+    changes an input table."""
     rng = random.Random(seed)
     space = odd_parametric_space(rng, dim)
     maps = {name: parametric_map(rng, space, name)
             for name in ("circ", "star", "bracket")}
-    tables = copy.deepcopy({name: gbm.table for name, gbm in maps.items()})
+    avg = parametric_even_map(rng, space)
+    rational = gens.rand_gbm(rng, gens.rand_space(rng, dim), name="circ")
+    inputs = {**maps, "avg": avg, "rational": rational}
+    tables = copy.deepcopy({name: op.table for name, op in inputs.items()})
     equations = SYSTEMS['t'][1]
     memo = {}
     first = [_residuals(space, terms, 3, maps, memo)
@@ -171,16 +180,23 @@ def test_checks_modify_no_table_and_no_memoised_vector(dim, seed):
     assert [_residuals(space, terms, 3, maps, memo)
             for _, terms in equations] == first
     assert memo == kept
-    assert {name: gbm.table for name, gbm in maps.items()} == tables
+    assert {name: op.table for name, op in inputs.items()} == tables
     with dense_cells():
         want = report_summary(check_system("check", equations, maps))
     assert report_summary(check_system("check", equations, maps)) == want
-    assert {name: gbm.table for name, gbm in maps.items()} == tables
+    check_averaging(maps["circ"], avg)
+    build_assoc_novikov_from_averaging(maps["circ"], avg)
+    to_left_superalgebra(maps["bracket"])
+    for mode in (StarMode.DOUBLE, StarMode.SYMMETRIZED):
+        star_from_mode(maps["circ"], mode)
+    classify_brackets(rational)
+    assert {name: op.table for name, op in inputs.items()} == tables
     if dim <= 2:
         built = build_quadratic_bracket(*maps.values())
         entries = {key: dict(vp.terms) for key, vp in built.entries.items()}
-        check_conformal_leibniz(built)
-        to_left_conformal(built)
+        for check in (check_conformal_leibniz, check_conformal_jacobi,
+                      check_conformal_skew, to_left_conformal):
+            check(built)
         assert {key: vp.terms for key, vp in built.entries.items()} == entries
 
 

@@ -40,11 +40,14 @@ LEFT_OUT_SYSTEM = [
 ]
 
 
-def odd_space(rng, dim):
-    """A random space with at least one odd generator."""
+def odd_space(rng, dim, even=False):
+    """A random space with at least one odd generator; with even, also at
+    least one even generator, so that random products can be nonzero."""
     base = gens.rand_space(rng, dim)
     parities = list(base.parities)
     parities[rng.randrange(dim)] = 1
+    if even and 0 not in parities:
+        parities[rng.randrange(dim)] = 0
     return SuperSpace(list(zip(base.names, parities)))
 
 
@@ -67,11 +70,15 @@ def test_a_sign_on_a_slot_the_term_leaves_out(dim, seed, density):
 @pytest.mark.parametrize('case', sorted(CASES))
 def test_the_route_builds_no_per_cell_plan(case, monkeypatch):
     """_alpha_rows and check_alpha_system on each case's system, with
-    GradedBilinearMap.apply_vec (which its __call__ runs too) raising."""
+    GradedBilinearMap.apply_vec (which its __call__ runs too) raising, on
+    circ and star tables that are not empty (on odd generators alone they
+    would be, and the route would apply nothing whatever it did); the
+    bracket is zero in the cases that take none."""
     rng = random.Random(case)
-    space = odd_space(rng, 3)
+    space = odd_space(rng, 3, even=True)
     _, _, system, degrees, _ = CASES[case]
     ops = random_ops(rng, case, space, 0.5)
+    assert ops['circ'].table and ops['star'].table
     want = oracle_alpha_rows(system, ops, space, degrees)
     anz = ansatzes(rng, space, degrees, [])[-1]
     want_check = summary(oracle_check_alpha_system(system, ops, anz))
