@@ -539,13 +539,11 @@ def _alpha_rows(system, ops, space, degrees):
     degrees), one per equation and basis triple where it is not empty, in
     product order, read off _alpha_cells.  On the integral ops a row can
     be a positive int multiple of the one on the ops as given, with the
-    same entries in the same order.  ValueError if an op has parameter
-    entries; constant ones over parameters become bare rationals first."""
+    same entries in the same order, bare rationals even over parameters
+    (see superspace._integral).  ValueError if an op has parameter
+    entries."""
     require_rational((c for op in ops.values() for vec in op.table.values()
                       for c in vec.values()), "the circ or bracket")
-    if space.params:   # the entries are constant: any values do
-        ops = {name: op.substitute_params(dict.fromkeys(space.params, 0))
-               for name, op in ops.items()}
     unknowns = unknown_order(space, degrees)
     col = {t: [[None] * space.dim for _ in range(space.dim)]
            for t in degrees}   # col[t][p][q]: the unknown alpha_t(e_p, e_q)

@@ -23,9 +23,10 @@ import itertools
 from . import linalg
 from .scalars import Scalar, as_rational, require_rational
 from .superspace import (ASSOCIATIVITY, LEFT_LEIBNIZ, SKEW_SYMMETRY,
-                         SUPERCOMMUTATIVITY, AxiomReport, B, GradedBilinearMap,
-                         P, SuperSpace, X, Y, Z, check_system, _add_term,
-                         _equations, _op, _residuals, _tabulate)
+                         SUPERCOMMUTATIVITY, AxiomReport, B, Combination,
+                         GradedBilinearMap, P, SuperSpace, X, Y, Z,
+                         check_system, _add_term, _equations, _op,
+                         _tabulate)
 # unused here, but bench/test_bench.py asserts that this name is bound here
 from .superspace import check_left_leibniz_superalgebra
 from .conformal import LambdaBracket, VPoly
@@ -333,17 +334,11 @@ def build_assoc_novikov_from_averaging(product, avg):
 
 # ---------- classification of compatible brackets ----------
 
-# The mixed equations run on values linear in an unknown bracket: a sparse
-# vector holding known coordinates under basis indices k and the
-# coefficient of unknown u in coordinate k under the key (k, u).
+class _Linear(Combination):
+    """A value linear in the unknown bracket of classify_brackets: the
+    coefficient of unknown u in coordinate k under the key (k, u)."""
 
-def _coordinate(key):
-    """(basis index, unknown or None) of a key of a linear value."""
-    return key if type(key) is tuple else (key, None)
-
-
-def _is_linear(vec):
-    return any(type(key) is tuple for key in vec)
+    __slots__ = ()
 
 
 class ClassificationResult:
@@ -414,42 +409,36 @@ def classify_brackets(circ):
     preconditions = check_system("product axioms", R_PRODUCT_EQS,
                                  {'circ': circ})
 
+    zero = _Linear(space)
+
     def apply_circ(a, b):
-        if _is_linear(a) and _is_linear(b):
-            raise ValueError("expression is quadratic in the unknown bracket")
+        linear, plain = (b, a) if isinstance(b, _Linear) else (a, b)
+        if not isinstance(linear, _Linear):
+            return circ.apply_vec(a, b)
         out = {}
-        for key_a, ca in a.items():
-            i, u = _coordinate(key_a)
-            for key_b, cb in b.items():
-                j, w = _coordinate(key_b)
-                entry = circ.table.get((i, j))
-                if entry:
-                    c = ca * cb
-                    unknown = u if w is None else w
-                    for k, ck in entry.items():
-                        _add_term(out, k if unknown is None else (k, unknown),
-                                  c * ck)
-        return out
+        for (k, u), c in linear.items():
+            for p, cp in plain.items():
+                pair = (p, k) if linear is b else (k, p)
+                for q, cq in circ.table.get(pair, {}).items():
+                    _add_term(out, (q, u), c * cp * cq)
+        return zero._trusted(out)
 
     def unknown_bracket(a, b):
-        if _is_linear(a) or _is_linear(b):
-            raise ValueError("nested unknown brackets are quadratic")
-        out = {}
-        for p, cp in a.items():
-            for q, cq in b.items():
-                c = cp * cq
-                for key in unknowns.get((p, q), ()):
-                    out[key] = c
-        return out
+        return zero._trusted({key: cp * cq for p, cp in a.items()
+                              for q, cq in b.items()
+                              for key in unknowns.get((p, q), ())})
+
+    apply_circ.space, apply_circ.table = space, circ.table
+    unknown_bracket.space, unknown_bracket.table = space, unknowns
 
     # linear rows from the mixed equations, one per coordinate; every term
-    # holds one bracket, so every residual key is a (k, u) pair
-    ops, memo, rows = {'circ': apply_circ, 'bracket': unknown_bracket}, {}, []
-    for _, terms in R_MIXED_EQS:
-        found = _residuals(space, terms, 3, ops, memo)
-        for triple in sorted(found):
+    # holds one bracket, so every residual is linear
+    rows = []
+    for cell in itertools.chain.from_iterable(_equations(
+            R_MIXED_EQS, {'circ': apply_circ, 'bracket': unknown_bracket})[0]):
+        if type(cell) is not int:
             by_coord = {}
-            for (k, u), c in found[triple].items():
+            for (k, u), c in cell[2].items():
                 by_coord.setdefault(k, {})[u] = as_rational(c)
             rows.extend(by_coord.values())
 
@@ -472,9 +461,9 @@ def classify_brackets(circ):
 
     # left Leibniz on the family, symbolically, on the cells where the
     # residual is nonzero (the others add no constraint)
-    found = _residuals(fspace, LEFT_LEIBNIZ[1], 3, {'bracket': fam}, {})
-    constraints = [str(c) for cell in sorted(found)
-                   for c in found[cell].values()]
+    (cells,), _ = _equations([LEFT_LEIBNIZ], {'bracket': fam})
+    constraints = [str(c) for cell in cells if type(cell) is not int
+                   for c in cell[2].values()]
 
     return ClassificationResult(space, triples, basis, fspace, fam,
                                 preconditions, constraints)

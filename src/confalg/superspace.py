@@ -10,8 +10,9 @@ grading parity(x * y) = parity(x) + parity(y).  Combination is the sparse
 linear-combination type under the conformal, mode and file-format layers.
 
 Identities are written here as equations over slots and op nodes (see
-"identities as equations" below) and checked by one evaluator, which
-builds each expression's values once per check from the tables of its
+"identities as equations" below) and run through one evaluator,
+_equations, for every check, tabulation and classification.  It builds
+each expression's values once per run from the tables of its
 multilinear ops, only where a table meets its arguments, and adds each
 term's values into the basis cells they fall on, so an equation is
 evaluated only where a term is nonzero, in int arithmetic on ops scaled
@@ -372,14 +373,13 @@ class AxiomReport:
 # expression).  An expression is a tree of the slots X, Y, Z and op nodes
 # ('op', name, *args), where name is a key of the ops dict that applies to
 # the one or two argument values (a GradedBilinearMap takes two, a
-# LinearMap one); the
-# ops carry the space they act on, a plain function as its space attribute,
-# and are multilinear, with a table of where they can be nonzero (see
-# _values).  A sign pair (A, B) of slot strings contributes
-# (-1)^{parity(A) parity(B)} for the basis vectors in the slots.  An
-# equation is checked on every basis cell of the slots it uses, pairs for
-# x, y and triples for x, y, z, and evaluated on those where a term is
-# nonzero.  The values are vectors {k: coefficient} or Combinations (the
+# LinearMap one); the ops carry the space they act on, a plain function as
+# its space attribute, and are multilinear, each with a table of where it
+# can be nonzero (see _values).  A sign pair (A, B) of slot strings
+# contributes (-1)^{parity(A) parity(B)} for the basis vectors in the
+# slots.  An equation is checked on every basis cell of the slots it uses,
+# pairs for x, y and triples for x, y, z, and evaluated on those where a
+# term is nonzero.  The values are vectors {k: coefficient} or Combinations (the
 # conformal layer's VPolys), and a residual has the type of its values.
 
 X = ('slot', 'x')
@@ -469,11 +469,10 @@ def _integral(ops):
     int ones); a constant coefficient comes out a bare int even on a space
     with parameters, where the copies are made for d = 1 too, and where
     _equations packs them into ints.  (ops, 1) when they are integral on a
-    space without parameters, or an op has no table or no scaled method.
-    As the ops are multilinear, a term with n op nodes comes out d^n
-    times its value (see _residuals)."""
-    if not all(hasattr(op, 'table') and hasattr(op, 'scaled')
-               for op in ops.values()):
+    space without parameters, or an op has no scaled method (the closures
+    of classify_brackets' first pass).  As the ops are multilinear, a term
+    with n op nodes comes out d^n times its value (see _residuals)."""
+    if not all(hasattr(op, 'scaled') for op in ops.values()):
         return ops, 1
     d = math.lcm(*[denominator(c) for op in ops.values()
                    for value in op.table.values() for _, c in value.items()])
@@ -540,7 +539,7 @@ def _bound(equations, ops, scale):
     top, most = 0, 0
     for _, terms in equations:
         nodes = [_nodes(expr) for *_, expr in terms]
-        top = max(top, *nodes)
+        top = max([top, *nodes])
         most = max(most, sum(abs(c) * scale ** (max(nodes) - n)
                              * size(expr)[0]
                              for (c, _, expr), n in zip(terms, nodes)))
@@ -614,8 +613,8 @@ def _values(expr, ops, dim, memo):
     map as its apply_vec) on the values of its arguments joined on their
     shared slots (see _join) where its table meets their basis indices (a
     key of a one-argument op's table, a pair of a two-argument op's), as
-    the ops are multilinear; an op without a table, on the whole join.
-    Values can be table entries, so never modify one."""
+    the ops are multilinear.  Values can be table entries, so never modify
+    one."""
     out = memo.get(expr)
     if out is not None:
         return out
@@ -623,8 +622,8 @@ def _values(expr, ops, dim, memo):
         out = {(i,): {i: 1} for i in range(dim)}
     else:
         op, args = ops[expr[1]], expr[2:]
-        table = getattr(op, 'table', None)
-        if (table is not None and len(args) == 2 and args[0] != args[1]
+        table = op.table
+        if (len(args) == 2 and args[0] != args[1]
                 and args[0][0] == args[1][0] == 'slot'):
             out = table if isinstance(op, GradedBilinearMap) else {
                 key: vec for key in table
@@ -639,8 +638,8 @@ def _values(expr, ops, dim, memo):
                 (sb, b), = more
                 pairs = _join(sa, a, sb, b, table)[1] if a and b else {}
             else:
-                pairs = {key: (va,) for key, va in a.items() if table is None
-                         or any(k in table for k in _indices(va))}
+                pairs = {key: (va,) for key, va in a.items()
+                         if any(k in table for k in _indices(va))}
             out = {key: vec for key, vecs in pairs.items()
                    if (vec := run(*vecs))}
     memo[expr] = out
@@ -731,9 +730,10 @@ def _equations(equations, ops):
     on one memo of values: cells holds one iterable per equation over the
     basis cells of its slots (see _runs), a cell where the residual is
     nonzero as (name, cell, residual) (see _residuals), which check
-    renders as a failure.  An equation's residuals are found when its
-    iterable starts, and the memo drops each value after the last
-    equation that uses it.  On a space with parameters, with int term
+    renders as a failure.  The one entry to _residuals: checks, _tabulate
+    and classify_brackets read these cells.  An equation's residuals are
+    found when its iterable starts, and the memo drops each value after
+    the last equation that uses it.  On a space with parameters, with int term
     coefficients, the tables of the integral copies are packed into ints
     (see _bound) unless that is wider than PACK_BITS, and each residual
     coefficient is unpacked."""
@@ -755,7 +755,7 @@ def _equations(equations, ops):
                       for *_, expr in terms for sub in _subtrees(expr)}
 
     def cells(n, name, terms):
-        arity = 1 + max(max(_slots(expr)) for _, _, expr in terms)
+        arity = 1 + max((max(_slots(expr)) for *_, expr in terms), default=0)
         found = _residuals(space, terms, arity, ops, memo, scale, unpack)
         for expr in [expr for expr, at in last.items() if at == n]:
             memo.pop(expr, None)
@@ -816,10 +816,12 @@ def check_lie_superalgebra(bracket, fail_fast=False):
 
 def _tabulate(out, terms, ops):
     """out, an empty map of pairs, with its entry at each basis pair set to
-    the residual of an equation in x, y there."""
-    found = _residuals(out.space, terms, 2, ops, {})
-    for cell in sorted(found):
-        out.set_entry(*cell, found[cell])
+    the residual of an equation in x, y there (see _equations); left
+    empty for no terms."""
+    (cells,), _ = _equations([(None, terms)], ops)
+    for cell in cells:
+        if type(cell) is not int:
+            out.set_entry(*cell[1], cell[2])
     return out
 
 

@@ -110,7 +110,9 @@ def dense_equations(equations, ops):
 @contextlib.contextmanager
 def dense_cells():
     """Every check built on superspace._equations (check_system and
-    check_averaging) runs the dense loop inside."""
+    check_averaging) runs the dense loop inside.  _tabulate and
+    classify_brackets read _equations' cells themselves, so do not call
+    them inside it."""
     saved = superspace._equations, quadratic._equations
     superspace._equations = quadratic._equations = dense_equations
     try:

@@ -7,6 +7,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from confalg import (GradedBilinearMap, LambdaBracket, LinearMap, Scalar,
                      check_averaging, check_conformal_jacobi,
                      check_conformal_leibniz, check_conformal_skew,
                      check_leibniz_superalgebra, classify_brackets,
-                     solve_central_ext_anl, star_from_mode,
+                     quadratic, solve_central_ext_anl, star_from_mode,
                      to_left_conformal, to_left_superalgebra, VPoly)
 from confalg.conformal import (CONFORMAL_JACOBI, CONFORMAL_LEIBNIZ,
                                CONFORMAL_SKEW, _ops)
@@ -266,6 +267,60 @@ def test_each_op_is_called_at_most_once_per_argument_key(dim, seed,
             check_system("check", equations, ops))
         allowed = keyed_calls(equations, ops)
         assert all(n <= allowed[key] for key, n in calls.items())
+
+
+def classification_calls(circ):
+    """(classify_brackets(circ), its calls of its two ops as (op name,
+    basis indices of the first argument, of the second)), seen by a
+    profile hook; a key (k, u) of a value linear in the unknown bracket
+    is on basis index k."""
+    calls = []
+
+    def indices(value):
+        return {key[0] if isinstance(key, tuple) else key
+                for key in getattr(value, "terms", value)}
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == quadratic.__file__
+                and code.co_name in ("apply_circ", "unknown_bracket")):
+            calls.append((code.co_name, indices(frame.f_locals["a"]),
+                          indices(frame.f_locals["b"])))
+    sys.setprofile(hook)
+    try:
+        result = classify_brackets(circ)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+@given(st.integers(1, 3), st.integers(0, 10 ** 6),
+       st.sampled_from([0.2, 0.6]))
+@settings(max_examples=25, deadline=None)
+def test_classification_calls_its_ops_only_where_their_tables_allow(
+        dim, seed, density):
+    """classify_brackets' first pass calls the circ op only on arguments
+    with a basis pair in the circ's table, and the unknown bracket only on
+    arguments with a pair (i, j) of some unknown (i, j, k): it reads where
+    its ops can be nonzero from their tables, as every check does."""
+    rng = random.Random(seed)
+    circ = gens.rand_gbm(rng, gens.rand_space(rng, dim), density, "circ")
+    result, calls = classification_calls(circ)
+    tables = {"apply_circ": circ.table,
+              "unknown_bracket": {(i, j) for i, j, _ in result.triples}}
+    assert all(any((p, q) in tables[name] for p in a for q in b)
+               for name, a, b in calls)
+
+
+def test_classification_never_calls_a_zero_circ():
+    """avg_x3's circ is zero: the first pass calls the unknown bracket
+    once per key of each of its three nodes over two slots, and never the
+    circ op."""
+    circ = gens.corpus("avg_x3.alg").circ()
+    assert not circ.table
+    _, calls = classification_calls(circ)
+    assert collections.Counter(name for name, *_ in calls) == {
+        "unknown_bracket": 3 * circ.space.dim ** 2}
 
 
 @given(st.integers(1, 3), st.integers(0, 10 ** 6))

@@ -133,23 +133,13 @@ def test_classified_constraints_match_the_dense_pass(dim, seed, density):
                               value).values()]
 
 
-def untabled(bracket):
-    """The opposite product of bracket as a plain function: multilinear,
-    but with no table, so its terms are never pruned."""
-    def op(u, v):
-        return bracket.apply_vec(v, u)
-    op.space = bracket.space
-    return op
-
-
-A, F = superspace._op('avg'), superspace._op('flip')
+A = superspace._op('avg')
 ODD_SHAPES = [
     ("one slot", [(1, (), B(X, X))]),
     ("shared slots", [(1, (), B(X, B(X, Y))), (-1, (('x', 'y'),),
                                                 B(B(Y, X), X))]),
     ("free slots", [(1, (), B(X, Z)), (-1, (), B(Y, Y)), (1, (), A(Y))]),
     ("nested", [(1, (), A(B(A(X), Y))), (1, (), B(A(X), A(Y)))]),
-    ("untabled", [(1, (), B(X, Y)), (1, (), F(Y, X))]),
 ]
 
 
@@ -158,14 +148,13 @@ ODD_SHAPES = [
 @settings(deadline=None)
 def test_odd_term_shapes_match_the_dense_loop(dim, seed, density, fail_fast):
     """Shapes no registered system has: an equation in x alone, arguments
-    that share a slot, terms that leave a slot out, a one-argument op over
-    a node that uses every slot, and an op without a table."""
+    that share a slot, terms that leave a slot out, and a one-argument op
+    over a node that uses every slot."""
     rng = random.Random(seed)
     space = gens.rand_space(rng, dim, killed=True)
     bracket = gens.rand_gbm(rng, space, density, name="bracket")
     ops = {"bracket": bracket, "avg": gens.rand_linear_map(rng, space,
-                                                            density),
-           "flip": untabled(bracket)}
+                                                            density)}
     for equation in ODD_SHAPES:
         got = summary(check_system("shapes", [equation], ops, fail_fast))
         with dense_cells():
