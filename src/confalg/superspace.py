@@ -379,8 +379,9 @@ class AxiomReport:
 # contributes (-1)^{parity(A) parity(B)} for the basis vectors in the
 # slots.  An equation is checked on every basis cell of the slots it uses,
 # pairs for x, y and triples for x, y, z, and evaluated on those where a
-# term is nonzero.  The values are vectors {k: coefficient} or Combinations (the
-# conformal layer's VPolys), and a residual has the type of its values.
+# term is nonzero.  The values are vectors {k: coefficient} or
+# Combinations (the conformal layer's VPolys), and a residual has the type
+# of its values.
 
 X = ('slot', 'x')
 Y = ('slot', 'y')
